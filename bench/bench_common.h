@@ -20,7 +20,7 @@ namespace bench {
 double EnvScale();
 size_t EnvThreads();
 
-/// MC_BENCH_Q — QJoin q (default 2; 0 = race per §4.1, 1 = TopKJoin).
+/// MC_BENCH_Q — QJoin q (default 2; 0 = cost-based planner, 1 = TopKJoin).
 size_t EnvQ();
 
 /// Default generation scale for a dataset (before MC_BENCH_SCALE).

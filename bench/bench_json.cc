@@ -1,5 +1,6 @@
 #include "bench_json.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace mc {
@@ -72,6 +73,11 @@ void JsonWriter::String(std::string_view value) {
 
 void JsonWriter::Double(double value) {
   BeforeValue();
+  // JSON has no NaN or infinity literal; a non-finite value is "no value".
+  if (!std::isfinite(value)) {
+    out_ << "null";
+    return;
+  }
   // 17 significant digits round-trip any double exactly.
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);

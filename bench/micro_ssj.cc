@@ -192,8 +192,7 @@ JsonBenchResult TimeJoin(const ConfigView& view, size_t k, size_t q,
     options.shards = shards;
     TopKJoinStats stats;
     Stopwatch watch;
-    TopKList list = RunTopKJoin(view, options, nullptr, nullptr, nullptr,
-                                &stats);
+    TopKList list = RunTopKJoin(view, options, nullptr, nullptr, &stats);
     double seconds = watch.ElapsedSeconds();
     total += seconds;
     if (rep == 0 || seconds < best) best = seconds;

@@ -83,7 +83,7 @@ struct MatchCatcherOptions {
   std::function<void(const JointListsSnapshot&)> joint_sink;
   /// Cached execution plan for the joint phase (the service's cross-session
   /// plan cache). When set and the joint phase would run the cost planner
-  /// (joint.q == 0 under QSelection::kPlanner), the sampling probes are
+  /// (joint.q == 0), the sampling probes are
   /// skipped and this plan executes directly — bit-identical output to
   /// planning fresh, because the planner is deterministic for a fixed
   /// (seed, corpus generation, weights) and every plan executes to the same

@@ -13,28 +13,21 @@ namespace mc {
 /// PairScorer that reuses overlap computations across configs via a shared
 /// OverlapCache (paper §4.2 "Reusing Similarity Score Computations"). On a
 /// cache hit the score is derived from the cached shared-token masks; on a
-/// miss the overlap is merged directly (no allocation). Only pairs that
-/// enter a top-k list are written to the cache (NoteKept) — exactly the
-/// pairs parent-to-child reuse re-scores — keeping the cache bounded by
+/// miss the overlap is merged directly from the view spans (no
+/// allocation). The scorer only reads the cache: the joint executor writes
+/// each config's final top-k pairs at config completion — exactly the pairs
+/// parent-to-child reuse re-scores — keeping the cache bounded by
 /// O(k x configs) instead of O(all scored pairs).
 ///
-/// Each instance is used by a single config task (one thread); the cache
+/// Each instance is used by a single shard task (one thread); the cache
 /// itself is concurrent.
 class CachingPairScorer : public PairScorer {
  public:
   /// Snapshots the cache's current contents into a lock-free local index;
   /// entries published after construction are simply recomputed on miss
   /// (cache values are pointer-stable, so the snapshot stays valid).
-  ///
-  /// A miss is scored by merging the rows' *view* spans — already filtered
-  /// to the config, so the merge touches only surviving tokens. Passing
-  /// `corpus_miss_path = true` restores the historical miss path (merge the
-  /// full tuples from the corpus, mask-filtering on the fly); the overlap
-  /// is identical either way. Kept for the micro_joint before/after
-  /// ablation.
-  CachingPairScorer(const SsjCorpus* corpus, const ConfigView* view,
-                    ConfigMask config, SetMeasure measure, OverlapCache* cache,
-                    bool write_enabled, bool corpus_miss_path = false);
+  CachingPairScorer(const ConfigView* view, ConfigMask config,
+                    SetMeasure measure, const OverlapCache* cache);
 
   double Score(RowId row_a, RowId row_b) override;
 
@@ -42,24 +35,17 @@ class CachingPairScorer : public PairScorer {
   /// exact score comes from the cached masks (already cheap). On a miss the
   /// view-span merge is abandoned as soon as the remaining tokens cannot
   /// reach the overlap required for `threshold` — the same positional bound
-  /// the engine's inline fast path uses. With `corpus_miss_path` the
-  /// historical full-merge behavior is kept (no early abort).
+  /// the engine's inline fast path uses.
   bool ScoreAbove(RowId row_a, RowId row_b, double threshold,
                   double* score) override;
-
-  void NoteKept(RowId row_a, RowId row_b) override;
 
   size_t cache_hits() const { return hits_; }
   size_t cache_misses() const { return misses_; }
 
  private:
-  const SsjCorpus* corpus_;
   const ConfigView* view_;
   ConfigMask config_;
   SetMeasure measure_;
-  OverlapCache* cache_;
-  bool write_enabled_;
-  bool corpus_miss_path_ = false;
   // Local snapshot: pair -> pointer into the shared cache.
   PairFlatMap<const CachedOverlap*> snapshot_;
   size_t hits_ = 0;

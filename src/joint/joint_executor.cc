@@ -24,8 +24,7 @@ namespace mc {
 
 namespace {
 
-// Everything both schedulers need, threaded through one struct instead of
-// a dozen lambda captures.
+// Everything the scheduler needs, threaded through one struct.
 struct JointContext {
   JointContext(const SsjCorpus& corpus, const ConfigTree& tree,
                const JointOptions& options, JointResult& result, size_t q,
@@ -63,143 +62,28 @@ struct JointContext {
     if (result.task_error.ok()) result.task_error = status;
   }
 
-  TopKJoinOptions JoinOptions() const {
-    return JoinOptions(options.run_context);
-  }
-
-  /// Variant running the join under a derived context (the two-level
-  /// scheduler gives each config a child of the session context).
+  /// Join options for one config, run under a derived context (each config
+  /// gets a child of the session context).
   TopKJoinOptions JoinOptions(const RunContext& run_context) const {
     TopKJoinOptions join_options;
     join_options.k = options.k;
     join_options.measure = options.measure;
     join_options.q = q;
     join_options.exclude = options.exclude;
-    join_options.merge_poll_period = options.merge_poll_period;
     join_options.run_context = run_context;
     return join_options;
   }
 };
 
 // ---------------------------------------------------------------------------
-// Legacy scheduler (JointScheduler::kConfigPerTask): one monolithic task per
-// config, all submitted at once; children poll unfinished parents through
-// ParentMergeSource. Kept as the determinism pin's "old BFS path" and the
-// micro_joint ablation baseline.
-// ---------------------------------------------------------------------------
-
-void RunConfigPerTask(JointContext& ctx) {
-  std::vector<ParentPublication> states(ctx.tree.size());
-
-  auto run_node = [&](size_t node_index) {
-    const ConfigNode& node = ctx.tree.nodes[node_index];
-    ConfigJoinResult& out = ctx.result.per_config[node_index];
-    out.config = node.mask;
-    out.completed = false;  // Set true only when the join drains fully.
-    Stopwatch watch;
-
-    // MarkDone guarantees children polling this node never wait on a task
-    // that bailed out (cancelled or threw): every exit path publishes
-    // whatever list exists, even an empty one.
-    struct MarkDone {
-      ParentPublication* publication;
-      const std::vector<ScoredPair>* topk;
-      ~MarkDone() { publication->Publish(*topk); }
-    } mark_done{&states[node_index], &out.topk};
-
-    if (ctx.options.run_context.Cancelled()) {
-      return;  // Skipped entirely: deadline hit before this config started.
-    }
-    if (MC_FAULT_POINT("joint/run_node") == FaultKind::kThrow) {
-      throw std::runtime_error("injected fault: joint/run_node " +
-                               std::to_string(node_index));
-    }
-
-    Stopwatch view_watch;
-    ConfigView view = ctx.corpus.MakeConfigView(node.mask, ctx.options.view_mode);
-    out.view_seconds = view_watch.ElapsedSeconds();
-    out.average_tokens = view.average_tokens();
-
-    // Scorer: caching only when overlap reuse is on — constructing the
-    // caching scorer snapshots the shared cache, which is wasted work (and
-    // misleading hit/miss counters) when reuse is disabled. With reuse off
-    // the direct scorer runs and cache_hits/cache_misses stay 0.
-    DirectPairScorer direct(&view, ctx.options.measure);
-    std::unique_ptr<CachingPairScorer> caching;
-    PairScorer* scorer = &direct;
-    if (ctx.overlap_reuse) {
-      caching = std::make_unique<CachingPairScorer>(
-          &ctx.corpus, &view, node.mask, ctx.options.measure, &ctx.cache,
-          /*write_enabled=*/true, ctx.options.corpus_miss_path);
-      scorer = caching.get();
-    }
-
-    TopKJoinOptions join_options = ctx.JoinOptions();
-
-    // Top-k reuse: seed from a finished parent, else poll it mid-run.
-    std::vector<ScoredPair> seed;
-    const std::vector<ScoredPair>* seed_ptr = nullptr;
-    std::unique_ptr<ParentMergeSource> merge_source;
-    if (ctx.options.reuse_topk && node.parent >= 0) {
-      ParentPublication& parent = states[node.parent];
-      if (parent.done()) {
-        // Final and immutable: re-adjust straight from the published list.
-        seed = ReadjustToConfig(parent.result(), view, *scorer);
-        seed_ptr = &seed;
-        out.seeded_from_parent = true;
-      } else {
-        merge_source =
-            std::make_unique<ParentMergeSource>(&parent, &view, scorer);
-      }
-    }
-
-    TopKList topk = RunTopKJoin(view, join_options, scorer, seed_ptr,
-                                merge_source.get(), &out.stats);
-
-    out.topk = topk.SortedDescending();
-    out.seconds = watch.ElapsedSeconds();
-    out.cache_hits = caching != nullptr ? caching->cache_hits() : 0;
-    out.cache_misses = caching != nullptr ? caching->cache_misses() : 0;
-    out.completed = !out.stats.truncated;
-  };
-
-  auto record_task_error = [&](const Status& status) {
-    ctx.RecordTaskError(status);
-  };
-
-  if (ctx.num_threads == 1) {
-    // Sequential BFS (deterministic; every child sees a finished parent).
-    // The task boundary matches the pool's: a throwing node is captured as
-    // a Status and the remaining configs still run.
-    for (size_t i = 0; i < ctx.tree.size(); ++i) {
-      try {
-        run_node(i);
-      } catch (const std::exception& e) {
-        record_task_error(
-            Status::Internal(std::string("config task threw: ") + e.what()));
-      } catch (...) {
-        record_task_error(
-            Status::Internal("config task threw a non-std exception"));
-      }
-    }
-  } else {
-    ThreadPool pool(ctx.num_threads, "mc-joint");
-    for (size_t i = 0; i < ctx.tree.size(); ++i) {
-      pool.Submit([&run_node, i] { run_node(i); }, record_task_error);
-    }
-    pool.Wait();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Two-level scheduler (JointScheduler::kTwoLevel, the default).
+// Two-level scheduler.
 //
 // Level 1: configs are scheduled over the config tree parents-first — a
-// config's setup task is submitted only after its parent published its
-// final list, so every child seeds from a finished parent (no mid-run
-// polling, no idle spinning). Level 2: each config's join is decomposed
-// into table-A shard sub-joins (RunTopKJoinShard) that run as independent
-// pool tasks, so the machine stays busy even when few configs are ready.
+// config's setup task is submitted only after its parent wrote its final
+// list, so every child seeds from a finished parent (no mid-run polling, no
+// idle spinning). Level 2: each config's join is decomposed into table-A
+// shard sub-joins (RunTopKJoinShard) that run as independent pool tasks, so
+// the machine stays busy even when few configs are ready.
 //
 // Determinism: every shard list is the canonical top-k of its sub-space
 // under (score desc, pair asc), so the shard merge reproduces the
@@ -208,10 +92,10 @@ void RunConfigPerTask(JointContext& ctx) {
 // and scheduling interleaving.
 //
 // Liveness: every setup path — cancelled, faulted, or normal — ends in
-// PublishAndCascade, which publishes the (possibly empty) list and submits
-// the children's setups. No task ever blocks on another task, so a full
-// drain of the pool is guaranteed; a failed parent yields one incomplete
-// config, not an orphaned subtree.
+// Cascade, which submits the children's setups once the node's (possibly
+// empty) final list is in place. No task ever blocks on another task, so a
+// full drain of the pool is guaranteed; a failed parent yields one
+// incomplete config, not an orphaned subtree.
 // ---------------------------------------------------------------------------
 
 class TwoLevelExecutor {
@@ -254,7 +138,6 @@ class TwoLevelExecutor {
 
  private:
   struct Node {
-    ParentPublication publication;
     std::vector<size_t> children;
     // Setup products; alive from StartNode until FinishNode (shard tasks
     // reference them).
@@ -278,7 +161,7 @@ class TwoLevelExecutor {
   };
 
   // Node-ready step: build the view and scorers, re-adjust the parent's
-  // published list into the seed, and fan the config out into shard tasks.
+  // final list into the seed, and fan the config out into shard tasks.
   void StartNode(size_t index) {
     Node& node = nodes_[index];
     const ConfigNode& tree_node = ctx_.tree.nodes[index];
@@ -289,7 +172,7 @@ class TwoLevelExecutor {
     try {
       if (ctx_.options.run_context.Cancelled()) {
         // Skipped entirely; children still cascade (and skip too).
-        PublishAndCascade(index);
+        Cascade(index);
         return;
       }
       if (MC_FAULT_POINT("joint/run_node") == FaultKind::kThrow) {
@@ -298,8 +181,7 @@ class TwoLevelExecutor {
       }
 
       Stopwatch view_watch;
-      node.view =
-          ctx_.corpus.MakeConfigView(tree_node.mask, ctx_.options.view_mode);
+      node.view = ctx_.corpus.MakeConfigView(tree_node.mask);
       out.view_seconds = view_watch.ElapsedSeconds();
       out.average_tokens = node.view.average_tokens();
       out.shards_used = shard_count_;
@@ -307,35 +189,29 @@ class TwoLevelExecutor {
       // Per-shard caching scorers: CachingPairScorer is single-threaded
       // (local snapshot + counters), so each shard gets its own instance
       // over the shared concurrent cache. Snapshots taken here — after the
-      // parent finished — already contain every ancestor's kept pairs.
-      // Writes are disabled on the hot path: the legacy engine pays a
-      // ComputeShared (full-tuple merge + allocation) for every pair that
-      // *enters* a top-k list, including the many later evicted; the
-      // two-level scheduler instead writes the k pairs that actually
-      // survived, once, at config completion (FinishNode) — which is all a
-      // child's snapshot can observe anyway, since children start only
-      // after the parent published.
+      // parent finished — already contain every ancestor's kept pairs: each
+      // config writes the k pairs that survived, once, at completion
+      // (FinishNode), which is all a child's snapshot can observe anyway.
       if (ctx_.overlap_reuse) {
         node.scorers.reserve(shard_count_);
         for (size_t s = 0; s < shard_count_; ++s) {
           node.scorers.push_back(std::make_unique<CachingPairScorer>(
-              &ctx_.corpus, &node.view, tree_node.mask, ctx_.options.measure,
-              &ctx_.cache, /*write_enabled=*/false,
-              ctx_.options.corpus_miss_path));
+              &node.view, tree_node.mask, ctx_.options.measure, &ctx_.cache));
         }
       }
 
-      // Parents-first guarantee: the parent published before this task was
-      // submitted, so the seed is always available — children never poll.
+      // Parents-first guarantee: the parent's FinishNode wrote its final
+      // list before Cascade submitted this task (the pool orders the
+      // write before this read), so the seed is always available and
+      // immutable — children never poll.
       if (ctx_.options.reuse_topk && tree_node.parent >= 0) {
-        const ParentPublication& parent =
-            nodes_[static_cast<size_t>(tree_node.parent)].publication;
+        const std::vector<ScoredPair>& parent =
+            ctx_.result.per_config[static_cast<size_t>(tree_node.parent)].topk;
         if (!node.scorers.empty()) {
-          node.seed =
-              ReadjustToConfig(parent.result(), node.view, *node.scorers[0]);
+          node.seed = ReadjustToConfig(parent, node.view, *node.scorers[0]);
         } else {
           DirectPairScorer direct(&node.view, ctx_.options.measure);
-          node.seed = ReadjustToConfig(parent.result(), node.view, direct);
+          node.seed = ReadjustToConfig(parent, node.view, direct);
         }
         node.use_seed = true;
         out.seeded_from_parent = true;
@@ -359,12 +235,12 @@ class TwoLevelExecutor {
       ctx_.RecordTaskError(
           Status::Internal(std::string("config task threw: ") + e.what()));
       node.failed.store(true, std::memory_order_relaxed);
-      PublishAndCascade(index);
+      Cascade(index);
     } catch (...) {
       ctx_.RecordTaskError(
           Status::Internal("config task threw a non-std exception"));
       node.failed.store(true, std::memory_order_relaxed);
-      PublishAndCascade(index);
+      Cascade(index);
     }
   }
 
@@ -443,7 +319,7 @@ class TwoLevelExecutor {
 
   // Runs on the worker that finished the config's last shard: merge the
   // shard lists deterministically, finalize the per-config result, release
-  // the setup products, publish, and cascade the children.
+  // the setup products, and cascade the children.
   void FinishNode(size_t index) {
     Node& node = nodes_[index];
     ConfigJoinResult& out = ctx_.result.per_config[index];
@@ -460,7 +336,6 @@ class TwoLevelExecutor {
       out.stats.pairs_scored += stats.pairs_scored;
       out.stats.pairs_pruned += stats.pairs_pruned;
       out.stats.tokens_indexed += stats.tokens_indexed;
-      out.stats.merges_applied += stats.merges_applied;
       out.stats.prefilter_restarts += stats.prefilter_restarts;
       out.stats.truncated = out.stats.truncated || stats.truncated;
     }
@@ -496,17 +371,14 @@ class TwoLevelExecutor {
     node.shard_lists.clear();
     node.shard_stats.clear();
 
-    PublishAndCascade(index);
+    Cascade(index);
   }
 
-  // Every setup/finish path ends here exactly once per node: publish the
-  // (possibly empty) final list for the children to seed from, then submit
-  // their setup tasks.
-  void PublishAndCascade(size_t index) {
-    Node& node = nodes_[index];
-    node.publication.Publish(
-        std::vector<ScoredPair>(ctx_.result.per_config[index].topk));
-    for (size_t child : node.children) {
+  // Every setup/finish path ends here exactly once per node, after the
+  // node's (possibly empty) final list is in place in ctx_.result: submit
+  // the children's setup tasks, which seed from that list.
+  void Cascade(size_t index) {
+    for (size_t child : nodes_[index].children) {
       pool_->Submit([this, child] { StartNode(child); });
     }
   }
@@ -538,51 +410,42 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   JointResult result;
   result.per_config.resize(tree.size());
 
-  // Decide the plan (q, shard hint, hybrid prefilter) on the root config —
-  // by the cost-based planner (the default) or the legacy q race. Both
-  // respect the run context, so a deadline also bounds this warm-up phase.
+  // Decide the plan (q, shard hint, hybrid prefilter) on the root config
+  // with the cost-based planner. It respects the run context, so a deadline
+  // also bounds this warm-up phase.
   size_t q = options.q;
   Stopwatch root_view_watch;
-  ConfigView root_view =
-      corpus.MakeConfigView(tree.nodes[0].mask, options.view_mode);
+  ConfigView root_view = corpus.MakeConfigView(tree.nodes[0].mask);
   result.stages.view_seconds += root_view_watch.ElapsedSeconds();
   Stopwatch q_watch;
   const size_t hardware =
       std::max<size_t>(1, std::thread::hardware_concurrency());
   if (q == 0) {
-    if (options.q_selection == QSelection::kPlanner) {
-      if (options.cached_plan != nullptr) {
-        // Cross-session plan cache hit: skip the sampling probes entirely.
-        // The caller guarantees the plan was computed by PlanTopKJoin on an
-        // identical corpus generation/config signature, so executing it is
-        // bit-identical to planning fresh (the planner is deterministic).
-        result.plan = *options.cached_plan;
-        result.plan_from_cache = true;
-      } else {
-        PlannerOptions planner_options;
-        planner_options.k = options.k;
-        planner_options.measure = options.measure;
-        planner_options.exclude = options.exclude;
-        planner_options.seed = options.planner_seed;
-        planner_options.max_shards =
-            options.num_threads != 0 ? options.num_threads : hardware;
-        planner_options.enable_hybrid =
-            options.planner_hybrid &&
-            options.scheduler == JointScheduler::kTwoLevel;
-        planner_options.enable_threshold = options.planner_threshold;
-        if (options.calibrator != nullptr) {
-          planner_options.weights = options.calibrator->weights();
-        }
-        planner_options.run_context = options.run_context;
-        result.plan = PlanTopKJoin(corpus, root_view, planner_options);
-      }
-      result.planner_used = true;
-      q = result.plan.q;
+    if (options.cached_plan != nullptr) {
+      // Cross-session plan cache hit: skip the sampling probes entirely.
+      // The caller guarantees the plan was computed by PlanTopKJoin on an
+      // identical corpus generation/config signature, so executing it is
+      // bit-identical to planning fresh (the planner is deterministic).
+      result.plan = *options.cached_plan;
+      result.plan_from_cache = true;
     } else {
-      size_t max_q = 4;
-      q = SelectQByRace(root_view, options.measure, options.exclude, max_q,
-                        /*probe_k=*/50, options.run_context);
+      PlannerOptions planner_options;
+      planner_options.k = options.k;
+      planner_options.measure = options.measure;
+      planner_options.exclude = options.exclude;
+      planner_options.seed = options.planner_seed;
+      planner_options.max_shards =
+          options.num_threads != 0 ? options.num_threads : hardware;
+      planner_options.enable_hybrid = options.planner_hybrid;
+      planner_options.enable_threshold = options.planner_threshold;
+      if (options.calibrator != nullptr) {
+        planner_options.weights = options.calibrator->weights();
+      }
+      planner_options.run_context = options.run_context;
+      result.plan = PlanTopKJoin(corpus, root_view, planner_options);
     }
+    result.planner_used = true;
+    q = result.plan.q;
   }
   result.q_used = q;
   result.stages.q_select_seconds = q_watch.ElapsedSeconds();
@@ -619,11 +482,7 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     ctx.root_mode = result.plan.mode;
   }
 
-  if (options.scheduler == JointScheduler::kConfigPerTask) {
-    RunConfigPerTask(ctx);
-  } else {
-    TwoLevelExecutor(ctx).Run();
-  }
+  TwoLevelExecutor(ctx).Run();
 
   result.plan_decisions.reserve(tree.size());
   for (size_t i = 0; i < tree.size(); ++i) {
@@ -634,7 +493,6 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     decision.shards = config.shards_used;
     decision.seeded_from_parent = config.seeded_from_parent;
     decision.hybrid = i == 0 && ctx.root_prefilter >= 0.0 &&
-                      options.scheduler == JointScheduler::kTwoLevel &&
                       config.shards_used == 1 && !config.seeded_from_parent;
     decision.prefilter_threshold =
         decision.hybrid ? ctx.root_prefilter : -1.0;

@@ -17,49 +17,15 @@ namespace mc {
 
 class CostModelCalibrator;
 
-/// How RunJointTopKJoins schedules the per-config joins.
-enum class JointScheduler {
-  /// Two-level scheduler (the default): configs are scheduled
-  /// parents-first over the config tree, and each config is decomposed
-  /// into table-A shard sub-joins that run as independent pool tasks. A
-  /// child starts only after its parent published its final list, so every
-  /// child seeds from a finished parent (no polling); the per-shard top-k
-  /// lists merge deterministically (each shard list is canonical under
-  /// (score desc, pair asc)), making the output bit-identical to the
-  /// sequential BFS run for every thread count and shard count.
-  kTwoLevel,
-  /// Legacy scheduler: one monolithic task per config, all submitted at
-  /// once; children poll unfinished parents via ParentMergeSource. Kept
-  /// for the determinism pin (old-vs-new) and the micro_joint ablation.
-  kConfigPerTask,
-};
-
-/// How the execution plan (q, shard hint, hybrid prefilter) is chosen when
-/// JointOptions::q == 0.
-enum class QSelection {
-  /// Cost-based planner (src/ssj/join_planner.h, the default): sampled
-  /// probe joins on the root view pick q by extrapolated operation counts,
-  /// plus a shard hint and the hybrid threshold/top-k prefilter. No loser
-  /// work is discarded, and the decision is deterministic for a fixed
-  /// planner seed — unlike the wall-clock race.
-  kPlanner,
-  /// Legacy empirical q race (SelectQByRace, paper §4.1): races candidate
-  /// q values with real join work and keeps the fastest. Kept as the
-  /// ablation baseline for bench/micro_planner.
-  kRace,
-};
-
 /// Options for joint execution of top-k SSJs over all configs (paper §4.2).
 struct JointOptions {
   /// Top-k size per config.
   size_t k = 1000;
   SetMeasure measure = SetMeasure::kJaccard;
-  /// QJoin deferred-scoring parameter; 0 selects q per corpus — via the
-  /// cost-based planner or the legacy race, see `q_selection` — once, on
-  /// the root config.
+  /// QJoin deferred-scoring parameter; 0 lets the cost-based planner
+  /// (src/ssj/join_planner.h) pick q per corpus — once, on the root config
+  /// — along with a shard hint and the hybrid threshold/top-k prefilter.
   size_t q = 1;
-  /// Plan selection strategy when q == 0 (ignored otherwise).
-  QSelection q_selection = QSelection::kPlanner;
   /// Planner sample seed; 0 = MC_PLANNER_SEED (fixed default when unset).
   /// Plans are deterministic for a fixed seed on a fixed corpus generation.
   uint64_t planner_seed = 0;
@@ -71,10 +37,10 @@ struct JointOptions {
   /// (JoinExecMode::kThreshold; ablation switch, bit-identical output).
   bool planner_threshold = true;
   /// Skip planning entirely and execute this plan (the service's
-  /// cross-session plan cache). Only consulted when q == 0 under
-  /// QSelection::kPlanner; the plan must have been produced by
-  /// PlanTopKJoin on an identical corpus generation and config signature —
-  /// the caller owns that invariant (SessionManager keys its cache by it).
+  /// cross-session plan cache). Only consulted when q == 0; the plan must
+  /// have been produced by PlanTopKJoin on an identical corpus generation
+  /// and config signature — the caller owns that invariant (SessionManager
+  /// keys its cache by it).
   /// The executed output is bit-identical to planning fresh because the
   /// planner is deterministic for a fixed (seed, generation, weights) and
   /// every plan executes to the same canonical lists. Not owned; must
@@ -87,11 +53,15 @@ struct JointOptions {
   /// shipped constant weights — existing callers and tests are unaffected.
   /// Not owned; must outlive the call.
   CostModelCalibrator* calibrator = nullptr;
-  /// Worker threads ("one config per core"); 0 = hardware concurrency.
+  /// Worker threads; 0 = hardware concurrency. Configs are scheduled
+  /// parents-first over the config tree, and each config is decomposed
+  /// into table-A shard sub-joins that run as independent pool tasks: a
+  /// child starts only after its parent finished, so it seeds from the
+  /// parent's final list. The output is bit-identical for every thread and
+  /// shard count (each shard list is canonical under (score desc, pair
+  /// asc)).
   size_t num_threads = 0;
-  /// Scheduling strategy; see JointScheduler.
-  JointScheduler scheduler = JointScheduler::kTwoLevel;
-  /// Table-A shards per config under the two-level scheduler. 0 = auto:
+  /// Table-A shards per config. 0 = auto:
   /// min(num_threads, hardware concurrency) — enough decomposition to fill
   /// the machine when ready configs are scarce (sharding splits only the
   /// table-A event stream; each shard re-walks table B, so shards beyond
@@ -104,29 +74,15 @@ struct JointOptions {
   /// JointResult::overlap_cache_shards_used (bench sweeps set it
   /// explicitly).
   size_t overlap_cache_shards = 0;
-  /// How per-config token views are built. The default zero-copy mode
-  /// serves fully covered rows straight from the corpus arena;
-  /// kMaterialize copies every row (the pre-zero-copy cost model, kept for
-  /// the micro_joint before/after ablation). The join output is identical
-  /// either way.
-  SsjCorpus::ViewMode view_mode = SsjCorpus::ViewMode::kAuto;
-  /// Score cache misses by merging the full tuples from the corpus instead
-  /// of the config-filtered view spans — the pre-zero-copy cost model, kept
-  /// for the micro_joint ablation. The computed scores are identical.
-  bool corpus_miss_path = false;
   /// Reuse similarity-score computations through the shared overlap cache.
   bool reuse_overlaps = true;
-  /// Seed each config's top-k list from its parent's re-adjusted list (and
-  /// merge late parents mid-run).
+  /// Seed each config's top-k list from its parent's re-adjusted list.
   bool reuse_topk = true;
   /// Overlap reuse triggers only when the average tuple length (in tokens,
   /// over the root config) is at least this (paper's t = 20).
   double reuse_min_avg_tokens = 20.0;
   /// Blocker output C: pairs to exclude from every top-k list.
   const CandidateSet* exclude = nullptr;
-  /// Poll period for late-parent merges, in join events. Cancellation is
-  /// checked at the same cadence.
-  size_t merge_poll_period = 1024;
   /// Cooperative cancellation/deadline (util/run_context.h). When it fires,
   /// every running join stops at its next poll and unstarted configs are
   /// skipped; the result carries each config's best-so-far list with
@@ -184,8 +140,8 @@ struct ConfigPlanDecision {
 /// Where the joint execution spent its time, aggregated across configs
 /// (bench/micro_joint reports these alongside corpus-build timings).
 struct JointStageTimings {
-  /// The optional plan-selection phase (cost-based planner or legacy q
-  /// race; runs once, on the root view).
+  /// The optional plan-selection phase (the cost-based planner; runs once,
+  /// on the root view).
   double q_select_seconds = 0.0;
   /// Sum of per-config view construction times.
   double view_seconds = 0.0;
@@ -203,10 +159,10 @@ struct JointResult {
   JointStageTimings stages;
   /// OverlapCache stripe count actually used (auto-sized or explicit).
   size_t overlap_cache_shards_used = 0;
-  /// The q value actually used (after the optional planner/race).
+  /// The q value actually used (after the optional planner).
   size_t q_used = 1;
-  /// The cost-based plan, when the planner ran (q == 0 under
-  /// QSelection::kPlanner); default-constructed otherwise.
+  /// The cost-based plan, when the planner ran (q == 0);
+  /// default-constructed otherwise.
   JoinPlan plan;
   bool planner_used = false;
   /// True when `plan` came from JointOptions::cached_plan instead of a
@@ -230,10 +186,10 @@ struct JointResult {
 /// Runs one top-k SSJ per config of `tree` over `corpus`, in parallel, with
 /// score-computation and top-k reuse across configs. With q = 1 each
 /// config's result is exactly the top-k of D under that config (Theorem
-/// 4.2). Under the two-level scheduler the per-config lists (pairs and
-/// scores) are bit-identical for every num_threads/shards_per_config
-/// combination and match the sequential BFS run — pinned by the joint_test
-/// property suite and the joint determinism test.
+/// 4.2). The per-config lists (pairs and scores) are bit-identical for
+/// every num_threads/shards_per_config combination and match an
+/// independent per-config RunTopKJoin — pinned by the joint_test property
+/// suite and the joint determinism test.
 JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                               const JointOptions& options);
 

@@ -31,7 +31,7 @@ std::vector<std::vector<ScoredPair>> RepairJointLists(
 
     // Replay the execution's seeding decision with the *repaired* parent
     // list — the same re-adjustment a from-scratch run performs when a
-    // child starts after its parent published.
+    // child starts after its parent finished.
     std::vector<ScoredPair> seed;
     const bool has_seed = snapshot.seeded[i] != 0 && snapshot.parents[i] >= 0;
     if (has_seed) {

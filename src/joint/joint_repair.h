@@ -20,7 +20,7 @@ namespace mc {
 /// snapshots this through MatchCatcherOptions::joint_sink). Entries are in
 /// config-tree node order; `parents[i]` indexes the node `lists[i]` was
 /// seeded from (-1 for the root), and `seeded[i]` records whether the seed
-/// actually happened (reuse_topk on and the parent published in time) — the
+/// actually happened (reuse_topk on and the config had a parent) — the
 /// repair must replay the identical seeding decisions to stay bit-identical
 /// to a rebuild.
 struct JointListsSnapshot {
@@ -31,7 +31,7 @@ struct JointListsSnapshot {
   std::vector<std::vector<ScoredPair>> lists;
   size_t k = 0;
   SetMeasure measure = SetMeasure::kJaccard;
-  /// The q the execution actually ran with (after any race).
+  /// The q the execution actually ran with (after any planning).
   size_t q_used = 1;
 };
 

@@ -1,50 +1,12 @@
 #ifndef MATCHCATCHER_JOINT_PARENT_MERGE_H_
 #define MATCHCATCHER_JOINT_PARENT_MERGE_H_
 
-#include <atomic>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "ssj/topk_join.h"
 #include "ssj/topk_list.h"
 
 namespace mc {
-
-/// One config's published final top-k list, read by its children (paper
-/// §4.2: "When config g finishes, it sends its top-k list to h"). The
-/// owning config's task calls Publish exactly once, on every exit path —
-/// even cancelled or failed tasks publish their (possibly empty)
-/// best-so-far list, so children never wait on a parent that bailed out.
-///
-/// Readers distinguish "nothing changed since my last poll" from "the
-/// final list landed" through a monotonic version counter, without taking
-/// a lock or touching the list.
-class ParentPublication {
- public:
-  /// Publishes the final list. The list is immutable afterwards; done()
-  /// readers may reference it without copying.
-  void Publish(std::vector<ScoredPair> list) {
-    result_ = std::move(list);
-    done_.store(true, std::memory_order_release);
-    version_.fetch_add(1, std::memory_order_release);
-  }
-
-  /// Monotonic change counter; 0 until the first Publish.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  bool done() const { return done_.load(std::memory_order_acquire); }
-
-  /// The published list. Only valid once done(); immutable from then on.
-  const std::vector<ScoredPair>& result() const { return result_; }
-
- private:
-  std::atomic<uint64_t> version_{0};
-  std::atomic<bool> done_{false};
-  std::vector<ScoredPair> result_;
-};
 
 /// Re-scores a parent's top-k pairs under the child config using the
 /// child's scorer ("this re-adjustment is fairly straightforward (and
@@ -56,38 +18,6 @@ class ParentPublication {
 std::vector<ScoredPair> ReadjustToConfig(const std::vector<ScoredPair>& pairs,
                                          const ConfigView& view,
                                          PairScorer& scorer);
-
-/// MergeSource that waits for a parent config's publication and re-adjusts
-/// its list to the child config when it lands.
-///
-/// TryFetch is polled every merge_poll_period join events; the common case
-/// by far is "parent still running". That case is a single atomic load:
-/// the version check skips the lock/copy/re-score work entirely when the
-/// parent's publication has not changed since the previous poll. When the
-/// final list does land, it is re-adjusted straight from the (now
-/// immutable) published vector — no snapshot copy. The MergeSource
-/// contract (a value at most once) holds because the version changes
-/// exactly once, at Publish.
-class ParentMergeSource : public MergeSource {
- public:
-  ParentMergeSource(const ParentPublication* parent, const ConfigView* view,
-                    PairScorer* scorer)
-      : parent_(parent), view_(view), scorer_(scorer) {}
-
-  std::optional<std::vector<ScoredPair>> TryFetch() override {
-    const uint64_t version = parent_->version();
-    if (version == last_seen_version_) return std::nullopt;  // Unchanged.
-    last_seen_version_ = version;
-    if (!parent_->done()) return std::nullopt;
-    return ReadjustToConfig(parent_->result(), *view_, *scorer_);
-  }
-
- private:
-  const ParentPublication* parent_;
-  const ConfigView* view_;
-  PairScorer* scorer_;
-  uint64_t last_seen_version_ = 0;
-};
 
 }  // namespace mc
 

@@ -69,7 +69,6 @@ uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   hash = MixFnv(hash, joint.planner_threshold ? 1 : 0);
   hash = MixFnv(hash, joint.num_threads);
   hash = MixFnv(hash, joint.shards_per_config);
-  hash = MixFnv(hash, static_cast<uint64_t>(joint.scheduler));
   // Config generation picks the attributes, and with them the root view the
   // plan prices — its knobs (and type inference, and the text data path)
   // are part of what makes two plans interchangeable.
@@ -520,8 +519,7 @@ void SessionManager::RunSession(uint64_t id) {
   std::shared_ptr<const CachedConfigPick> cached_config;
   uint64_t plan_signature = 0;
   const bool plan_cache_eligible =
-      limits_.enable_plan_cache && request.options.joint.q == 0 &&
-      request.options.joint.q_selection == QSelection::kPlanner;
+      limits_.enable_plan_cache && request.options.joint.q == 0;
   {
     std::lock_guard<std::mutex> pair_lock(entry->pair_mutex);
     if (request.options.text_plane == TextPlane::kTokenized &&
@@ -648,7 +646,7 @@ void SessionManager::RunSession(uint64_t id) {
   }
   if (request.options.joint.q >= 1) {
     // Cache repairable top-k state, first qualifying session wins. Gated on
-    // a caller-fixed q: under joint.q == 0 the executor races q against the
+    // a caller-fixed q: under joint.q == 0 the planner picks q from the
     // data, so a rebuild could legitimately pick a different q than the
     // snapshot replays — only a deterministic q makes repair-vs-rebuild
     // equivalence provable. Truncated executions never reach the sink.

@@ -122,7 +122,7 @@ struct SessionOutcome {
   double admission_wait_seconds = 0.0;
   double total_seconds = 0.0;
   /// The cost-based plan of the joint phase, when the planner ran
-  /// (JointOptions::q == 0 under QSelection::kPlanner). The planner's
+  /// (JointOptions::q == 0). The planner's
   /// corpus statistics live on the shared corpus and re-sample
   /// automatically after ApplyTableDelta (the patched corpus carries a new
   /// generation; plan.stats_generation records which one the plan used).

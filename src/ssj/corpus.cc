@@ -888,7 +888,7 @@ const CorpusPlannerStats& SsjCorpus::PlannerStats() const {
   return cache.stats;
 }
 
-ConfigView SsjCorpus::MakeConfigView(ConfigMask config, ViewMode mode) const {
+ConfigView SsjCorpus::MakeConfigView(ConfigMask config) const {
   ConfigView view;
   view.rank_limit_ = static_cast<uint32_t>(dictionary_.size());
   const size_t na = rows_a();
@@ -911,7 +911,7 @@ ConfigView SsjCorpus::MakeConfigView(ConfigMask config, ViewMode mode) const {
                            std::vector<TokenSpan>& spans) {
     for (size_t row = 0; row < rows; ++row) {
       const size_t g = global_base + row;
-      bool covered = mode == ViewMode::kAuto;
+      bool covered = true;
       uint64_t selected = 0;
       for (uint64_t m = mask_offsets_[g]; m < mask_offsets_[g + 1]; ++m) {
         if (row_masks_[m] & config) {
@@ -970,23 +970,6 @@ size_t SsjCorpus::ConfigLength(const TupleTokens& tuple, ConfigMask config) {
     if (tuple.masks[i] & config) ++length;
   }
   return length;
-}
-
-size_t SsjCorpus::ConfigOverlap(const TupleTokens& a, const TupleTokens& b,
-                                ConfigMask config) {
-  size_t i = 0, j = 0, overlap = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a.ranks[i] == b.ranks[j]) {
-      if ((a.masks[i] & config) && (b.masks[j] & config)) ++overlap;
-      ++i;
-      ++j;
-    } else if (a.ranks[i] < b.ranks[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return overlap;
 }
 
 }  // namespace mc

@@ -230,16 +230,6 @@ struct CorpusBuildStats {
 /// per-side offsets).
 class SsjCorpus {
  public:
-  /// How MakeConfigView builds the view.
-  enum class ViewMode {
-    /// Zero-copy spans for fully covered rows, pooled scratch for the rest.
-    kAuto,
-    /// Copy every row into scratch — the pre-zero-copy cost model, kept for
-    /// the micro_joint before/after ablation and as a fallback when callers
-    /// want the view independent of the corpus arenas' cache footprint.
-    kMaterialize,
-  };
-
   /// Tokenizes both tables. `columns` lists the table columns that form the
   /// promising attributes, in bit order (at most 32).
   static SsjCorpus Build(const Table& table_a, const Table& table_b,
@@ -344,20 +334,14 @@ class SsjCorpus {
   /// without changing their contents).
   void PlaceForTopology() const;
 
-  /// Builds the token view of a config. Thread-safe (concurrent calls from
+  /// Builds the token view of a config: zero-copy spans for fully covered
+  /// rows, pooled scratch for the rest. Thread-safe (concurrent calls from
   /// scheduler tasks share the scratch pool under its mutex). The returned
   /// view holds spans into this corpus: the corpus must outlive it.
-  ConfigView MakeConfigView(ConfigMask config,
-                            ViewMode mode = ViewMode::kAuto) const;
+  ConfigView MakeConfigView(ConfigMask config) const;
 
   /// Token count of one tuple under `config`.
   static size_t ConfigLength(const TupleTokens& tuple, ConfigMask config);
-
-  /// Exact token overlap of a pair under `config`, computed by merging the
-  /// tuples' full token arrays and filtering by mask (the slow path the
-  /// overlap cache avoids).
-  static size_t ConfigOverlap(const TupleTokens& a, const TupleTokens& b,
-                              ConfigMask config);
 
  private:
   /// Re-binds every (empty) CSR vector to `arena` — called once by

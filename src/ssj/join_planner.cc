@@ -164,8 +164,8 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
     plan.cost_per_q[q - 1] = modeled_cost(probe_stats[q - 1], pinned);
   }
   if (plan.truncated) {
-    // Deadline hit mid-sample: mirror the race's all-truncated fallback
-    // (conservative exact-join default) instead of trusting partial counts.
+    // Deadline hit mid-sample: fall back to the conservative exact-join
+    // default instead of trusting partial counts.
     plan.q = 1;
     plan.shards = 1;
     return plan;

@@ -57,7 +57,7 @@ struct PlannerOptions {
   /// Blocker output C — the same exclusion the planned join will run with,
   /// so sampled counts see the same pair space.
   const CandidateSet* exclude = nullptr;
-  /// Largest candidate q (the race's historical cap). The planner further
+  /// Largest candidate q (paper §4.1 tries q = 1..4). The planner further
   /// caps candidates by the corpus length distribution: a q most table-A
   /// rows cannot reach answers a much smaller query space and would win
   /// the cost comparison by doing less useful work.
@@ -91,7 +91,7 @@ struct PlannerOptions {
   CostWeights weights;
   /// Cooperative cancellation for the sampling probes. A cancelled planner
   /// returns the conservative plan (q = 1, one shard, no hybrid) with
-  /// JoinPlan::truncated set, mirroring the race's all-truncated fallback.
+  /// JoinPlan::truncated set.
   RunContext run_context;
 };
 

@@ -9,7 +9,6 @@
 #include "mem/arena_vector.h"
 #include "simd/kernels.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace mc {
@@ -154,9 +153,9 @@ template <SetMeasure kMeasure, typename Scorer>
 TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
                       double prefilter, Scorer* scorer,
                       const std::vector<ScoredPair>* seed,
-                      MergeSource* merge_source, TopKJoinStats* stats,
-                      size_t shard, size_t shard_count, size_t b_shard,
-                      size_t b_shard_count, size_t a_begin, size_t a_end) {
+                      TopKJoinStats* stats, size_t shard, size_t shard_count,
+                      size_t b_shard, size_t b_shard_count, size_t a_begin,
+                      size_t a_end) {
   TopKList topk(options.k);
 
   // Effective pruning bound. With the prefilter off this is exactly the
@@ -219,7 +218,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
   // of a float division (SetSimilarityFromCounts). Entries are valid while
   // req_epoch is unchanged; the epoch advances on every new event (own_len
   // changes) and whenever the k-th score moves (a scored pair entered the
-  // list or a merge landed). Rounded similarity is monotone in the overlap,
+  // list). Rounded similarity is monotone in the overlap,
   // so the integer compare reproduces the float compare bit for bit.
   size_t max_len = 0;
   for (size_t row = 0; row < view.rows_a(); ++row) {
@@ -325,33 +324,16 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
         return;  // Scorer proved it below the bound: Add would reject.
       }
     }
-    if (topk.Add(pair, score)) scorer->NoteKept(row_a, row_b);
+    topk.Add(pair, score);
     note_kth_change();
   };
 
-  // Cancellation: checked before the loop and every merge_poll_period
-  // events. On expiry the partially filled list is still returned (the
+  // Cancellation: checked before the loop and every poll_period events. On expiry the partially filled list is still returned (the
   // best-so-far contract, docs/robustness.md).
   if (options.run_context.Cancelled()) {
     stats->truncated = true;
     return topk;
   }
-
-  bool merge_pending = merge_source != nullptr;
-  auto poll_merge = [&] {
-    if (!merge_pending) return;
-    std::optional<std::vector<ScoredPair>> merged = merge_source->TryFetch();
-    if (!merged.has_value()) return;
-    merge_pending = false;
-    ++stats->merges_applied;
-    for (const ScoredPair& entry : *merged) {
-      // The re-adjusted score is exact for this config and overrides any
-      // stale score already in the list (TopKList::Add updates in place).
-      topk.Add(entry.pair, entry.score);
-    }
-    note_kth_change();
-  };
-  poll_merge();
 
   while (!events.empty()) {
     const Event event = events.front();
@@ -370,12 +352,10 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     // proves canonical.)
     if (event.cap < bound()) break;
     ++stats->events_popped;
-    if ((stats->events_popped % options.merge_poll_period) == 0) {
-      poll_merge();
-      if (options.run_context.Cancelled()) {
-        stats->truncated = true;
-        break;
-      }
+    if ((stats->events_popped % options.poll_period) == 0 &&
+        options.run_context.Cancelled()) {
+      stats->truncated = true;
+      break;
     }
 
     const bool from_a = event.side == 0;
@@ -482,9 +462,6 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     }
     pop_top();
   }
-  // A late parent list may still be pending (e.g. the join drained early);
-  // apply it so reuse never loses pairs.
-  poll_merge();
   return topk;
 }
 
@@ -503,21 +480,19 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
 template <SetMeasure kMeasure, typename Scorer>
 TopKList RunShardImpl(const ConfigView& view, const TopKJoinOptions& options,
                       Scorer* scorer, const std::vector<ScoredPair>* seed,
-                      MergeSource* merge_source, TopKJoinStats* stats,
-                      size_t shard, size_t shard_count, size_t b_shard,
-                      size_t b_shard_count, size_t a_begin, size_t a_end) {
+                      TopKJoinStats* stats, size_t shard, size_t shard_count,
+                      size_t b_shard, size_t b_shard_count, size_t a_begin,
+                      size_t a_end) {
   const double tau = options.prefilter_threshold;
-  if (tau < 0.0 || merge_source != nullptr) {
+  if (tau < 0.0) {
     return RunShardPass<kMeasure, Scorer>(view, options, /*prefilter=*/-1.0,
-                                          scorer, seed, merge_source, stats,
-                                          shard, shard_count, b_shard,
-                                          b_shard_count, a_begin, a_end);
+                                          scorer, seed, stats, shard,
+                                          shard_count, b_shard, b_shard_count,
+                                          a_begin, a_end);
   }
-  TopKList first =
-      RunShardPass<kMeasure, Scorer>(view, options, tau, scorer, seed,
-                                     /*merge_source=*/nullptr, stats, shard,
-                                     shard_count, b_shard, b_shard_count,
-                                     a_begin, a_end);
+  TopKList first = RunShardPass<kMeasure, Scorer>(
+      view, options, tau, scorer, seed, stats, shard, shard_count, b_shard,
+      b_shard_count, a_begin, a_end);
   // Cancelled mid-phase: best-so-far contract, no restart (the restart
   // would be cancelled too and lose the survivors).
   if (stats->truncated) return first;
@@ -530,8 +505,7 @@ TopKList RunShardImpl(const ConfigView& view, const TopKJoinOptions& options,
     combined.insert(combined.end(), seed->begin(), seed->end());
   }
   return RunShardPass<kMeasure, Scorer>(view, options, /*prefilter=*/-1.0,
-                                        scorer, &combined,
-                                        /*merge_source=*/nullptr, stats, shard,
+                                        scorer, &combined, stats, shard,
                                         shard_count, b_shard, b_shard_count,
                                         a_begin, a_end);
 }
@@ -540,8 +514,7 @@ TopKList RunShardImpl(const ConfigView& view, const TopKJoinOptions& options,
 // non-null exactly when the caller did not supply a custom scorer.
 TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
                   PairScorer* scorer, DirectPairScorer* direct,
-                  const std::vector<ScoredPair>* seed,
-                  MergeSource* merge_source, TopKJoinStats* stats,
+                  const std::vector<ScoredPair>* seed, TopKJoinStats* stats,
                   size_t shard, size_t shard_count, size_t b_shard = 0,
                   size_t b_shard_count = 1, size_t a_begin = 0,
                   size_t a_end = static_cast<size_t>(-1)) {
@@ -549,13 +522,13 @@ TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
     constexpr SetMeasure kMeasure = decltype(measure_tag)::value;
     if (direct != nullptr) {
       return RunShardImpl<kMeasure, DirectPairScorer>(
-          view, options, direct, seed, merge_source, stats, shard,
-          shard_count, b_shard, b_shard_count, a_begin, a_end);
+          view, options, direct, seed, stats, shard, shard_count, b_shard,
+          b_shard_count, a_begin, a_end);
     }
     return RunShardImpl<kMeasure, PairScorer>(view, options, scorer, seed,
-                                              merge_source, stats, shard,
-                                              shard_count, b_shard,
-                                              b_shard_count, a_begin, a_end);
+                                              stats, shard, shard_count,
+                                              b_shard, b_shard_count, a_begin,
+                                              a_end);
   };
   switch (options.measure) {
     case SetMeasure::kJaccard:
@@ -650,7 +623,7 @@ TopKList ThresholdBlockPass(const ConfigView& view,
         return;
       }
     }
-    if (topk.Add(pair, score)) scorer->NoteKept(row_a, row_b);
+    topk.Add(pair, score);
   };
 
   // Required-overlap cache at the fixed bound tau, stamped by probe row:
@@ -677,7 +650,7 @@ TopKList ThresholdBlockPass(const ConfigView& view,
     const size_t own_len = tokens.size();
     for (size_t position = 0; position < limit; ++position) {
       ++stats->events_popped;
-      if (++since_poll >= options.merge_poll_period) {
+      if (++since_poll >= options.poll_period) {
         since_poll = 0;
         if (options.run_context.Cancelled()) {
           stats->truncated = true;
@@ -825,17 +798,16 @@ TopKList RunThresholdImpl(const ConfigView& view,
   }
   TopKJoinOptions classic = options;
   classic.prefilter_threshold = -1.0;
-  return RunTopKJoin(view, classic, scorer_base, &combined,
-                     /*merge_source=*/nullptr, stats);
+  return RunTopKJoin(view, classic, scorer_base, &combined, stats);
 }
 
 }  // namespace
 
 TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
                      PairScorer* scorer, const std::vector<ScoredPair>* seed,
-                     MergeSource* merge_source, TopKJoinStats* stats) {
+                     TopKJoinStats* stats) {
   MC_CHECK_GE(options.q, 1u);
-  MC_CHECK_GE(options.merge_poll_period, 1u);
+  MC_CHECK_GE(options.poll_period, 1u);
   MC_CHECK_GE(options.shards, 1u);
   DirectPairScorer direct_scorer(&view, options.measure);
   DirectPairScorer* direct = scorer == nullptr ? &direct_scorer : nullptr;
@@ -844,8 +816,8 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
   if (stats == nullptr) stats = &local_stats;
 
   if (options.shards == 1) {
-    return RunShard(view, options, scorer, direct, seed, merge_source, stats,
-                    /*shard=*/0, /*shard_count=*/1);
+    return RunShard(view, options, scorer, direct, seed, stats, /*shard=*/0,
+                    /*shard_count=*/1);
   }
 
   // Parallel mode: independent sub-joins over table-A shards, merged at the
@@ -854,9 +826,7 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
   // through TopKList::Add reproduces the sequential run's list bit for bit
   // (see docs/algorithms.md §"Canonical tie handling"). The seed is offered
   // to every shard — its scores raise each shard's pruning threshold early,
-  // and the final merge deduplicates. The merge source is polled once at
-  // the end instead (its one-shot contract does not allow concurrent
-  // polling from shards).
+  // and the final merge deduplicates.
   const size_t shard_count = options.shards;
   const size_t hardware =
       std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -867,8 +837,7 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
     for (size_t s = 0; s < shard_count; ++s) {
       pool.Submit([&, s] {
         shard_lists[s] = RunShard(view, options, scorer, direct, seed,
-                                  /*merge_source=*/nullptr, &shard_stats[s],
-                                  s, shard_count);
+                                  &shard_stats[s], s, shard_count);
       });
     }
     Status status = pool.Wait();
@@ -887,15 +856,8 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
     stats->pairs_scored += shard_stats[s].pairs_scored;
     stats->pairs_pruned += shard_stats[s].pairs_pruned;
     stats->tokens_indexed += shard_stats[s].tokens_indexed;
-    stats->merges_applied += shard_stats[s].merges_applied;
     stats->prefilter_restarts += shard_stats[s].prefilter_restarts;
     stats->truncated = stats->truncated || shard_stats[s].truncated;
-  }
-  if (merge_source != nullptr) {
-    if (std::optional<std::vector<ScoredPair>> late = merge_source->TryFetch()) {
-      ++stats->merges_applied;
-      merged.MergeFrom(*late);
-    }
   }
   return merged;
 }
@@ -908,7 +870,7 @@ TopKList RunTopKJoinShard(const ConfigView& view,
                           size_t b_shard_count, size_t a_begin,
                           size_t a_end) {
   MC_CHECK_GE(options.q, 1u);
-  MC_CHECK_GE(options.merge_poll_period, 1u);
+  MC_CHECK_GE(options.poll_period, 1u);
   MC_CHECK_LT(shard, shard_count);
   MC_CHECK_LT(b_shard, b_shard_count);
   DirectPairScorer direct_scorer(&view, options.measure);
@@ -916,9 +878,8 @@ TopKList RunTopKJoinShard(const ConfigView& view,
   if (scorer == nullptr) scorer = &direct_scorer;
   TopKJoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  return RunShard(view, options, scorer, direct, seed,
-                  /*merge_source=*/nullptr, stats, shard, shard_count, b_shard,
-                  b_shard_count, a_begin, a_end);
+  return RunShard(view, options, scorer, direct, seed, stats, shard,
+                  shard_count, b_shard, b_shard_count, a_begin, a_end);
 }
 
 TopKList RunThresholdJoin(const ConfigView& view,
@@ -926,7 +887,7 @@ TopKList RunThresholdJoin(const ConfigView& view,
                           const std::vector<ScoredPair>* seed,
                           TopKJoinStats* stats) {
   MC_CHECK_GE(options.q, 1u);
-  MC_CHECK_GE(options.merge_poll_period, 1u);
+  MC_CHECK_GE(options.poll_period, 1u);
   MC_CHECK_GE(options.shards, 1u);
   MC_CHECK_GE(options.prefilter_threshold, 0.0)
       << "threshold mode needs a fixed bound";
@@ -1014,51 +975,6 @@ TopKList BruteForceTopK(const ConfigView& view, size_t k, SetMeasure measure,
     }
   }
   return topk;
-}
-
-size_t SelectQByRace(const ConfigView& view, SetMeasure measure,
-                     const CandidateSet* exclude, size_t max_q,
-                     size_t probe_k, const RunContext& run_context) {
-  MC_CHECK_GE(max_q, 1u);
-  // Race each q for a top-probe_k list (paper §4.1: "one q value for each
-  // core, for k = 50") and pick the minimum elapsed time, which selects the
-  // same winner as a first-past-the-post race without having to kill losing
-  // threads. Concurrency is capped at the hardware so candidate runs do not
-  // oversubscribe the machine and distort each other's timings; a run
-  // truncated by the deadline finished early *because it did less work*, so
-  // it is disqualified rather than crowned.
-  const size_t hardware =
-      std::max<size_t>(1, std::thread::hardware_concurrency());
-  std::vector<double> elapsed(max_q, 0.0);
-  std::vector<char> truncated(max_q, 0);
-  {
-    ThreadPool pool(std::min(max_q, hardware), "mc-qrace");
-    for (size_t q = 1; q <= max_q; ++q) {
-      pool.Submit([&, q] {
-        Stopwatch watch;
-        TopKJoinOptions options;
-        options.k = probe_k;
-        options.measure = measure;
-        options.q = q;
-        options.exclude = exclude;
-        options.run_context = run_context;
-        TopKJoinStats stats;
-        RunTopKJoin(view, options, nullptr, nullptr, nullptr, &stats);
-        elapsed[q - 1] = watch.ElapsedSeconds();
-        truncated[q - 1] = stats.truncated ? 1 : 0;
-      });
-    }
-    Status status = pool.Wait();
-    MC_CHECK(status.ok()) << status.message();
-  }
-  size_t best_q = 0;  // 0 = no eligible run yet.
-  for (size_t q = 1; q <= max_q; ++q) {
-    if (truncated[q - 1]) continue;
-    if (best_q == 0 || elapsed[q - 1] < elapsed[best_q - 1]) best_q = q;
-  }
-  // All runs truncated (deadline expired): fall back to the conservative
-  // exact-join default instead of crowning whichever run was cut shortest.
-  return best_q == 0 ? 1 : best_q;
 }
 
 }  // namespace mc

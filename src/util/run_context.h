@@ -89,7 +89,7 @@ class RunContext {
   /// True once Cancel() was called or the deadline passed. Polling this is
   /// cheap (atomic load, plus one clock read when a deadline is set) but
   /// not free — call it once per batch of work (e.g. every
-  /// `merge_poll_period` join events), not per element.
+  /// TopKJoinOptions::poll_period join events), not per element.
   bool Cancelled() const {
     if (state_ == nullptr) return false;
     if (state_->cancelled.load(std::memory_order_relaxed)) return true;

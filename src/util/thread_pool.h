@@ -42,7 +42,7 @@ struct ThreadPoolOptions {
 };
 
 /// Fixed-size worker pool with a FIFO task queue. Used by the joint top-k
-/// executor ("one config per core", paper §4.2) and the QJoin q-value race.
+/// executor ("one config per core", paper §4.2) and the sharded joins.
 ///
 /// ## Lifecycle
 ///

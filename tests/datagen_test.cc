@@ -80,6 +80,10 @@ struct NamedDims {
   size_t expected_attrs;
 };
 
+// Without this, gtest prints the raw bytes of the param, which include the
+// address of `name`; the registered test names would then change every run.
+void PrintTo(const NamedDims& param, std::ostream* os) { *os << param.name; }
+
 class GeneratorTest : public ::testing::TestWithParam<NamedDims> {};
 
 TEST_P(GeneratorTest, ShapeAndGoldInvariants) {

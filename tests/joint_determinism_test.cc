@@ -1,6 +1,7 @@
 // Determinism and cancellation pins for the two-level joint scheduler and
 // the block-parallel corpus build: the per-config lists (pairs AND scores)
-// must be bit-identical for every thread count, shard count, and scheduler;
+// must be bit-identical for every thread count and shard count, and equal
+// to independent per-config joins;
 // a deadline or injected fault mid-build or mid-schedule must degrade to
 // best-so-far results without deadlocking.
 
@@ -60,12 +61,13 @@ PromisingAttributes ThreeColumnAttrs() {
 
 // Exact equality, not EXPECT_NEAR: the determinism contract is bit-identical
 // scores, not merely close ones.
-void ExpectIdenticalResults(const JointResult& got, const JointResult& ref,
+void ExpectIdenticalResults(const JointResult& got,
+                            const std::vector<std::vector<ScoredPair>>& ref,
                             const std::string& label) {
-  ASSERT_EQ(got.per_config.size(), ref.per_config.size()) << label;
+  ASSERT_EQ(got.per_config.size(), ref.size()) << label;
   for (size_t i = 0; i < got.per_config.size(); ++i) {
     const std::vector<ScoredPair>& g = got.per_config[i].topk;
-    const std::vector<ScoredPair>& r = ref.per_config[i].topk;
+    const std::vector<ScoredPair>& r = ref[i];
     ASSERT_EQ(g.size(), r.size()) << label << " node " << i;
     for (size_t j = 0; j < g.size(); ++j) {
       EXPECT_EQ(g[j].pair, r[j].pair)
@@ -86,6 +88,18 @@ TEST(JointDeterminismTest, BitIdenticalAcrossThreadsShardsAndSchedulers) {
   SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1, 2});
   ConfigTree tree = GenerateConfigTree(ThreeColumnAttrs());
 
+  // Reference: an independent RunTopKJoin per config, with no reuse and no
+  // scheduler. At q = 1 every joint list must equal it bit for bit
+  // (Theorem 4.2 plus canonical tie handling).
+  std::vector<std::vector<ScoredPair>> ref;
+  for (const ConfigNode& node : tree.nodes) {
+    ConfigView view = corpus.MakeConfigView(node.mask);
+    TopKJoinOptions join_options;
+    join_options.k = 25;
+    join_options.q = 1;
+    ref.push_back(RunTopKJoin(view, join_options).SortedDescending());
+  }
+
   for (bool reuse : {false, true}) {
     JointOptions base;
     base.k = 25;
@@ -94,18 +108,9 @@ TEST(JointDeterminismTest, BitIdenticalAcrossThreadsShardsAndSchedulers) {
     base.reuse_topk = reuse;
     base.reuse_min_avg_tokens = 0.0;
 
-    // Reference: the legacy scheduler's sequential BFS (the pre-two-level
-    // code path).
-    JointOptions ref_options = base;
-    ref_options.scheduler = JointScheduler::kConfigPerTask;
-    ref_options.num_threads = 1;
-    JointResult ref = RunJointTopKJoins(corpus, tree, ref_options);
-    ASSERT_FALSE(ref.truncated);
-
     for (size_t threads : {size_t{1}, size_t{2}, size_t{7}}) {
       for (size_t shards : {size_t{0}, size_t{1}, size_t{3}}) {
         JointOptions options = base;
-        options.scheduler = JointScheduler::kTwoLevel;
         options.num_threads = threads;
         options.shards_per_config = shards;
         JointResult got = RunJointTopKJoins(corpus, tree, options);
@@ -166,11 +171,18 @@ TEST(CorpusBuildDeterminismTest, ZeroCopyViewMatchesMaterialized) {
   auto [a, b] = RandomThreeAttrTables(rng, 60);
   SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1, 2});
 
+  // Reference: the materialized view of a row is its corpus tuple's ranks
+  // whose attribute mask intersects the config, in rank order.
+  auto mask_filter = [](const TupleTokens& tuple, ConfigMask config) {
+    std::vector<uint32_t> ranks;
+    for (size_t t = 0; t < tuple.size(); ++t) {
+      if (tuple.masks[t] & config) ranks.push_back(tuple.ranks[t]);
+    }
+    return ranks;
+  };
+
   for (ConfigMask config : {0b111u, 0b101u, 0b010u, 0b001u}) {
-    ConfigView fast = corpus.MakeConfigView(config, SsjCorpus::ViewMode::kAuto);
-    ConfigView slow =
-        corpus.MakeConfigView(config, SsjCorpus::ViewMode::kMaterialize);
-    EXPECT_EQ(slow.zero_copy_rows(), 0u);
+    ConfigView fast = corpus.MakeConfigView(config);
     EXPECT_EQ(fast.zero_copy_rows() + fast.materialized_rows(),
               fast.rows_a() + fast.rows_b());
     if (config == 0b111u) {
@@ -178,12 +190,13 @@ TEST(CorpusBuildDeterminismTest, ZeroCopyViewMatchesMaterialized) {
       EXPECT_EQ(fast.materialized_rows(), 0u);
     }
 
-    ASSERT_EQ(fast.rows_a(), slow.rows_a());
-    ASSERT_EQ(fast.rows_b(), slow.rows_b());
-    EXPECT_EQ(fast.rank_limit(), slow.rank_limit());
-    EXPECT_DOUBLE_EQ(fast.average_tokens(), slow.average_tokens());
-    auto expect_same_span = [&](TokenSpan x, TokenSpan y, const char* side,
-                                size_t row) {
+    ASSERT_EQ(fast.rows_a(), corpus.rows_a());
+    ASSERT_EQ(fast.rows_b(), corpus.rows_b());
+    EXPECT_EQ(fast.rank_limit(), corpus.dictionary().size());
+    size_t total_tokens = 0;
+    auto expect_same_span = [&](TokenSpan x, const std::vector<uint32_t>& y,
+                                const char* side, size_t row) {
+      total_tokens += y.size();
       ASSERT_EQ(x.size(), y.size())
           << "config " << config << " " << side << row;
       for (size_t t = 0; t < x.size(); ++t) {
@@ -191,11 +204,16 @@ TEST(CorpusBuildDeterminismTest, ZeroCopyViewMatchesMaterialized) {
       }
     };
     for (size_t row = 0; row < fast.rows_a(); ++row) {
-      expect_same_span(fast.a(row), slow.a(row), "a", row);
+      expect_same_span(fast.a(row), mask_filter(corpus.tuple_a(row), config),
+                       "a", row);
     }
     for (size_t row = 0; row < fast.rows_b(); ++row) {
-      expect_same_span(fast.b(row), slow.b(row), "b", row);
+      expect_same_span(fast.b(row), mask_filter(corpus.tuple_b(row), config),
+                       "b", row);
     }
+    EXPECT_DOUBLE_EQ(fast.average_tokens(),
+                     static_cast<double>(total_tokens) /
+                         static_cast<double>(fast.rows_a() + fast.rows_b()));
   }
 }
 
@@ -305,7 +323,7 @@ TEST_F(JointShardFaultTest, ThrowingShardTaskIsCapturedNotFatal) {
 }
 
 // --------------------------------------------------------------------------
-// ParentPublication / ParentMergeSource.
+// Parent-list re-adjustment (ReadjustToConfig).
 // --------------------------------------------------------------------------
 
 class CountingScorer : public PairScorer {
@@ -319,40 +337,7 @@ class CountingScorer : public PairScorer {
   size_t calls = 0;
 };
 
-TEST(ParentMergeSourceTest, VersionFastPathAndSingleDelivery) {
-  Rng rng(61);
-  auto [a, b] = RandomThreeAttrTables(rng, 10);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1, 2});
-  ConfigView view = corpus.MakeConfigView(0b111);
-
-  ParentPublication parent;
-  CountingScorer scorer;
-  ParentMergeSource source(&parent, &view, &scorer);
-
-  // Parent still running: every poll is the version fast path — no lock,
-  // no copy, no re-scoring.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(source.TryFetch().has_value());
-  }
-  EXPECT_EQ(scorer.calls, 0u);
-
-  std::vector<ScoredPair> list{{MakePairId(0, 0), 1.0},
-                               {MakePairId(1, 1), 0.75}};
-  parent.Publish(list);
-  EXPECT_TRUE(parent.done());
-  EXPECT_EQ(parent.version(), 1u);
-
-  auto fetched = source.TryFetch();
-  ASSERT_TRUE(fetched.has_value());
-  EXPECT_EQ(fetched->size(), 2u);
-  EXPECT_EQ(scorer.calls, 2u);  // Re-adjusted through the child's scorer.
-
-  // At most once: the version has not changed since delivery.
-  EXPECT_FALSE(source.TryFetch().has_value());
-  EXPECT_EQ(scorer.calls, 2u);
-}
-
-TEST(ParentMergeSourceTest, ReadjustDropsRowsEmptyUnderChildConfig) {
+TEST(ParentMergeTest, ReadjustDropsRowsEmptyUnderChildConfig) {
   Schema schema({{"name", AttributeType::kString},
                  {"city", AttributeType::kString}});
   Table a(schema), b(schema);

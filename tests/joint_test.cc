@@ -66,8 +66,7 @@ TEST(CachingScorerTest, AgreesWithDirectScorer) {
     ConfigView view = corpus.MakeConfigView(config);
     DirectPairScorer direct(&view, SetMeasure::kJaccard);
     OverlapCache cache;
-    CachingPairScorer caching(&corpus, &view, config, SetMeasure::kJaccard,
-                              &cache, true);
+    CachingPairScorer caching(&view, config, SetMeasure::kJaccard, &cache);
     for (RowId i = 0; i < 30; ++i) {
       for (RowId j = 0; j < 30; j += 7) {
         EXPECT_NEAR(caching.Score(i, j), direct.Score(i, j), 1e-12)
@@ -87,18 +86,19 @@ TEST(CachingScorerTest, SecondConfigHitsCache) {
   OverlapCache cache;
 
   ConfigView view_root = corpus.MakeConfigView(0b11);
-  CachingPairScorer root(&corpus, &view_root, 0b11, SetMeasure::kJaccard,
-                         &cache, true);
+  CachingPairScorer root(&view_root, 0b11, SetMeasure::kJaccard, &cache);
   root.Score(0, 0);
   EXPECT_EQ(root.cache_misses(), 1u);
-  // Only pairs kept in a top-k list are published to the cache.
+  // Scorers only read the cache. The joint executor publishes a config's
+  // kept pairs when the config finishes, the way this insert does.
   EXPECT_EQ(cache.Size(), 0u);
-  root.NoteKept(0, 0);
+  cache.InsertWith(MakePairId(0, 0), [&] {
+    return OverlapCache::ComputeShared(corpus.tuple_a(0), corpus.tuple_b(0));
+  });
   EXPECT_EQ(cache.Size(), 1u);
 
   ConfigView view_child = corpus.MakeConfigView(0b01);
-  CachingPairScorer child(&corpus, &view_child, 0b01, SetMeasure::kJaccard,
-                          &cache, true);
+  CachingPairScorer child(&view_child, 0b01, SetMeasure::kJaccard, &cache);
   double score = child.Score(0, 0);
   EXPECT_EQ(child.cache_hits(), 1u);
   EXPECT_EQ(child.cache_misses(), 0u);
@@ -276,7 +276,7 @@ TEST(JointExecutorTest, AutoQRuns) {
   ConfigTree tree = GenerateConfigTree(attrs);
   JointOptions options;
   options.k = 10;
-  options.q = 0;  // Race.
+  options.q = 0;  // The planner picks q.
   options.num_threads = 2;
   JointResult result = RunJointTopKJoins(corpus, tree, options);
   EXPECT_GE(result.q_used, 1u);

@@ -424,7 +424,6 @@ TEST_F(TopologyPlacementIdentityTest, PinnedAndUnpinnedMatchAcrossNodes) {
   JointOptions base_options;
   base_options.k = 25;
   base_options.q = 1;
-  base_options.scheduler = JointScheduler::kTwoLevel;
   base_options.num_threads = 1;
 
   // Reference: whatever topology the machine really has, unpinned.

@@ -42,8 +42,8 @@ std::vector<uint64_t> SeedMatrix() {
   return {5, 17};
 }
 
-// Planner-eligible options: q = 0 under QSelection::kPlanner is what the
-// cache keys on — a session with a fixed q has no plan to memoize.
+// Planner-eligible options: q = 0 is what the cache keys on — a session
+// with a fixed q has no plan to memoize.
 MatchCatcherOptions PlannerOptions() {
   MatchCatcherOptions options;
   options.joint.k = 20;

@@ -1,13 +1,12 @@
 // Randomized equivalence harness for the QJoin engine: RunTopKJoin must
 // match BruteForceTopK(min_overlap = q) — the exact top-k restricted to
 // pairs sharing at least q tokens — across every SetMeasure, q in 1..4,
-// the seeded/merged/excluded variants, and the sharded parallel mode.
+// the seeded/excluded variants, and the sharded parallel mode.
 // Scores must agree exactly (both sides use the same merge + count
 // arithmetic); pair identity must agree everywhere except among equal-score
 // ties at the boundary (k-th) score, where either engine may legitimately
 // keep a different member of the tie.
 
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -75,37 +74,21 @@ void ExpectSameTopK(const TopKList& got, const TopKList& want) {
   }
 }
 
-// Delivers a payload on the n-th TryFetch call (a late parent list).
-class DelayedMergeSource : public MergeSource {
+// Scores exactly like DirectPairScorer, and cancels the join's RunContext
+// on the n-th Score call, simulating a deadline firing mid-run.
+class CancellingScorer : public PairScorer {
  public:
-  DelayedMergeSource(std::vector<ScoredPair> payload, int deliveries_after)
-      : payload_(std::move(payload)), countdown_(deliveries_after) {}
+  CancellingScorer(const ConfigView* view, SetMeasure measure,
+                   RunContext context, int cancel_on_call)
+      : direct_(view, measure), context_(context), countdown_(cancel_on_call) {}
 
-  std::optional<std::vector<ScoredPair>> TryFetch() override {
-    if (--countdown_ > 0 || delivered_) return std::nullopt;
-    delivered_ = true;
-    return payload_;
+  double Score(RowId row_a, RowId row_b) override {
+    if (--countdown_ == 0) context_.Cancel();
+    return direct_.Score(row_a, row_b);
   }
 
  private:
-  std::vector<ScoredPair> payload_;
-  int countdown_;
-  bool delivered_ = false;
-};
-
-// Cancels the join's RunContext on the n-th poll, simulating a deadline
-// firing mid-run.
-class CancellingMergeSource : public MergeSource {
- public:
-  CancellingMergeSource(RunContext context, int cancel_on_call)
-      : context_(context), countdown_(cancel_on_call) {}
-
-  std::optional<std::vector<ScoredPair>> TryFetch() override {
-    if (--countdown_ <= 0) context_.Cancel();
-    return std::nullopt;
-  }
-
- private:
+  DirectPairScorer direct_;
   RunContext context_;
   int countdown_;
 };
@@ -166,36 +149,56 @@ TEST_P(SsjEquivalenceTest, MatchesBruteForceWithExclusion) {
   }
 }
 
-TEST_P(SsjEquivalenceTest, MatchesBruteForceSeededAndMerged) {
+TEST_P(SsjEquivalenceTest, MatchesBruteForceSeeded) {
   Rng rng(3000 + static_cast<uint64_t>(measure()) * 10 + q());
   auto [a, b] = RandomTables(rng, 80);
   SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
   ConfigView view = corpus.MakeConfigView(0b1);
 
-  // Seed and merge payloads: exact scores for arbitrary q-eligible pairs
-  // (as a parent's re-adjusted top-k would deliver). Pairs below the
-  // q-overlap floor are left out so the q-restricted brute force stays the
-  // ground truth.
-  DirectPairScorer scorer(&view, measure());
-  std::vector<ScoredPair> seed, payload;
-  for (RowId i = 0; i < 80; ++i) {
-    RowId j = (i * 11 + 2) % 80;
-    if (OverlapOf(view, i, j) < q()) continue;
-    (i % 2 == 0 ? seed : payload)
-        .push_back(ScoredPair{MakePairId(i, j), scorer.Score(i, j)});
-  }
-
   TopKJoinOptions options;
   options.k = 25;
   options.measure = measure();
   options.q = q();
-  options.merge_poll_period = 64;  // Deliver the merge mid-run.
-  DelayedMergeSource merge(payload, 3);
-  TopKJoinStats stats;
-  TopKList got = RunTopKJoin(view, options, nullptr, &seed, &merge, &stats);
-  EXPECT_EQ(stats.merges_applied, 1u);
-  ExpectSameTopK(got, BruteForceTopK(view, options.k, measure(), nullptr,
+
+  // Exclusion set: every other pair of the unrestricted top-k, so the
+  // exclusion actually removes pairs the seeded run would otherwise keep.
+  CandidateSet exclude;
+  const std::vector<ScoredPair> unrestricted =
+      BruteForceTopK(view, options.k, measure(), nullptr, q())
+          .SortedDescending();
+  for (size_t r = 0; r < unrestricted.size(); r += 2) {
+    exclude.Add(PairRowA(unrestricted[r].pair),
+                PairRowB(unrestricted[r].pair));
+  }
+  options.exclude = &exclude;
+
+  // Seed: exact scores for q-eligible pairs outside C, as a parent's
+  // re-adjusted top-k delivers them (a parent list never holds an excluded
+  // pair): arbitrary pairs, plus every other pair of a deeper list, most of
+  // which the final list displaces. Pairs below the q-overlap floor are
+  // left out so the q-restricted brute force stays the ground truth.
+  DirectPairScorer scorer(&view, measure());
+  std::vector<ScoredPair> seed;
+  for (RowId i = 0; i < 80; ++i) {
+    RowId j = (i * 11 + 2) % 80;
+    const PairId pair = MakePairId(i, j);
+    if (OverlapOf(view, i, j) < q() || exclude.Contains(pair)) continue;
+    seed.push_back(ScoredPair{pair, scorer.Score(i, j)});
+  }
+  const std::vector<ScoredPair> deeper =
+      BruteForceTopK(view, 3 * options.k, measure(), nullptr, q())
+          .SortedDescending();
+  for (size_t r = 1; r < deeper.size(); r += 2) {
+    if (!exclude.Contains(deeper[r].pair)) seed.push_back(deeper[r]);
+  }
+  ASSERT_FALSE(seed.empty());
+
+  TopKList got = RunTopKJoin(view, options, nullptr, &seed);
+  ExpectSameTopK(got, BruteForceTopK(view, options.k, measure(), &exclude,
                                      q()));
+  for (const ScoredPair& entry : got.Entries()) {
+    EXPECT_FALSE(exclude.Contains(entry.pair));
+  }
 }
 
 TEST_P(SsjEquivalenceTest, ShardedMatchesSequentialScores) {
@@ -233,22 +236,22 @@ TEST(SsjCancellationTest, TruncatedJoinReturnsExactlyScoredBestSoFar) {
 
   TopKJoinOptions options;
   options.k = 40;
-  options.merge_poll_period = 32;  // Poll often so the cancel lands mid-run.
+  options.poll_period = 32;  // Poll often so the cancel lands mid-run.
   options.run_context = RunContext::Cancellable();
-  CancellingMergeSource cancel(options.run_context, /*cancel_on_call=*/4);
+  CancellingScorer cancel(&view, options.measure, options.run_context,
+                          /*cancel_on_call=*/4);
   TopKJoinStats stats;
-  TopKList got = RunTopKJoin(view, options, nullptr, nullptr, &cancel,
-                             &stats);
+  TopKList got = RunTopKJoin(view, options, &cancel, nullptr, &stats);
 
   // The run was cut mid-join: flagged truncated, and the best-so-far list
   // is a subset of the true q-eligible pair space with *exact* scores — a
   // cancelled join never returns an unverified or partially computed score.
   EXPECT_TRUE(stats.truncated);
-  TopKList full = RunTopKJoin(view, TopKJoinOptions{
-                                        .k = options.k,
-                                        .measure = options.measure,
-                                        .q = options.q,
-                                    });
+  TopKJoinOptions full_options;
+  full_options.k = options.k;
+  full_options.measure = options.measure;
+  full_options.q = options.q;
+  TopKList full = RunTopKJoin(view, full_options);
   EXPECT_LT(stats.events_popped, 150u * 7u);  // Stopped before draining.
   DirectPairScorer scorer(&view, options.measure);
   for (const ScoredPair& entry : got.Entries()) {

@@ -13,7 +13,7 @@
 // Options:
 //   --k N            top-k per config (default 1000)
 //   --n N            pairs shown per iteration (default 20)
-//   --q N            QJoin q; 0 = race, 1 = TopKJoin (default 2)
+//   --q N            QJoin q; 0 = planner picks, 1 = TopKJoin (default 2)
 //   --threads N      joint executor workers (default: all cores)
 //   --iterations N   stop after N iterations (default: natural stop)
 //   --gold FILE      gold matches CSV ("a,b"): label automatically

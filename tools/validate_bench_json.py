@@ -56,9 +56,6 @@ JOINT_WORKLOAD_FIELDS = {
     "q": int,
     "threads": int,
     "build_threads": int,
-    "scheduler": str,
-    "view_mode": str,
-    "legacy_miss_path": bool,
     "reuse_trigger": (int, float),
     "repetitions": int,
 }
@@ -714,9 +711,14 @@ def validate_record(record, where):
                 f"{where_r}: topk_checksum is not 8 lowercase hex digits")
 
 
+def reject_non_finite(literal):
+    # Python's json accepts NaN/Infinity by default; JSON does not.
+    raise ValidationError(f"non-JSON number literal {literal}")
+
+
 def validate_file(path):
     with open(path) as f:
-        data = json.load(f)
+        data = json.load(f, parse_constant=reject_non_finite)
     records = data if isinstance(data, list) else [data]
     require(records, f"{path}: empty record array")
     for i, record in enumerate(records):
