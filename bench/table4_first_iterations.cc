@@ -43,8 +43,11 @@ void RunCase(const std::string& dataset_name, const std::string& blocker_label) 
   std::cout << "--- " << blocker_label << " (" << dataset.name << "): "
             << result.confirmed_matches.size() << " matches in 3 iterations ("
             << result.pairs_shown << " pairs examined)\n    problems: ";
+  // Sorted, so the summary and the worked example do not depend on the
+  // set's storage order.
+  const std::vector<PairId> confirmed = result.confirmed_matches.SortedPairs();
   std::map<std::string, size_t> problems;
-  for (PairId pair : result.confirmed_matches) {
+  for (PairId pair : confirmed) {
     auto it = dataset.problem_tags.find(pair);
     if (it == dataset.problem_tags.end()) continue;
     for (const std::string& tag : it->second) ++problems[tag];
@@ -59,8 +62,6 @@ void RunCase(const std::string& dataset_name, const std::string& blocker_label) 
   std::cout << "\n";
   // The automatic explanation summary (§8 extension) — derived purely from
   // the data, to compare against the injected ground truth above.
-  std::vector<PairId> confirmed(result.confirmed_matches.begin(),
-                                result.confirmed_matches.end());
   std::vector<ProblemGroup> groups = session->SummarizeProblems(confirmed);
   std::cout << "    auto-diagnosis:";
   size_t shown_groups = 0;
@@ -72,9 +73,9 @@ void RunCase(const std::string& dataset_name, const std::string& blocker_label) 
   }
   std::cout << "\n";
   // One worked explanation, as the user would see it.
-  for (PairId pair : result.confirmed_matches) {
+  if (!confirmed.empty()) {
     std::cout << "    example:\n";
-    std::string explanation = session->ExplainPair(pair);
+    std::string explanation = session->ExplainPair(confirmed.front());
     // Indent.
     size_t start = 0;
     while (start < explanation.size()) {
@@ -84,7 +85,6 @@ void RunCase(const std::string& dataset_name, const std::string& blocker_label) 
                 << "\n";
       start = end + 1;
     }
-    break;
   }
   std::cout << "\n";
 }

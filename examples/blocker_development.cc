@@ -54,16 +54,14 @@ void DebugRound(const mc::datagen::GeneratedDataset& dataset,
             << " true killed-off matches surfaced in 2 iterations ("
             << result.pairs_shown << " pairs examined)\n";
 
-  int shown = 0;
-  for (mc::PairId pair : result.confirmed_matches) {
-    if (shown++ == 2) break;
-    std::cout << "\n" << session->ExplainPair(pair);
+  const std::vector<mc::PairId> confirmed =
+      result.confirmed_matches.SortedPairs();
+  for (size_t i = 0; i < confirmed.size() && i < 2; ++i) {
+    std::cout << "\n" << session->ExplainPair(confirmed[i]);
   }
 
   // What the user would do next, suggested automatically.
-  if (!result.confirmed_matches.empty()) {
-    std::vector<mc::PairId> confirmed(result.confirmed_matches.begin(),
-                                      result.confirmed_matches.end());
+  if (!confirmed.empty()) {
     std::cout << "\n"
               << mc::RenderRepairs(
                      a.schema(),

@@ -66,8 +66,8 @@ int main() {
 
   // Automatic explanation summary (§8 extension): diagnose each surfaced
   // match and aggregate by pervasiveness — no generator ground truth used.
-  std::vector<mc::PairId> confirmed(result.confirmed_matches.begin(),
-                                    result.confirmed_matches.end());
+  const std::vector<mc::PairId> confirmed =
+      result.confirmed_matches.SortedPairs();
   std::vector<mc::ProblemGroup> groups =
       session->SummarizeProblems(confirmed);
   std::cout << mc::RenderProblemSummary(a, b, groups) << "\n";

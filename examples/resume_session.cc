@@ -72,8 +72,8 @@ int main() {
             << " killed-off matches after " << result.num_iterations()
             << " more iterations\n\n";
 
-  std::vector<mc::PairId> confirmed(result.confirmed_matches.begin(),
-                                    result.confirmed_matches.end());
+  const std::vector<mc::PairId> confirmed =
+      result.confirmed_matches.SortedPairs();
   std::cout << mc::RenderRepairs(a.schema(),
                                  mc::SuggestRepairs(a, b, confirmed));
 

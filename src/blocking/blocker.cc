@@ -1,5 +1,7 @@
 #include "blocking/blocker.h"
 
+#include <utility>
+
 namespace mc {
 
 CandidateSet NaiveBlocker::Run(const Table& table_a,
@@ -21,9 +23,13 @@ std::string NaiveBlocker::Description(const Schema& schema) const {
 
 CandidateSet UnionBlocker::Run(const Table& table_a,
                                const Table& table_b) const {
+  // The largest output so far absorbs each next one, so every pair of the
+  // largest member is inserted once (by its own executor) rather than again.
   CandidateSet result;
   for (const auto& member : members_) {
-    result.UnionWith(member->Run(table_a, table_b));
+    CandidateSet output = member->Run(table_a, table_b);
+    if (output.size() > result.size()) std::swap(result, output);
+    result.UnionWith(output);
   }
   return result;
 }

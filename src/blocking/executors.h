@@ -19,13 +19,15 @@ CandidateSet EnumerateKeyEquality(const Table& table_a, const Table& table_b,
                                   const KeyFunction& key);
 
 /// Similarity threshold (Jaccard/cosine/Dice/overlap-coefficient): prefix
-/// filtering under a document-frequency global token order, then exact
-/// verification.
+/// filtering under a document-frequency global token order with length and
+/// positional filters (docs/algorithms.md §"Prefix-filter blockers"), then
+/// exact verification.
 CandidateSet EnumerateSetSimilarity(const Table& table_a,
                                     const Table& table_b,
                                     const SetSimilarityPredicate& predicate);
 
-/// Token-overlap threshold: prefix filtering with required overlap c.
+/// Token-overlap threshold: prefix and positional filtering with required
+/// overlap c, then exact verification.
 CandidateSet EnumerateOverlap(const Table& table_a, const Table& table_b,
                               const OverlapPredicate& predicate);
 

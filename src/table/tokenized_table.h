@@ -110,8 +110,9 @@ struct TextPlaneBuildStats {
 /// one plane is safely shared by both tables and all threads.
 class TokenizedTable {
  public:
-  /// Lazily built per-(q, column) gram plane: distinct q-gram ids of every
-  /// cell in the column (both sides), sorted ascending per cell. Gram ids
+  /// Lazily built per-(q, column) gram plane: the q-gram ids of every cell
+  /// in the column (both sides), sorted ascending per cell. Cells are
+  /// multisets: a gram occurring twice in the value appears twice. Gram ids
   /// are local to this plane; only counts/overlaps are meaningful.
   struct QGramColumn {
     std::vector<uint64_t> offsets[2];  // rows(side) + 1 entries.

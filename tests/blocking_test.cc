@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,6 +75,122 @@ TEST(CandidateSetTest, BasicOperations) {
   std::vector<PairId> sorted = set.SortedPairs();
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
   EXPECT_EQ(sorted.size(), 3u);
+}
+
+TEST(CandidateSetTest, GrowsThroughManyRehashes) {
+  CandidateSet set;
+  constexpr RowId kRowsA = 400;
+  constexpr RowId kRowsB = 300;  // 120k pairs: a dozen doublings.
+  for (RowId a = 0; a < kRowsA; ++a) {
+    for (RowId b = 0; b < kRowsB; ++b) set.Add(a * 7919u, b * 104729u);
+  }
+  ASSERT_EQ(set.size(), size_t{kRowsA} * kRowsB);
+  for (RowId a = 0; a < kRowsA; ++a) {
+    for (RowId b = 0; b < kRowsB; ++b) {
+      ASSERT_TRUE(set.Contains(a * 7919u, b * 104729u)) << a << "," << b;
+      ASSERT_FALSE(set.Contains(a * 7919u + 1, b * 104729u));
+    }
+  }
+  set.Add(0, 0);  // Re-adding changes nothing.
+  EXPECT_EQ(set.size(), size_t{kRowsA} * kRowsB);
+}
+
+TEST(CandidateSetTest, IterationVisitsEachPairOnceInSortedPairsSet) {
+  CandidateSet set;
+  Rng rng(17);
+  for (int i = 0; i < 5000; ++i) {
+    set.Add(static_cast<RowId>(rng.NextBelow(200)),
+            static_cast<RowId>(rng.NextBelow(200)));
+  }
+  std::vector<PairId> visited(set.begin(), set.end());
+  EXPECT_EQ(visited.size(), set.size());
+  std::sort(visited.begin(), visited.end());
+  EXPECT_EQ(std::adjacent_find(visited.begin(), visited.end()),
+            visited.end());
+  EXPECT_EQ(visited, set.SortedPairs());
+}
+
+TEST(CandidateSetTest, UnionWithEmptyAndWithItself) {
+  CandidateSet set;
+  for (RowId i = 0; i < 100; ++i) set.Add(i, i + 1);
+  const std::vector<PairId> before = set.SortedPairs();
+
+  CandidateSet empty;
+  set.UnionWith(empty);
+  EXPECT_EQ(set.SortedPairs(), before);
+  empty.UnionWith(set);
+  EXPECT_EQ(empty.SortedPairs(), before);
+
+  set.UnionWith(set);
+  EXPECT_EQ(set.size(), 100u);
+  EXPECT_EQ(set.SortedPairs(), before);
+}
+
+TEST(CandidateSetTest, DefaultConstructedSetIsEmpty) {
+  const CandidateSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.Contains(0, 0));
+  EXPECT_FALSE(set.Contains(MakePairId(5, 7)));
+  EXPECT_TRUE(set.begin() == set.end());
+  EXPECT_TRUE(set.SortedPairs().empty());
+  CandidateSet other;
+  other.Add(1, 1);
+  EXPECT_EQ(set.IntersectionSize(other), 0u);
+  EXPECT_EQ(other.IntersectionSize(set), 0u);
+}
+
+TEST(CandidateSetTest, RowIdsNearTheTopOfTheRange) {
+  constexpr RowId kMax = 0xFFFFFFFFu;
+  const std::vector<PairId> pairs = {
+      MakePairId(kMax, kMax - 1), MakePairId(kMax - 1, kMax),
+      MakePairId(kMax, 0),        MakePairId(0, kMax),
+      MakePairId(kMax - 1, kMax - 1)};
+  CandidateSet set;
+  set.Reserve(pairs.size());
+  for (PairId pair : pairs) set.Add(pair);
+  EXPECT_EQ(set.size(), pairs.size());
+  for (PairId pair : pairs) EXPECT_TRUE(set.Contains(pair));
+  EXPECT_FALSE(set.Contains(kMax - 2, kMax));
+  std::vector<PairId> sorted = pairs;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(set.SortedPairs(), sorted);
+}
+
+// The all-ones pair is the empty-slot marker; adding it is a programming
+// error. Death tests and sanitizer runtimes do not mix (see util_test.cc).
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+TEST(CandidateSetDeathTest, ReservedPairIsRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  CandidateSet set;
+  ASSERT_DEATH(set.Add(0xFFFFFFFFu, 0xFFFFFFFFu), "kEmpty");
+}
+#endif
+
+TEST(CandidateSetTest, CopyAndMove) {
+  CandidateSet original;
+  for (RowId i = 0; i < 50; ++i) original.Add(i, 2 * i);
+
+  CandidateSet copy = original;
+  copy.Add(1000, 1000);
+  EXPECT_EQ(original.size(), 50u);
+  EXPECT_FALSE(original.Contains(1000, 1000));
+  EXPECT_EQ(copy.size(), 51u);
+
+  CandidateSet moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 51u);
+  EXPECT_TRUE(moved.Contains(1000, 1000));
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(copy.Contains(1000, 1000));
+  copy.Add(3, 3);  // A moved-from set is reusable.
+  EXPECT_EQ(copy.size(), 1u);
+
+  CandidateSet assigned;
+  assigned.Add(9, 9);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 51u);
+  EXPECT_FALSE(assigned.Contains(9, 9));
+  assigned = original;
+  EXPECT_EQ(assigned.SortedPairs(), original.SortedPairs());
 }
 
 TEST(FigureOneTest, CityEquivalenceBlockerMatchesPaper) {

@@ -90,6 +90,20 @@ for seed in 42 31337 909090909; do
       -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|JointPlanner'
 done
 
+# Blocking: the flat CandidateSet and the prefix-filter join's length and
+# positional filters must never change a blocker's output. The executor
+# equivalence suite, the CandidateSet unit suite, and the soundness suites
+# (threshold-boundary pairs, repeated-gram q-gram multisets, every paper
+# blocker against naive evaluation) run by name so sanitizer logs call them
+# out. ASan bounds-checks the CSR posting index and the probe-state arrays;
+# UBSan catches overflow in the size and position arithmetic.
+echo "==== [blocking] executor/CandidateSet/filter soundness under ASan + UBSan ===="
+for config in asan ubsan; do
+  echo "---- [blocking] ${config} ----"
+  ctest --test-dir "${build_root}/${config}" --output-on-failure \
+      -R 'ExecutorEquivalenceTest|CandidateSetTest|PrefixFilterSoundnessTest|PaperBlockerSoundnessTest'
+done
+
 # Plan cache + threshold mode: threshold-join execution and cached-plan
 # sessions must stay bit-identical to classic fresh-planned top-k runs, the
 # plan-cache fault point must degrade to re-planning (never wrong output),

@@ -234,14 +234,16 @@ int main(int argc, char** argv) {
             << " killed-off matches confirmed over "
             << result.num_iterations() << " iterations ("
             << result.pairs_shown << " pairs examined)\n";
-  for (mc::PairId pair : result.confirmed_matches) {
+  // Sorted, so the printout, the summary (its example pairs) and --out do
+  // not depend on the set's storage order.
+  const std::vector<mc::PairId> confirmed =
+      result.confirmed_matches.SortedPairs();
+  for (mc::PairId pair : confirmed) {
     std::cout << "  (" << mc::PairRowA(pair) << ", " << mc::PairRowB(pair)
               << ")\n";
   }
 
-  if (!result.confirmed_matches.empty()) {
-    std::vector<mc::PairId> confirmed(result.confirmed_matches.begin(),
-                                      result.confirmed_matches.end());
+  if (!confirmed.empty()) {
     std::cout << "\n"
               << mc::RenderProblemSummary(
                      session->table_a(), session->table_b(),
@@ -267,7 +269,7 @@ int main(int argc, char** argv) {
   if (!args.out.empty()) {
     std::ofstream out(args.out);
     out << "a,b\n";
-    for (mc::PairId pair : result.confirmed_matches) {
+    for (mc::PairId pair : confirmed) {
       out << mc::PairRowA(pair) << "," << mc::PairRowB(pair) << "\n";
     }
     if (!out) {
