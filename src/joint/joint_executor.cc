@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -55,6 +56,11 @@ struct JointContext {
   // How the root config executes its threshold (kHybridPrefilter vs the
   // heap-free kThreshold driver); kTopK when no hybrid plan applies.
   JoinExecMode root_mode = JoinExecMode::kTopK;
+  // The planner's winning whole-table probe, when it ran the root join
+  // already (fresh plan at sample rate 1): the root node hands it to
+  // FinishNode instead of joining again. Null otherwise.
+  PlannerProbe* root_probe = nullptr;
+  double root_average_tokens = 0.0;
 
   std::mutex error_mutex;
   void RecordTaskError(const Status& status) {
@@ -178,6 +184,20 @@ class TwoLevelExecutor {
       if (MC_FAULT_POINT("joint/run_node") == FaultKind::kThrow) {
         throw std::runtime_error("injected fault: joint/run_node " +
                                  std::to_string(index));
+      }
+
+      if (index == 0 && ctx_.root_probe != nullptr) {
+        // Whole-table plan: the winning probe ran exactly this join (same
+        // view, k, q, measure, exclusion; no seed), so its canonical list
+        // is the root's. FinishNode still publishes the overlap cache and
+        // cascades to the children.
+        out.average_tokens = ctx_.root_average_tokens;
+        out.shards_used = 1;
+        out.from_planner_probe = true;
+        node.shard_lists.push_back(std::move(ctx_.root_probe->list));
+        node.shard_stats.push_back(ctx_.root_probe->stats);
+        FinishNode(index);
+        return;
       }
 
       Stopwatch view_watch;
@@ -348,7 +368,7 @@ class TwoLevelExecutor {
     // that survived the merge — exactly what descendants' snapshots will
     // re-score. Insert-only, first writer wins, so pairs already published
     // by an ancestor skip the ComputeShared entirely.
-    if (!node.scorers.empty()) {
+    if (ctx_.overlap_reuse) {
       for (const ScoredPair& entry : out.topk) {
         ctx_.cache.InsertWith(entry.pair, [&] {
           return OverlapCache::ComputeShared(
@@ -418,6 +438,7 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   ConfigView root_view = corpus.MakeConfigView(tree.nodes[0].mask);
   result.stages.view_seconds += root_view_watch.ElapsedSeconds();
   Stopwatch q_watch;
+  std::optional<PlannerProbe> root_probe;
   const size_t hardware =
       std::max<size_t>(1, std::thread::hardware_concurrency());
   if (q == 0) {
@@ -442,7 +463,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
         planner_options.weights = options.calibrator->weights();
       }
       planner_options.run_context = options.run_context;
-      result.plan = PlanTopKJoin(corpus, root_view, planner_options);
+      result.plan =
+          PlanTopKJoin(corpus, root_view, planner_options, &root_probe);
     }
     result.planner_used = true;
     q = result.plan.q;
@@ -481,6 +503,10 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     ctx.root_prefilter = result.plan.prefilter_threshold;
     ctx.root_mode = result.plan.mode;
   }
+  if (root_probe.has_value()) {
+    ctx.root_probe = &*root_probe;
+    ctx.root_average_tokens = root_view.average_tokens();
+  }
 
   TwoLevelExecutor(ctx).Run();
 
@@ -493,7 +519,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     decision.shards = config.shards_used;
     decision.seeded_from_parent = config.seeded_from_parent;
     decision.hybrid = i == 0 && ctx.root_prefilter >= 0.0 &&
-                      config.shards_used == 1 && !config.seeded_from_parent;
+                      config.shards_used == 1 && !config.seeded_from_parent &&
+                      !config.from_planner_probe;
     decision.prefilter_threshold =
         decision.hybrid ? ctx.root_prefilter : -1.0;
     decision.mode = decision.hybrid ? ctx.root_mode : JoinExecMode::kTopK;
@@ -510,13 +537,15 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   // every per-config list best-so-far, not exact.
   if (corpus.truncated()) result.truncated = true;
   // Online calibration feedback: every completed config reports the same
-  // operation counts the cost model prices, plus its observed join time.
+  // operation counts the cost model prices, plus its observed join time. A
+  // root handed over from the planner's probe is skipped: its join ran
+  // inside the planner, so its own time is only the hand-over.
   // Node order is fixed, so the observation sequence is deterministic for a
   // given run shape (the calibrator's determinism contract is sequence-in,
   // weights-out; wall times naturally vary across machines).
   if (options.calibrator != nullptr) {
     for (const ConfigJoinResult& config : result.per_config) {
-      if (!config.completed) continue;
+      if (!config.completed || config.from_planner_probe) continue;
       CostObservation observation;
       observation.events = config.stats.events_popped;
       observation.probes =

@@ -112,6 +112,13 @@ struct ConfigJoinResult {
   /// released).
   double average_tokens = 0.0;
   bool seeded_from_parent = false;
+  /// True for a root config whose list is the planner's winning whole-table
+  /// probe (PlannerProbe): the root join was not run a second time. `stats`
+  /// are the probe's counters, `shards_used` is 1 (the probe ran as one
+  /// sequential join), and `seconds` covers only the hand-over — the join
+  /// itself was paid inside JointStageTimings::q_select_seconds, so the
+  /// calibrator gets no observation for it.
+  bool from_planner_probe = false;
   /// False when this config's join was cut short (deadline/cancel) or its
   /// task failed; `topk` then holds the best-so-far list (possibly empty),
   /// not the exact top-k.
@@ -141,7 +148,9 @@ struct ConfigPlanDecision {
 /// (bench/micro_joint reports these alongside corpus-build timings).
 struct JointStageTimings {
   /// The optional plan-selection phase (the cost-based planner; runs once,
-  /// on the root view).
+  /// on the root view). At sample rate 1 it includes the root config's
+  /// join, which the planner's winning probe already ran
+  /// (ConfigJoinResult::from_planner_probe).
   double q_select_seconds = 0.0;
   /// Sum of per-config view construction times.
   double view_seconds = 0.0;

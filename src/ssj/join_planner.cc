@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "mem/topology.h"
 #include "ssj/topk_join.h"
@@ -19,19 +22,21 @@ constexpr uint64_t kDefaultPlannerSeed = 0x9E3779B97F4A7C15ull;
 
 // Auto sample sizing: pick the rate so the systematic sample holds about
 // this many table-A rows. Large enough for the k-th score and the count
-// extrapolation to be stable; small enough that probing every candidate q
-// stays well under one full join — probe cost is dominated by pair-granular
-// work in the (sampled A x sampled B) space and so shrinks quadratically
-// with the rate.
+// extrapolation to be stable. Probe cost is dominated by pair-granular work
+// in the (sampled A x sampled B) space and so shrinks quadratically with
+// the rate — but below 2 * kTargetSampleRows table-A rows the rate is 1 and
+// the "sample" is the whole table: each probe is a full join. There the
+// branch-and-bound ladder cuts the losing probes short, and the joint
+// executor reuses the winning probe as the root join (PlannerProbe).
 constexpr size_t kTargetSampleRows = 256;
 
-// Cost-model weights live in CostWeights (join_planner.h): an event is a
-// heap pop plus an index append; a probe pays the positional bound and
-// (often) a short prefix merge; a scored pair pays a full-span merge whose
-// length scales with the mean tuple length. The weights need only rank
-// plans correctly, not predict wall time; for a fixed weight vector the
-// argmin — and hence the plan — stays deterministic, unlike the wall-clock
-// race it replaced.
+// Cost-model weights live in CostWeights (cost_model.h): an event is a heap
+// pop plus an index append; a probe pays the positional bound and (often) a
+// short prefix merge; a scored pair pays a full-span merge whose length
+// scales with the mean tuple length. The weights need only rank plans
+// correctly, not predict wall time; for a fixed weight vector the argmin —
+// and hence the plan — stays deterministic, unlike the wall-clock race it
+// replaced.
 
 // Threshold-driver promotion cap: a hybrid-eligible plan runs the heap-free
 // threshold driver only when at most this fraction of both tables' tokens
@@ -73,14 +78,25 @@ constexpr size_t kMinEventsPerShard = 1u << 18;
 uint64_t PlannerSeedFromEnv() {
   const char* env = std::getenv("MC_PLANNER_SEED");
   if (env == nullptr || *env == '\0') return kDefaultPlannerSeed;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (end == env) return kDefaultPlannerSeed;
-  return static_cast<uint64_t>(value);
+  // Digits only, accumulated with an explicit overflow check: strtoull
+  // would accept "12abc" as 12, wrap "-1" to 2^64 - 1, and saturate
+  // overflow instead of rejecting them.
+  uint64_t value = 0;
+  for (const char* c = env; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return kDefaultPlannerSeed;
+    const uint64_t digit = static_cast<uint64_t>(*c - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return kDefaultPlannerSeed;
+    }
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
-                      const PlannerOptions& options) {
+                      const PlannerOptions& options,
+                      std::optional<PlannerProbe>* whole_table_probe) {
+  if (whole_table_probe != nullptr) whole_table_probe->reset();
   JoinPlan plan;
   const CorpusPlannerStats& stats = corpus.PlannerStats();
   plan.stats_generation = stats.generation;
@@ -110,39 +126,12 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   plan.sample_rate = rate;
   plan.sample_rows = (rows_a - offset + rate - 1) / rate;
 
-  const double mean_len = (stats.mean_tokens_a + stats.mean_tokens_b) / 2.0;
   // Extrapolation: events are per (row, position), one stream per side,
   // each thinned by N — so event counts scale by N. Pair-granular counts
   // (probes, scored) live in the (sampled A x sampled B) space and scale
-  // by N^2.
+  // by N^2 (JoinCostModel).
   const double scale = static_cast<double>(rate);
-  const double pair_scale = scale * scale;
-  // B-side sample offset: the *same* residue as table A, deliberately — on
-  // corpora whose matching rows are index-aligned (every generated bench
-  // dataset), a different residue would exclude each sampled A row's
-  // partner from the B sample and blind the probes to the score
-  // distribution's head.
-  const size_t b_rate = std::min<size_t>(rate, view.rows_b());
-  const size_t b_offset = offset % b_rate;
-  std::vector<TopKJoinStats> probe_stats(max_q);
-  std::vector<TopKList> probe_lists;
-  probe_lists.reserve(max_q);
-  plan.cost_per_q.assign(max_q, 0.0);
-  const size_t probe_k = ProbeK(options.k, rate);
-  for (size_t q = 1; q <= max_q; ++q) {
-    TopKJoinOptions probe;
-    probe.k = probe_k;
-    probe.measure = options.measure;
-    probe.q = q;
-    probe.exclude = options.exclude;
-    probe.run_context = options.run_context;
-    probe_lists.push_back(RunTopKJoinShard(view, probe, offset, rate,
-                                           /*scorer=*/nullptr,
-                                           /*seed=*/nullptr,
-                                           &probe_stats[q - 1], b_offset,
-                                           b_rate));
-    if (probe_stats[q - 1].truncated) plan.truncated = true;
-  }
+  const double mean_len = (stats.mean_tokens_a + stats.mean_tokens_b) / 2.0;
   // The q ladder is priced with the PINNED default weights, never the
   // calibrated fit: q is the one plan knob that changes which pairs are
   // eligible at all (a pair sharing fewer than q tokens is invisible to
@@ -150,18 +139,62 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   // never flip it — plans, and with them the joined lists, stay
   // bit-identical across calibration states. The calibrated weights steer
   // the output-neutral decisions below (shard decomposition).
-  const CostWeights pinned;
-  auto modeled_cost = [&](const TopKJoinStats& s, const CostWeights& w) {
-    const double events = static_cast<double>(s.events_popped);
-    const double probes =
-        static_cast<double>(s.pairs_pruned + s.pairs_scored);
-    const double scored = static_cast<double>(s.pairs_scored);
-    return scale * events * w.event +
-           pair_scale * (probes * w.probe +
-                         scored * (w.score_base + w.score_token * mean_len));
+  const JoinCostModel pinned{CostWeights{}, scale, mean_len};
+  auto cost_of = [](const JoinCostModel& model, const TopKJoinStats& s) {
+    return model.Cost(s.events_popped, s.pairs_pruned + s.pairs_scored,
+                      s.pairs_scored);
   };
-  for (size_t q = 1; q <= max_q; ++q) {
-    plan.cost_per_q[q - 1] = modeled_cost(probe_stats[q - 1], pinned);
+  // B-side sample offset: the *same* residue as table A, deliberately — on
+  // corpora whose matching rows are index-aligned (every generated bench
+  // dataset), a different residue would exclude each sampled A row's
+  // partner from the B sample and blind the probes to the score
+  // distribution's head.
+  const size_t b_rate = std::min<size_t>(rate, view.rows_b());
+  const size_t b_offset = offset % b_rate;
+  plan.cost_per_q.assign(max_q, 0.0);
+  const size_t probe_k = ProbeK(options.k, rate);
+
+  // Branch-and-bound q ladder. Candidates run in descending q (large q
+  // defers scoring and usually wins on long tuples, so the first complete
+  // cost is already a tight bound), and every probe after the first runs
+  // under a budget equal to the best complete cost so far: the engine
+  // abandons it at a poll point once its running cost is strictly above
+  // the budget. The running cost is a lower bound on the complete cost
+  // (JoinCostModel), so an abandoned q could never have been the argmin.
+  // Ties go to the smaller q — the ascending ladder's rule — because a
+  // complete probe replaces the best on <=, and an abandoned one was
+  // strictly worse.
+  size_t best_q = 0;
+  std::optional<TopKList> best_list;
+  TopKJoinStats best;
+  for (size_t q = max_q; q >= 1; --q) {
+    TopKJoinOptions probe;
+    probe.k = probe_k;
+    probe.measure = options.measure;
+    probe.q = q;
+    probe.exclude = options.exclude;
+    probe.run_context = options.run_context;
+    if (best_q != 0) {
+      probe.cost_model = &pinned;
+      probe.cost_budget = plan.cost_per_q[best_q - 1];
+    }
+    TopKJoinStats probe_stats;
+    TopKList list =
+        RunTopKJoinShard(view, probe, offset, rate, /*scorer=*/nullptr,
+                         /*seed=*/nullptr, &probe_stats, b_offset, b_rate);
+    plan.cost_per_q[q - 1] = cost_of(pinned, probe_stats);
+    if (probe_stats.truncated) {
+      plan.truncated = true;
+      break;
+    }
+    if (probe_stats.abandoned) {
+      plan.abandoned_q_mask |= 1u << (q - 1);
+    } else if (best_q == 0 ||
+               plan.cost_per_q[q - 1] <= plan.cost_per_q[best_q - 1]) {
+      best_q = q;
+      best_list.emplace(std::move(list));
+      best = probe_stats;
+    }
   }
   if (plan.truncated) {
     // Deadline hit mid-sample: fall back to the conservative exact-join
@@ -171,16 +204,11 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
     return plan;
   }
 
-  size_t best_q = 1;
-  for (size_t q = 2; q <= max_q; ++q) {
-    if (plan.cost_per_q[q - 1] < plan.cost_per_q[best_q - 1]) best_q = q;
-  }
   plan.q = best_q;
-  const TopKJoinStats& best = probe_stats[best_q - 1];
   plan.est_events = static_cast<uint64_t>(
       scale * static_cast<double>(best.events_popped));
   plan.est_scored = static_cast<uint64_t>(
-      pair_scale * static_cast<double>(best.pairs_scored));
+      scale * scale * static_cast<double>(best.pairs_scored));
 
   // Shard hint from the extrapolated event volume. Sharding splits only the
   // table-A event stream (each shard re-walks table B), so shards beyond
@@ -197,7 +225,7 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
           : std::max<size_t>(1, std::thread::hardware_concurrency());
   const double pinned_cost = plan.cost_per_q[best_q - 1];
   const double calibrated_cost =
-      modeled_cost(probe_stats[best_q - 1], options.weights);
+      cost_of(JoinCostModel{options.weights, scale, mean_len}, best);
   const double cost_scale =
       pinned_cost > 0.0
           ? std::clamp(calibrated_cost / pinned_cost, 1.0 / 16.0, 16.0)
@@ -231,7 +259,7 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   // planned for single-shard execution — a shard's sub-space k-th can sit
   // below the full-space estimate, which would force per-shard restarts.
   if (options.enable_hybrid && plan.shards == 1 && rate * 2 <= rows_a) {
-    const TopKList& full_sample = probe_lists[best_q - 1];
+    const TopKList& full_sample = *best_list;
     if (full_sample.full()) {
       plan.sampled_kth = full_sample.KthScore();
       TopKJoinOptions probe;
@@ -286,6 +314,9 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
         }
       }
     }
+  }
+  if (whole_table_probe != nullptr && rate == 1) {
+    whole_table_probe->emplace(PlannerProbe{std::move(*best_list), best});
   }
   return plan;
 }

@@ -3,10 +3,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "blocking/candidate_set.h"
 #include "ssj/corpus.h"
+#include "ssj/cost_model.h"
+#include "ssj/topk_join.h"
+#include "ssj/topk_list.h"
 #include "text/similarity.h"
 #include "util/run_context.h"
 
@@ -31,22 +35,6 @@ enum class JoinExecMode {
 /// Short stable name for a JoinExecMode ("topk", "hybrid", "threshold") —
 /// used by --explain-plans and the bench records.
 const char* JoinExecModeName(JoinExecMode mode);
-
-/// Per-operation weights of the planner's cost model, in abstract units.
-/// The defaults are the hand-tuned constants the planner shipped with; the
-/// online calibrator (ssj/cost_calibrator.h) refits them from observed
-/// executions. They need only rank plans correctly, not predict wall time,
-/// and the event weight is pinned to 1.0 (the model is scale-free).
-struct CostWeights {
-  /// Heap pop + index append, per prefix-extension event.
-  double event = 1.0;
-  /// Positional bound + short prefix merge, per probe.
-  double probe = 0.5;
-  /// Fixed part of a full-span scoring merge.
-  double score_base = 4.0;
-  /// Per-token part of a scoring merge (multiplied by the mean length).
-  double score_token = 0.25;
-};
 
 /// Inputs to the cost-based join planner (ShallowBlocker-style: sampled
 /// cost model + hybrid threshold/top-k execution).
@@ -139,8 +127,14 @@ struct JoinPlan {
   /// Resolved seed (options, environment, or default).
   uint64_t seed = 0;
   /// Modeled cost per candidate q (index q - 1; trailing candidates the
-  /// length-coverage cap excluded are absent).
+  /// length-coverage cap excluded are absent). Exact for every q whose
+  /// probe ran to completion; for a q in `abandoned_q_mask` it is the cost
+  /// at the point the probe was abandoned — a lower bound on that q's
+  /// complete cost, already strictly above the chosen q's.
   std::vector<double> cost_per_q;
+  /// Bit q - 1 is set when the branch-and-bound ladder abandoned q's probe
+  /// once its running cost passed the best complete cost so far.
+  uint32_t abandoned_q_mask = 0;
   /// Extrapolated full-run volumes at the chosen q.
   uint64_t est_events = 0;
   uint64_t est_scored = 0;
@@ -149,20 +143,38 @@ struct JoinPlan {
   bool truncated = false;
 };
 
-/// Resolves the planner seed: MC_PLANNER_SEED when set and parseable, else
-/// a fixed default. Exposed for tests and tools.
+/// Resolves the planner seed: MC_PLANNER_SEED when it is a full unsigned
+/// decimal string that fits in 64 bits (no sign, whitespace or trailing
+/// characters), else a fixed default. Exposed for tests and tools.
 uint64_t PlannerSeedFromEnv();
+
+/// The winning probe join of a plan whose sample is the whole table
+/// (sample rate 1 on both sides). Its inputs are exactly those of the
+/// unsampled join — same view, k, q, measure and exclusion, no seed — so by
+/// the canonical-list contract (RunTopKJoin) its list *is* that join's
+/// result, and its counters are that join's counters.
+struct PlannerProbe {
+  TopKList list;
+  TopKJoinStats stats;
+};
 
 /// Plans the top-k join of `view` (a view of `corpus`): collects the
 /// per-generation corpus statistics, runs one seeded systematic-sample
 /// probe join per candidate q — the probe *is* a shard sub-join, so its
 /// engine, bounds, and counters match real execution exactly — extrapolates
 /// the operation counts to the full table, and picks the cheapest plan
-/// under fixed per-operation weights. Deterministic for a fixed seed on a
-/// fixed corpus generation. See docs/algorithms.md §"Cost-based join
-/// planner".
+/// under fixed per-operation weights. Candidates run in descending q order,
+/// and every probe after the first is abandoned once its running cost
+/// passes the best complete cost so far (branch and bound); the chosen plan
+/// is the one an exhaustive ladder would pick. Deterministic for a fixed
+/// seed on a fixed corpus generation. See docs/algorithms.md §"The
+/// cost-based join planner".
+///
+/// `whole_table_probe` (optional) receives the winning probe when the
+/// sample rate is 1 and the plan is not truncated; it is reset otherwise.
 JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
-                      const PlannerOptions& options);
+                      const PlannerOptions& options,
+                      std::optional<PlannerProbe>* whole_table_probe = nullptr);
 
 }  // namespace mc
 

@@ -352,10 +352,19 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     // proves canonical.)
     if (event.cap < bound()) break;
     ++stats->events_popped;
-    if ((stats->events_popped % options.poll_period) == 0 &&
-        options.run_context.Cancelled()) {
-      stats->truncated = true;
-      break;
+    if ((stats->events_popped % options.poll_period) == 0) {
+      if (options.run_context.Cancelled()) {
+        stats->truncated = true;
+        break;
+      }
+      if (options.cost_model != nullptr &&
+          options.cost_model->Cost(stats->events_popped,
+                                   stats->pairs_pruned + stats->pairs_scored,
+                                   stats->pairs_scored) >
+              options.cost_budget) {
+        stats->abandoned = true;
+        break;
+      }
     }
 
     const bool from_a = event.side == 0;
@@ -493,9 +502,9 @@ TopKList RunShardImpl(const ConfigView& view, const TopKJoinOptions& options,
   TopKList first = RunShardPass<kMeasure, Scorer>(
       view, options, tau, scorer, seed, stats, shard, shard_count, b_shard,
       b_shard_count, a_begin, a_end);
-  // Cancelled mid-phase: best-so-far contract, no restart (the restart
-  // would be cancelled too and lose the survivors).
-  if (stats->truncated) return first;
+  // Cancelled or over budget mid-phase: best-so-far contract, no restart
+  // (the restart would be cancelled too and lose the survivors).
+  if (stats->truncated || stats->abandoned) return first;
   // Done case: full list (KthScore >= 0) whose boundary reached the
   // threshold — canonical, by the argument above.
   if (first.KthScore() >= tau) return first;
@@ -809,6 +818,8 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
   MC_CHECK_GE(options.q, 1u);
   MC_CHECK_GE(options.poll_period, 1u);
   MC_CHECK_GE(options.shards, 1u);
+  MC_CHECK(options.shards == 1 || options.cost_model == nullptr)
+      << "a cost budget prices one call's counters, not a shard merge";
   DirectPairScorer direct_scorer(&view, options.measure);
   DirectPairScorer* direct = scorer == nullptr ? &direct_scorer : nullptr;
   if (scorer == nullptr) scorer = &direct_scorer;
@@ -891,6 +902,8 @@ TopKList RunThresholdJoin(const ConfigView& view,
   MC_CHECK_GE(options.shards, 1u);
   MC_CHECK_GE(options.prefilter_threshold, 0.0)
       << "threshold mode needs a fixed bound";
+  MC_CHECK(options.cost_model == nullptr)
+      << "the threshold driver does not enforce a cost budget";
   PairScorer* scorer_base = scorer;
   DirectPairScorer direct_scorer(&view, options.measure);
   const bool direct = scorer == nullptr;

@@ -6,6 +6,7 @@
 
 #include "blocking/candidate_set.h"
 #include "ssj/corpus.h"
+#include "ssj/cost_model.h"
 #include "ssj/topk_list.h"
 #include "text/similarity.h"
 #include "util/run_context.h"
@@ -100,6 +101,18 @@ struct TopKJoinOptions {
   /// the threshold moves work, never results (TopKJoinStats counts
   /// restarts).
   double prefilter_threshold = -1.0;
+  /// Cost budget for the planner's branch-and-bound q ladder
+  /// (ssj/join_planner.h). When set, the event engine prices this call's
+  /// counters with `cost_model` at every poll point (next to the
+  /// run_context check) and abandons the join once the cost is strictly
+  /// above `cost_budget`: it returns its partial list and sets
+  /// TopKJoinStats::abandoned. JoinCostModel::Cost never decreases as the
+  /// counters grow, so an abandoned join's complete cost would have
+  /// exceeded the budget too. Single-call engine only (RunTopKJoinShard,
+  /// single-shard RunTopKJoin); the threshold driver and sharded runs reject
+  /// it. Null (the default) never abandons.
+  const JoinCostModel* cost_model = nullptr;
+  double cost_budget = 0.0;
 };
 
 /// Counters exposing where the join spends its effort; drives the QJoin-vs-
@@ -122,6 +135,11 @@ struct TopKJoinStats {
   /// True when the join was cancelled (run_context) before draining its
   /// event heap: the returned list is best-so-far, not the exact top-k.
   bool truncated = false;
+  /// True when the join exceeded TopKJoinOptions::cost_budget and stopped
+  /// at a poll point. The counters are the partial ones, so their modeled
+  /// cost is a lower bound on the complete join's; the list is partial.
+  /// Distinct from `truncated`: no deadline or cancellation fired.
+  bool abandoned = false;
 };
 
 /// Runs the prefix-event top-k string similarity join over a config view.

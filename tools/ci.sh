@@ -79,16 +79,22 @@ done
 # execution is bit-identical to running the same plan directly, across
 # measures, k values, hybrid prefilter paths (done + forced restart), and
 # the joint executor's q = 0 dispatch — and the decisions themselves must be
-# deterministic per MC_PLANNER_SEED. ASan covers the sampling probes' view
-# lifetimes; the seed matrix moves the systematic-sample offset so different
-# table-A row subsets drive the cost model each run.
+# deterministic per MC_PLANNER_SEED. The branch-and-bound q ladder must pick
+# the exhaustive ladder's plan (PlannerLadderTest). ASan covers the sampling
+# probes' view lifetimes and the probe list handed to the joint executor;
+# the seed matrix moves the systematic-sample offset so different table-A
+# row subsets drive the cost model each run.
 echo "==== [planner] planner-vs-direct equivalence under ASan ===="
 for seed in 42 31337 909090909; do
   echo "---- [planner] asan MC_PLANNER_SEED=${seed} ----"
   MC_PLANNER_SEED="${seed}" ctest --test-dir "${build_root}/asan" \
       --output-on-failure \
-      -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|JointPlanner'
+      -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|PlannerLadder|JointPlanner'
 done
+# A root reused from the planner's probe finishes on a pool worker and
+# cascades its children across the pool; TSan checks the hand-over.
+echo "==== [planner] joint probe reuse under TSan ===="
+ctest --test-dir "${build_root}/tsan" --output-on-failure -R 'JointPlanner'
 
 # Blocking: the flat CandidateSet and the prefix-filter join's length and
 # positional filters must never change a blocker's output. The executor

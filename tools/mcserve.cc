@@ -31,10 +31,12 @@
 //   --q N              joint q parameter; 0 runs the cost-based planner
 //                      (default 1: fixed q, planner off)
 //   --explain-plans    print each session's cost-based plan (with its
-//                      execution mode and whether it was served from the
-//                      cross-session plan cache), the per-config plan
-//                      decisions (q, shards, hybrid prefilter, exec mode,
-//                      parent seeding), the service plan-cache hit/miss
+//                      execution mode, whether it was served from the
+//                      cross-session plan cache, and the modeled cost per
+//                      q — ">=" marks a q whose probe was abandoned, a
+//                      lower bound), the per-config plan decisions (q,
+//                      shards, hybrid prefilter, exec mode, parent
+//                      seeding), the service plan-cache hit/miss
 //                      counters, and the live calibrated cost-weight
 //                      vector; implies --q 0 unless --q was given
 //                      explicitly
@@ -189,9 +191,11 @@ void PrintPlan(uint64_t id, const mc::SessionOutcome& outcome) {
       static_cast<unsigned long long>(plan.seed),
       outcome.plan_cache_hit ? " (plan cache hit)" : "",
       plan.truncated ? " (truncated: conservative fallback)" : "");
+  // An abandoned q's cost is where its probe stopped: a lower bound.
   for (size_t q = 0; q < plan.cost_per_q.size(); ++q) {
-    std::printf("    cost[q=%zu]=%.0f%s\n", q + 1, plan.cost_per_q[q],
-                q + 1 == plan.q ? "  <- chosen" : "");
+    const bool abandoned = (plan.abandoned_q_mask >> q) & 1u;
+    std::printf("    cost[q=%zu]%s%.0f%s\n", q + 1, abandoned ? ">=" : "=",
+                plan.cost_per_q[q], q + 1 == plan.q ? "  <- chosen" : "");
   }
   for (const mc::ConfigPlanDecision& decision : outcome.plan_decisions) {
     std::printf(
