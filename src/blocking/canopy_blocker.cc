@@ -1,6 +1,8 @@
 #include "blocking/canopy_blocker.h"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -32,14 +34,15 @@ CandidateSet CanopyBlocker::Run(const Table& table_a,
   };
   TokenDictionary dictionary;
   std::vector<Item> items;
+  std::string scratch;
   auto add_table = [&](const Table& table, bool from_a) {
     for (size_t row = 0; row < table.num_rows(); ++row) {
       if (table.IsMissing(row, column_)) continue;
       std::vector<TokenId> ids;
-      for (const std::string& token :
-           tokenizer_.Tokens(table.Value(row, column_))) {
-        ids.push_back(dictionary.Intern(token));
-      }
+      tokenizer_.ForEachToken(table.Value(row, column_), scratch,
+                              [&](std::string_view token) {
+                                ids.push_back(dictionary.Intern(token));
+                              });
       std::sort(ids.begin(), ids.end());
       ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
       if (ids.empty()) continue;

@@ -12,6 +12,7 @@
 
 #include "table/tokenized_table.h"
 #include "text/similarity.h"
+#include "text/string_index.h"
 #include "text/token_dictionary.h"
 #include "util/check.h"
 
@@ -19,16 +20,47 @@ namespace mc {
 
 namespace {
 
-// (key -> rows) partitioning of one table under a key function.
-std::unordered_map<std::string, std::vector<RowId>> PartitionByKey(
-    const Table& table, const KeyFunction& key) {
-  std::unordered_map<std::string, std::vector<RowId>> partitions;
+// Rows of one table bucketed by key id in CSR form, rows ascending within
+// a bucket. Ids come from a StringIndex shared by both tables and cover
+// the ids it held when the buckets were built; a table may have no rows
+// for some of them.
+struct KeyBuckets {
+  std::vector<uint32_t> offsets;
+  std::vector<RowId> rows;
+
+  std::span<const RowId> Rows(uint32_t id) const {
+    return {rows.data() + offsets[id], rows.data() + offsets[id + 1]};
+  }
+};
+
+// Buckets `table`'s rows by their key under `key` (a counting sort over key
+// ids). With `intern`, keys new to `keys` are added in first-appearance
+// order; without, rows whose key is not in `keys` are dropped, as are rows
+// with no key.
+KeyBuckets PartitionByKey(const Table& table, const KeyFunction& key,
+                          StringIndex& keys, bool intern) {
+  std::vector<uint32_t> row_keys(table.num_rows(), StringIndex::kAbsent);
   for (size_t row = 0; row < table.num_rows(); ++row) {
     std::optional<std::string> value = key.Apply(table, row);
     if (!value.has_value()) continue;
-    partitions[*value].push_back(static_cast<RowId>(row));
+    row_keys[row] = intern ? keys.Insert(*value).first : keys.Find(*value);
   }
-  return partitions;
+  KeyBuckets buckets;
+  buckets.offsets.assign(keys.size() + 1, 0);
+  for (uint32_t id : row_keys) {
+    if (id != StringIndex::kAbsent) ++buckets.offsets[id + 1];
+  }
+  for (size_t id = 0; id < keys.size(); ++id) {
+    buckets.offsets[id + 1] += buckets.offsets[id];
+  }
+  buckets.rows.resize(buckets.offsets.back());
+  std::vector<uint32_t> cursor(buckets.offsets.begin(),
+                               buckets.offsets.end() - 1);
+  for (size_t row = 0; row < row_keys.size(); ++row) {
+    if (row_keys[row] == StringIndex::kAbsent) continue;
+    buckets.rows[cursor[row_keys[row]]++] = static_cast<RowId>(row);
+  }
+  return buckets;
 }
 
 // Tokenized rows of one column in CSR form, each row's token ids sorted
@@ -90,15 +122,25 @@ std::pair<TokenizedColumn, TokenizedColumn> TokenizeColumns(
   }
   TokenDictionary dictionary;
   std::vector<TokenId> ids;
+  // Per token id, the last cell that counted it: dedups ids within a cell
+  // the way Tokens() dedups strings, without building a set per cell.
+  std::vector<size_t> last_cell;
+  size_t cell = 0;
+  std::string scratch;
   auto intern_table = [&](const Table& table, TokenizedColumn* out) {
     out->offsets.reserve(table.num_rows() + 1);
     for (size_t row = 0; row < table.num_rows(); ++row) {
       if (!table.IsMissing(row, column)) {
+        ++cell;
         ids.clear();
-        for (const std::string& token :
-             tokenizer.Tokens(table.Value(row, column))) {
-          ids.push_back(dictionary.Intern(token));
-        }
+        tokenizer.ForEachToken(
+            table.Value(row, column), scratch, [&](std::string_view token) {
+              const TokenId id = dictionary.Intern(token);
+              if (id == last_cell.size()) last_cell.push_back(0);
+              if (last_cell[id] == cell) return;
+              last_cell[id] = cell;
+              ids.push_back(id);
+            });
         dictionary.AddDocument(ids);
         out->tokens.insert(out->tokens.end(), ids.begin(), ids.end());
       }
@@ -120,19 +162,25 @@ std::pair<TokenizedColumn, TokenizedColumn> TokenizeColumns(
   return {std::move(a), std::move(b)};
 }
 
-// Intersection size of two sorted id spans.
-size_t SortedOverlap(std::span<const TokenId> a, std::span<const TokenId> b) {
+// Intersection size of two sorted id spans if it reaches `alpha`, else
+// some count below `alpha`: the merge stops once the overlap so far plus
+// the tokens left on the shorter remainder cannot reach `alpha`.
+size_t BoundedOverlap(std::span<const TokenId> a, std::span<const TokenId> b,
+                      size_t alpha) {
   size_t i = 0, j = 0, overlap = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] == b[j]) {
       ++overlap;
       ++i;
       ++j;
-    } else if (a[i] < b[j]) {
+      continue;
+    }
+    if (a[i] < b[j]) {
       ++i;
     } else {
       ++j;
     }
+    if (overlap + std::min(a.size() - i, b.size() - j) < alpha) break;
   }
   return overlap;
 }
@@ -217,12 +265,22 @@ struct OverlapBounds {
 // prefixes of length len - Required(len) + 1, pass the length filter, and
 // survive the positional filter; the survivors are verified exactly.
 //
-// The positional filter prunes (x, y) at a prefix match x[j] == y[i] when
+// alpha(|x|, |y|) = PairRequired, the least overlap a qualifying pair of
+// these sizes can have, is computed once per (A size, B row) and cached in
+// a table stamped per B row. The positional filter prunes (x, y) at a
+// prefix match x[j] == y[i] when
 //   seen + 1 + min(|x| - j - 1, |y| - i - 1) < alpha(|x|, |y|),
-// where `seen` counts the earlier matches of the pair. On q-gram multisets
+// where `seen` counts the earlier matches of the pair; at a row's first
+// match it runs before the row becomes a candidate. On q-gram multisets
 // repeated tokens make `seen` overcount the true common prefix (every copy
 // in y meets every copy in x); the test stays sound because it only needs
 // `seen` as an upper bound, and `seen` is never used as the overlap.
+//
+// Verification rejects overlap < alpha with integer work alone (the merge
+// stops as soon as alpha is out of reach) and runs the exact Verify only
+// when overlap >= alpha. That is sound because alpha rounds the real bound
+// down by the same slack as every other filter here, so it never exceeds
+// the overlap of a pair Verify accepts.
 CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
                               const TokenizedColumn& b,
                               const OverlapBounds& bounds) {
@@ -241,6 +299,7 @@ CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
   const size_t rows_a = a.num_rows();
   size_t num_tokens = 0;
   size_t num_postings = 0;
+  size_t max_size_a = 0;
   for (size_t row = 0; row < rows_a; ++row) {
     std::span<const TokenId> tokens = a.Row(row);
     const size_t prefix = prefix_length(tokens.size());
@@ -248,6 +307,7 @@ CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
       num_tokens = std::max<size_t>(num_tokens, tokens[i] + size_t{1});
     }
     num_postings += prefix;
+    max_size_a = std::max(max_size_a, tokens.size());
   }
   std::vector<uint64_t> offsets(num_tokens + 1, 0);
   for (size_t row = 0; row < rows_a; ++row) {
@@ -270,16 +330,20 @@ CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
     }
   }
 
-  // Per-A-row probe state, valid for the B row whose id is in `stamp`
-  // (stamping replaces clearing a dedup set per B row).
+  // Per-A-row probe state and per-A-size alpha, each valid for the B row
+  // whose id is in its `stamp` (stamping replaces clearing per B row).
   static constexpr uint32_t kNoRow = ~uint32_t{0};
   static constexpr uint32_t kPruned = ~uint32_t{0};
   struct Probe {
     uint32_t stamp = kNoRow;
     uint32_t seen = 0;  // kPruned once the positional filter fires.
+  };
+  struct SizeAlpha {
+    uint32_t stamp = kNoRow;
     uint32_t alpha = 0;
   };
   std::vector<Probe> probes(rows_a);
+  std::vector<SizeAlpha> alpha_by_size(max_size_a + 1);
   std::vector<RowId> candidates;
 
   const double ratio = bounds.MinSizeRatio();
@@ -291,10 +355,10 @@ CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
     if (prefix_b == 0) continue;
     // Length filter: ratio * max <= min, so |x| in [ratio|y|, |y|/ratio].
     size_t min_size_a = 0;
-    size_t max_size_a = SIZE_MAX;
+    size_t max_size_a_for_b = SIZE_MAX;
     if (ratio > 0.0) {
       min_size_a = OverlapBounds::CeilConservative(ratio * size_b);
-      max_size_a = static_cast<size_t>(
+      max_size_a_for_b = static_cast<size_t>(
           std::floor(static_cast<double>(size_b) / ratio + 1e-9));
     }
     const uint32_t stamp = static_cast<uint32_t>(row_b);
@@ -304,22 +368,28 @@ CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
       if (token >= num_tokens) continue;
       for (uint64_t p = offsets[token]; p < offsets[token + 1]; ++p) {
         const Posting posting = postings[p];
-        if (posting.size < min_size_a || posting.size > max_size_a) continue;
+        if (posting.size < min_size_a || posting.size > max_size_a_for_b) {
+          continue;
+        }
         Probe& probe = probes[posting.row];
-        if (probe.stamp != stamp) {
+        const bool first_visit = probe.stamp != stamp;
+        if (!first_visit && probe.seen == kPruned) continue;
+        SizeAlpha& alpha = alpha_by_size[posting.size];
+        if (alpha.stamp != stamp) {
+          alpha.stamp = stamp;
+          alpha.alpha = static_cast<uint32_t>(
+              bounds.PairRequired(posting.size, size_b));
+        }
+        if (first_visit) {
           probe.stamp = stamp;
           probe.seen = 0;
-          probe.alpha = static_cast<uint32_t>(
-              bounds.PairRequired(posting.size, size_b));
-          candidates.push_back(posting.row);
-        } else if (probe.seen == kPruned) {
-          continue;
         }
         const size_t rest = std::min<size_t>(
             posting.size - posting.position - 1, size_b - i - 1);
-        if (probe.seen + 1 + rest < probe.alpha) {
+        if (probe.seen + 1 + rest < alpha.alpha) {
           probe.seen = kPruned;
         } else {
+          if (first_visit) candidates.push_back(posting.row);
           ++probe.seen;
         }
       }
@@ -327,8 +397,9 @@ CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
     for (RowId row_a : candidates) {
       if (probes[row_a].seen == kPruned) continue;
       std::span<const TokenId> tokens_a = a.Row(row_a);
-      const size_t overlap = SortedOverlap(tokens_a, tokens_b);
-      if (bounds.Verify(tokens_a.size(), size_b, overlap)) {
+      const size_t alpha = alpha_by_size[tokens_a.size()].alpha;
+      const size_t overlap = BoundedOverlap(tokens_a, tokens_b, alpha);
+      if (overlap >= alpha && bounds.Verify(tokens_a.size(), size_b, overlap)) {
         result.Add(row_a, static_cast<RowId>(row_b));
       }
     }
@@ -352,21 +423,19 @@ std::vector<std::string> PaddedBigrams(const std::string& key) {
 
 CandidateSet EnumerateKeyEquality(const Table& table_a, const Table& table_b,
                                   const KeyFunction& key) {
-  auto partitions_a = PartitionByKey(table_a, key);
-  auto partitions_b = PartitionByKey(table_b, key);
+  StringIndex keys;
+  const KeyBuckets buckets_a = PartitionByKey(table_a, key, keys, true);
+  const KeyBuckets buckets_b = PartitionByKey(table_b, key, keys, false);
   // Pre-size from the exact output size, the sum over keys of |A_k|*|B_k|.
   size_t total = 0;
-  for (const auto& [value, rows_b] : partitions_b) {
-    auto it = partitions_a.find(value);
-    if (it != partitions_a.end()) total += it->second.size() * rows_b.size();
+  for (uint32_t id = 0; id < keys.size(); ++id) {
+    total += buckets_a.Rows(id).size() * buckets_b.Rows(id).size();
   }
   CandidateSet result;
   result.Reserve(total);
-  for (const auto& [value, rows_b] : partitions_b) {
-    auto it = partitions_a.find(value);
-    if (it == partitions_a.end()) continue;
-    for (RowId row_a : it->second) {
-      for (RowId row_b : rows_b) result.Add(row_a, row_b);
+  for (uint32_t id = 0; id < keys.size(); ++id) {
+    for (RowId row_a : buckets_a.Rows(id)) {
+      for (RowId row_b : buckets_b.Rows(id)) result.Add(row_a, row_b);
     }
   }
   return result;
@@ -396,21 +465,21 @@ CandidateSet EnumerateEditDistanceKeys(
     const Table& table_a, const Table& table_b,
     const EditDistancePredicate& predicate) {
   const size_t d = predicate.max_distance();
-  auto keys_a = PartitionByKey(table_a, predicate.key());
-  auto keys_b = PartitionByKey(table_b, predicate.key());
-
-  // Distinct keys as vectors for indexing.
-  std::vector<const std::string*> distinct_a;
-  distinct_a.reserve(keys_a.size());
-  for (const auto& [key, rows] : keys_a) distinct_a.push_back(&key);
+  // A's keys take ids [0, num_buckets_a); B's keys not in A follow.
+  StringIndex keys;
+  const KeyBuckets buckets_a = PartitionByKey(table_a, predicate.key(), keys,
+                                           true);
+  const uint32_t num_buckets_a = static_cast<uint32_t>(keys.size());
+  const KeyBuckets buckets_b = PartitionByKey(table_b, predicate.key(), keys,
+                                           true);
 
   // 2-gram inverted index over A keys of length >= 2d (for those, ED <= d
   // guarantees at least one shared padded bigram; shorter keys fall back to
   // a length-bucketed scan).
   std::unordered_map<std::string, std::vector<uint32_t>> gram_index;
   std::unordered_map<size_t, std::vector<uint32_t>> length_index_a;
-  for (uint32_t i = 0; i < distinct_a.size(); ++i) {
-    const std::string& key = *distinct_a[i];
+  for (uint32_t i = 0; i < num_buckets_a; ++i) {
+    const std::string& key = keys.KeyOf(i);
     length_index_a[key.size()].push_back(i);
     if (key.size() >= 2 * d) {
       std::vector<std::string> grams = PaddedBigrams(key);
@@ -424,15 +493,11 @@ CandidateSet EnumerateEditDistanceKeys(
   }
 
   CandidateSet result;
-  auto emit = [&](const std::vector<RowId>& rows_a,
-                  const std::vector<RowId>& rows_b) {
-    for (RowId row_a : rows_a) {
-      for (RowId row_b : rows_b) result.Add(row_a, row_b);
-    }
-  };
-
   std::unordered_set<uint32_t> candidates;
-  for (const auto& [key_b, rows_b] : keys_b) {
+  for (uint32_t id_b = 0; id_b < keys.size(); ++id_b) {
+    const std::span<const RowId> rows_b = buckets_b.Rows(id_b);
+    if (rows_b.empty()) continue;
+    const std::string& key_b = keys.KeyOf(id_b);
     candidates.clear();
     if (key_b.size() >= 2 * d || d == 0) {
       // Gram-index path: any A key of length >= 2d within distance d shares
@@ -459,13 +524,15 @@ CandidateSet EnumerateEditDistanceKeys(
       }
     }
     for (uint32_t i : candidates) {
-      const std::string& key_a = *distinct_a[i];
+      const std::string& key_a = keys.KeyOf(i);
       size_t len_diff = key_a.size() > key_b.size()
                             ? key_a.size() - key_b.size()
                             : key_b.size() - key_a.size();
       if (len_diff > d) continue;
       if (BoundedEditDistance(key_a, key_b, d) <= d) {
-        emit(keys_a.find(key_a)->second, rows_b);
+        for (RowId row_a : buckets_a.Rows(i)) {
+          for (RowId row_b : rows_b) result.Add(row_a, row_b);
+        }
       }
     }
   }

@@ -10,6 +10,7 @@
 #include "blocking/key_function.h"
 #include "table/table.h"
 #include "text/similarity.h"
+#include "text/tokenize.h"
 
 namespace mc {
 
@@ -23,6 +24,19 @@ struct TokenizerSpec {
 
   /// Distinct tokens of `text` under this spec.
   std::vector<std::string> Tokens(std::string_view text) const;
+
+  /// Calls `fn(std::string_view)` for every token of `text` under this
+  /// spec, in order and with repeats (Tokens() is the distinct
+  /// subsequence). Views point into `scratch`, reused across calls.
+  template <typename Fn>
+  void ForEachToken(std::string_view text, std::string& scratch,
+                    Fn&& fn) const {
+    if (kind == Kind::kQGram) {
+      ForEachQGram(text, q, scratch, fn);
+    } else {
+      ForEachWordToken(text, scratch, fn);
+    }
+  }
 
   /// "word" or "<q>gram".
   std::string Description() const;

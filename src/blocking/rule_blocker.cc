@@ -155,7 +155,9 @@ std::string RuleBlocker::Description(const Schema& schema) const {
   std::string out;
   for (size_t i = 0; i < rules_.size(); ++i) {
     if (i > 0) out += " OR ";
-    out += "(" + rules_[i].Description(schema) + ")";
+    out += '(';
+    out += rules_[i].Description(schema);
+    out += ')';
   }
   return out;
 }

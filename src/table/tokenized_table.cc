@@ -28,9 +28,9 @@ namespace {
 struct PlaneBlock {
   size_t begin_row = 0;
   size_t num_rows = 0;
-  std::vector<std::string> tokens;  // Local word id -> token string.
+  StringIndex tokens;               // Token string <-> local word id.
   std::vector<uint32_t> local_df;   // Cells containing the token (distinct).
-  std::vector<std::string> norms;   // Local norm id -> normalized value.
+  StringIndex norms;                // Normalized value <-> local norm id.
   // Cells concatenated row-major: local ids in appearance order, within-cell
   // repeats flagged with kTextRepeatBit.
   std::vector<uint32_t> stream;
@@ -45,61 +45,44 @@ struct PlaneBlock {
 
 void TokenizePlaneBlock(const Table& table, size_t num_columns,
                         PlaneBlock& block) {
-  std::unordered_map<std::string, uint32_t> local_ids;
-  std::unordered_map<std::string, uint32_t> local_norms;
-  std::vector<uint32_t> cell_distinct;  // Scratch: cells hold few tokens.
-  std::string token;
+  // Per local id, the last cell that counted the token: a later occurrence
+  // in the same cell is a repeat.
+  std::vector<size_t> last_cell;
+  size_t cell = 0;
+  std::string norm;  // Reused: interning a known value allocates nothing.
   block.cell_stream_sizes.reserve(block.num_rows * num_columns);
   block.cell_distinct_sizes.reserve(block.num_rows * num_columns);
   block.cell_norm_ids.reserve(block.num_rows * num_columns);
   for (size_t row = block.begin_row; row < block.begin_row + block.num_rows;
        ++row) {
     for (size_t column = 0; column < num_columns; ++column) {
-      std::string normalized = NormalizeForTokens(table.Value(row, column));
-      auto [norm_it, norm_inserted] = local_norms.emplace(
-          std::move(normalized), static_cast<uint32_t>(block.norms.size()));
-      if (norm_inserted) block.norms.push_back(norm_it->first);
-      block.cell_norm_ids.push_back(norm_it->second);
+      NormalizeForTokensInto(table.Value(row, column), norm);
+      block.cell_norm_ids.push_back(block.norms.Insert(norm).first);
 
-      // Word tokens are the maximal non-space runs of the normalized value
-      // (NormalizeForTokens lower-cases and maps every non-alphanumeric
-      // byte to a space) — byte-identical to WordTokens(raw value).
-      const std::string& norm = norm_it->first;
+      // Word tokens of the normalized value are byte-identical to
+      // WordTokens(raw value) (see ForEachNormalizedWordToken).
+      ++cell;
       const size_t stream_before = block.stream.size();
-      cell_distinct.clear();
-      size_t i = 0;
-      while (i < norm.size()) {
-        if (norm[i] == ' ') {
-          ++i;
-          continue;
-        }
-        size_t j = i;
-        while (j < norm.size() && norm[j] != ' ') ++j;
-        token.assign(norm, i, j - i);
-        i = j;
-        auto [it, inserted] = local_ids.emplace(
-            token, static_cast<uint32_t>(block.tokens.size()));
+      uint32_t distinct = 0;
+      ForEachNormalizedWordToken(norm, [&](std::string_view token) {
+        auto [local, inserted] = block.tokens.Insert(token);
         if (inserted) {
-          MC_CHECK_LT(block.tokens.size(), size_t{kTextRepeatBit});
-          block.tokens.push_back(token);
+          MC_CHECK_LT(local, kTextRepeatBit);
           block.local_df.push_back(0);
+          last_cell.push_back(0);
         }
-        const uint32_t local = it->second;
-        const bool repeat =
-            std::find(cell_distinct.begin(), cell_distinct.end(), local) !=
-            cell_distinct.end();
-        if (repeat) {
+        if (last_cell[local] == cell) {
           block.stream.push_back(local | kTextRepeatBit);
-        } else {
-          block.stream.push_back(local);
-          cell_distinct.push_back(local);
-          ++block.local_df[local];
+          return;
         }
-      }
+        last_cell[local] = cell;
+        block.stream.push_back(local);
+        ++distinct;
+        ++block.local_df[local];
+      });
       block.cell_stream_sizes.push_back(
           static_cast<uint32_t>(block.stream.size() - stream_before));
-      block.cell_distinct_sizes.push_back(
-          static_cast<uint32_t>(cell_distinct.size()));
+      block.cell_distinct_sizes.push_back(distinct);
     }
   }
 }
@@ -201,11 +184,9 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
   // first-occurrence order assigns exactly the ids a sequential pass over
   // all cells would have assigned.
   Stopwatch merge_watch;
-  std::unordered_map<std::string, uint32_t> norm_pool_ids;
   // Pool id 0 is always "": cells of dropped blocks point at it, and its
   // unconditional presence keeps pool ids thread-count independent.
-  norm_pool_ids.emplace("", 0);
-  plane.norm_values_.emplace_back();
+  plane.norm_values_.Insert("");
   for (PlaneBlock& block : blocks) {
     if (block.dropped) {
       plane.truncated_ = true;
@@ -213,20 +194,17 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
       continue;
     }
     block.id_map.resize(block.tokens.size());
-    for (size_t local = 0; local < block.tokens.size(); ++local) {
-      block.id_map[local] = plane.dictionary_.Intern(block.tokens[local]);
+    for (uint32_t local = 0; local < block.tokens.size(); ++local) {
+      block.id_map[local] = plane.dictionary_.Intern(block.tokens.KeyOf(local));
     }
     for (size_t local = 0; local < block.tokens.size(); ++local) {
       plane.dictionary_.AddDocumentFrequency(block.id_map[local],
                                              block.local_df[local]);
     }
     block.norm_id_map.resize(block.norms.size());
-    for (size_t local = 0; local < block.norms.size(); ++local) {
-      auto [it, inserted] = norm_pool_ids.emplace(
-          block.norms[local],
-          static_cast<uint32_t>(plane.norm_values_.size()));
-      if (inserted) plane.norm_values_.push_back(block.norms[local]);
-      block.norm_id_map[local] = it->second;
+    for (uint32_t local = 0; local < block.norms.size(); ++local) {
+      block.norm_id_map[local] =
+          plane.norm_values_.Insert(block.norms.KeyOf(local)).first;
     }
   }
   MC_CHECK_LE(plane.dictionary_.size(), size_t{kTextTokenIdMask});
@@ -457,49 +435,32 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
   // Re-tokenize only the touched + appended cells, interning directly into
   // the published dictionary and pool (new tokens take ids past the base's;
   // ranks are re-derived below, so id order is irrelevant to content).
-  std::unordered_map<std::string, uint32_t> norm_pool_ids;
-  norm_pool_ids.reserve(out.norm_values_.size());
-  for (size_t i = 0; i < out.norm_values_.size(); ++i) {
-    norm_pool_ids.emplace(out.norm_values_[i], static_cast<uint32_t>(i));
-  }
   struct NewCell {
     std::vector<uint32_t> stream;  // Global ids, repeats flagged.
     std::vector<TokenId> distinct;
     uint32_t norm_id = 0;
   };
   std::unordered_map<size_t, NewCell> fresh;  // Keyed by new-layout cell.
-  std::string token;
+  std::vector<size_t> last_cell;  // Per id: the last cell that counted it.
+  size_t cell_count = 0;
+  std::string norm;
   auto tokenize_cell = [&](size_t row, size_t column) {
     NewCell cell;
-    std::string normalized =
-        NormalizeForTokens(delta_table.Value(row, column));
-    auto [norm_it, norm_inserted] = norm_pool_ids.emplace(
-        std::move(normalized), static_cast<uint32_t>(out.norm_values_.size()));
-    if (norm_inserted) out.norm_values_.push_back(norm_it->first);
-    cell.norm_id = norm_it->second;
-    const std::string& norm = norm_it->first;
-    size_t i = 0;
-    while (i < norm.size()) {
-      if (norm[i] == ' ') {
-        ++i;
-        continue;
-      }
-      size_t j = i;
-      while (j < norm.size() && norm[j] != ' ') ++j;
-      token.assign(norm, i, j - i);
-      i = j;
+    NormalizeForTokensInto(delta_table.Value(row, column), norm);
+    cell.norm_id = out.norm_values_.Insert(norm).first;
+    ++cell_count;
+    ForEachNormalizedWordToken(norm, [&](std::string_view token) {
       const TokenId id = out.dictionary_.Intern(token);
-      const bool repeat =
-          std::find(cell.distinct.begin(), cell.distinct.end(), id) !=
-          cell.distinct.end();
-      if (repeat) {
+      if (id >= last_cell.size()) last_cell.resize(id + size_t{1}, 0);
+      if (last_cell[id] == cell_count) {
         cell.stream.push_back(id | kTextRepeatBit);
-      } else {
-        cell.stream.push_back(id);
-        cell.distinct.push_back(id);
-        out.dictionary_.AddDocumentFrequency(id, 1);
+        return;
       }
-    }
+      last_cell[id] = cell_count;
+      cell.stream.push_back(id);
+      cell.distinct.push_back(id);
+      out.dictionary_.AddDocumentFrequency(id, 1);
+    });
     fresh.emplace(row * cols + column, std::move(cell));
   };
   for (uint32_t row : delta.touched) {
@@ -646,7 +607,7 @@ uint32_t TokenizedTable::ContentCrc() const {
     const size_t cells = rows_[side] * num_columns_;
     for (size_t cell = 0; cell < cells; ++cell) {
       crc = Crc32(&missing_[side][cell], 1, crc);
-      const std::string& norm = norm_values_[norm_ids_[side][cell]];
+      const std::string& norm = norm_values_.KeyOf(norm_ids_[side][cell]);
       hash_u64(norm.size());
       crc = Crc32(norm.data(), norm.size(), crc);
       // Streams hash as ranks (repeat bit preserved): token ids are
@@ -699,23 +660,28 @@ const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
   if (it != qgram_cache_.end()) return it->second.get();
 
   auto built = std::make_unique<QGramColumn>();
-  std::unordered_map<std::string, uint32_t> gram_ids;
+  StringIndex gram_ids;
+  std::vector<size_t> last_cell;  // Per gram id: the last cell holding it.
+  size_t cell_count = 0;
+  std::string scratch;
   std::vector<uint32_t> cell;
   for (size_t side = 0; side < 2; ++side) {
     built->offsets[side].reserve(rows_[side] + 1);
     built->offsets[side].push_back(0);
     for (size_t row = 0; row < rows_[side]; ++row) {
       cell.clear();
-      // QGrams(normalized) == QGrams(raw): QGrams' internal normalization
-      // (lowercase, non-alnum -> space, collapse) is idempotent over
-      // NormalizeForTokens output, so the pooled value suffices.
-      for (const std::string& gram :
-           QGrams(NormalizedValue(side, row, column), q)) {
-        const uint32_t next = static_cast<uint32_t>(gram_ids.size());
-        auto [gram_it, inserted] = gram_ids.emplace(gram, next);
-        (void)inserted;
-        cell.push_back(gram_it->second);
-      }
+      ++cell_count;
+      // Grams of the normalized value equal QGrams(raw): ForEachQGram's own
+      // normalization (fold, non-alnum runs to one space) is idempotent
+      // over NormalizeForTokens output, so the pooled value suffices.
+      ForEachQGram(NormalizedValue(side, row, column), q, scratch,
+                   [&](std::string_view gram) {
+                     auto [id, inserted] = gram_ids.Insert(gram);
+                     if (inserted) last_cell.push_back(0);
+                     if (last_cell[id] == cell_count) return;
+                     last_cell[id] = cell_count;
+                     cell.push_back(id);
+                   });
       std::sort(cell.begin(), cell.end());
       built->grams[side].insert(built->grams[side].end(), cell.begin(),
                                 cell.end());

@@ -13,6 +13,7 @@
 #include "mem/arena_vector.h"
 #include "table/table.h"
 #include "table/table_delta.h"
+#include "text/string_index.h"
 #include "text/token_dictionary.h"
 #include "util/memory_budget.h"
 #include "util/run_context.h"
@@ -111,9 +112,10 @@ struct TextPlaneBuildStats {
 class TokenizedTable {
  public:
   /// Lazily built per-(q, column) gram plane: the q-gram ids of every cell
-  /// in the column (both sides), sorted ascending per cell. Cells are
-  /// multisets: a gram occurring twice in the value appears twice. Gram ids
-  /// are local to this plane; only counts/overlaps are meaningful.
+  /// in the column (both sides), sorted ascending per cell. Cells hold the
+  /// distinct grams, as QGrams() returns them: a gram occurring twice in
+  /// the value appears once. Gram ids are local to this plane; only
+  /// counts/overlaps are meaningful.
   struct QGramColumn {
     std::vector<uint64_t> offsets[2];  // rows(side) + 1 entries.
     std::vector<uint32_t> grams[2];
@@ -202,7 +204,7 @@ class TokenizedTable {
   /// fly where legacy code did). Interned: equal values share one string.
   std::string_view NormalizedValue(size_t side, size_t row,
                                    size_t column) const {
-    return norm_values_[norm_ids_[side][Cell(side, row, column)]];
+    return norm_values_.KeyOf(norm_ids_[side][Cell(side, row, column)]);
   }
 
   /// Pool id of the cell's normalized value — equal ids iff equal
@@ -317,7 +319,7 @@ class TokenizedTable {
   mem::ArenaVector<uint8_t> missing_[2];
   // Rows deleted by deltas (empty on freshly built planes; sized lazily).
   std::vector<uint8_t> tombstones_[2];
-  std::vector<std::string> norm_values_;  // Shared normalized-value pool.
+  StringIndex norm_values_;  // Shared normalized-value pool.
   TokenDictionary dictionary_;
   size_t dead_tokens_ = 0;
   bool truncated_ = false;

@@ -13,12 +13,17 @@ std::string ToLowerAscii(std::string_view text) {
 }
 
 std::string NormalizeForTokens(std::string_view text) {
-  std::string result(text.size(), ' ');
-  for (size_t i = 0; i < text.size(); ++i) {
-    unsigned char c = static_cast<unsigned char>(text[i]);
-    result[i] = std::isalnum(c) ? static_cast<char>(std::tolower(c)) : ' ';
-  }
+  std::string result;
+  NormalizeForTokensInto(text, result);
   return result;
+}
+
+void NormalizeForTokensInto(std::string_view text, std::string& out) {
+  out.resize(text.size());
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char folded = FoldTokenByte(text[i]);
+    out[i] = folded != '\0' ? folded : ' ';
+  }
 }
 
 std::string_view TrimWhitespace(std::string_view text) {

@@ -6,7 +6,7 @@
 namespace mc {
 
 void TokenDictionary::FinalizeRanks() {
-  std::vector<TokenId> order(tokens_.size());
+  std::vector<TokenId> order(index_.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [this](TokenId a, TokenId b) {
     // Dead tokens (df 0 — only possible after delta updates subtract
@@ -20,9 +20,9 @@ void TokenDictionary::FinalizeRanks() {
     if (document_frequency_[a] != document_frequency_[b]) {
       return document_frequency_[a] < document_frequency_[b];
     }
-    return tokens_[a] < tokens_[b];
+    return index_.KeyOf(a) < index_.KeyOf(b);
   });
-  ranks_.assign(tokens_.size(), 0);
+  ranks_.assign(index_.size(), 0);
   for (size_t rank = 0; rank < order.size(); ++rank) {
     ranks_[order[rank]] = static_cast<uint32_t>(rank);
   }

@@ -5,9 +5,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "text/string_index.h"
 #include "util/check.h"
 
 namespace mc {
@@ -23,29 +23,25 @@ class TokenDictionary {
  public:
   TokenDictionary() = default;
 
-  /// Returns the id of `token`, interning it if new.
+  /// Returns the id of `token`, interning it if new. Allocates nothing
+  /// when the token is already interned.
   TokenId Intern(std::string_view token) {
-    auto it = ids_.find(std::string(token));
-    if (it != ids_.end()) return it->second;
-    TokenId id = static_cast<TokenId>(tokens_.size());
-    tokens_.emplace_back(token);
-    document_frequency_.push_back(0);
-    ids_.emplace(tokens_.back(), id);
-    ranks_valid_ = false;
+    auto [id, inserted] = index_.Insert(token);
+    if (inserted) {
+      document_frequency_.push_back(0);
+      ranks_valid_ = false;
+    }
     return id;
   }
 
   /// Returns the id of `token` if already interned.
   std::optional<TokenId> Find(std::string_view token) const {
-    auto it = ids_.find(std::string(token));
-    if (it == ids_.end()) return std::nullopt;
-    return it->second;
+    const uint32_t id = index_.Find(token);
+    if (id == StringIndex::kAbsent) return std::nullopt;
+    return id;
   }
 
-  const std::string& TokenOf(TokenId id) const {
-    MC_CHECK_LT(id, tokens_.size());
-    return tokens_[id];
-  }
+  const std::string& TokenOf(TokenId id) const { return index_.KeyOf(id); }
 
   /// Records one document occurrence for each id in `distinct_ids`; the
   /// caller must have deduplicated ids within the document.
@@ -72,7 +68,8 @@ class TokenDictionary {
   void SubtractDocumentFrequency(TokenId id, uint32_t count) {
     MC_CHECK_LT(id, document_frequency_.size());
     MC_CHECK_GE(document_frequency_[id], count)
-        << "document frequency underflow for token '" << tokens_[id] << "'";
+        << "document frequency underflow for token '" << index_.KeyOf(id)
+        << "'";
     document_frequency_[id] -= count;
     ranks_valid_ = false;
   }
@@ -92,7 +89,7 @@ class TokenDictionary {
     return dead;
   }
 
-  size_t size() const { return tokens_.size(); }
+  size_t size() const { return index_.size(); }
 
   /// Global-order rank of a token: lower rank = rarer = earlier in every
   /// sorted token list. Call FinalizeRanks() after the last AddDocument().
@@ -106,8 +103,7 @@ class TokenDictionary {
   void FinalizeRanks();
 
  private:
-  std::unordered_map<std::string, TokenId> ids_;
-  std::vector<std::string> tokens_;
+  StringIndex index_;  // Token <-> id, ids in first-appearance order.
   std::vector<uint32_t> document_frequency_;
   std::vector<uint32_t> ranks_;
   bool ranks_valid_ = false;

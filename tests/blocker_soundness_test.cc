@@ -4,7 +4,10 @@
 // q-gram multisets with repeated grams, and on the paper's blockers over
 // small generated datasets — each with and without the shared text plane.
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,8 @@
 #include "paper_blockers.h"
 #include "table/table.h"
 #include "table/tokenized_table.h"
+#include "text/similarity.h"
+#include "text/tokenize.h"
 
 namespace mc {
 namespace {
@@ -126,9 +131,10 @@ TEST(PrefixFilterSoundnessTest, PairsExactlyOnTheThresholdAreKept) {
   }
 }
 
-// Q-gram cells are multisets: "aaaaaa" holds the 2-gram "aa" five times.
-// The positional filter's match count overcounts repeated grams, which is
-// sound only as an upper bound; these rows stress exactly that.
+// Repeated grams: "aaaaaa" holds the 2-gram "aa" five times, which a cell
+// keeps once. Were cells multisets, the positional filter's match count
+// would overcount repeated grams, sound only as an upper bound; these rows
+// stress the filters on such values either way.
 TEST(PrefixFilterSoundnessTest, QGramMultisetsWithRepeatedGrams) {
   const std::vector<std::string> values = {
       "aaaaaa", "aaaa",   "aaaaaaaaaa", "aaab",     "abababab", "ababab",
@@ -154,6 +160,188 @@ TEST(PrefixFilterSoundnessTest, QGramMultisetsWithRepeatedGrams) {
                      EnumerateOverlap,
                      std::to_string(q) + "gram overlap >= " +
                          std::to_string(min_overlap));
+    }
+  }
+}
+
+// The least overlap a pair of sizes (x, y) needs: the exact alpha, found
+// by search over the exact predicate; min(x, y) + 1 when none qualifies.
+size_t ExactAlpha(SetMeasure measure, double threshold, size_t x, size_t y) {
+  const size_t most = std::min(x, y);
+  for (size_t overlap = 0; overlap <= most; ++overlap) {
+    if (SetSimilarityFromCounts(measure, x, y, overlap) >= threshold) {
+      return overlap;
+    }
+  }
+  return most + 1;
+}
+
+// `count` tokens "<tag><i>" for i in [first, first + count), space-joined.
+std::string TaggedTokens(const std::string& tag, size_t first, size_t count) {
+  std::string out;
+  for (size_t i = first; i < first + count; ++i) {
+    if (!out.empty()) out += ' ';
+    out += tag;
+    out += std::to_string(i);
+  }
+  return out;
+}
+
+// Pairs whose overlap is alpha - 1, alpha and alpha + 1 for every size pair
+// up to 6 and every measure: row i of A and row i of B form case i (with
+// case-private tokens, so rows of different cases share nothing), and the
+// join must keep exactly the cases at or above alpha. Overlap predicates
+// use alpha = min_overlap.
+TEST(PrefixFilterSoundnessTest, OverlapsAroundAlphaForEveryMeasure) {
+  struct Expected {
+    Table a = OneColumnTable({});
+    Table b = OneColumnTable({});
+    CandidateSet kept;
+  };
+  auto add_case = [](Expected& cases, size_t x, size_t y, size_t overlap,
+                     bool keep) {
+    const RowId row = static_cast<RowId>(cases.a.num_rows());
+    std::string tag = "c";
+    tag += std::to_string(row);
+    const std::string shared = TaggedTokens(tag + "s", 0, overlap);
+    std::string a = shared;
+    std::string b = shared;
+    a += ' ';
+    a += TaggedTokens(tag + "a", 0, x - overlap);
+    b += ' ';
+    b += TaggedTokens(tag + "b", 0, y - overlap);
+    cases.a.AddRow({a});
+    cases.b.AddRow({b});
+    if (keep) cases.kept.Add(row, row);
+  };
+  auto check = [](Expected& cases, auto enumerate, const auto& predicate,
+                  const std::string& label) {
+    ExpectSamePairs(cases.kept, enumerate(cases.a, cases.b, predicate),
+                    label + " / strings");
+    TokenizedTable::BuildAndAttach(cases.a, cases.b);
+    ExpectSamePairs(cases.kept, enumerate(cases.a, cases.b, predicate),
+                    label + " / plane");
+  };
+  for (SetMeasure measure : kMeasures) {
+    for (double threshold : {0.3, 0.5, 0.6, 0.75, 0.9}) {
+      // B sizes descend, so an alpha cached for one B row and wrongly
+      // reused for a later, smaller one would be too large and drop pairs.
+      Expected cases;
+      for (size_t x = 1; x <= 6; ++x) {
+        for (size_t y = 6; y >= 1; --y) {
+          const size_t alpha = ExactAlpha(measure, threshold, x, y);
+          for (size_t overlap = alpha == 0 ? 0 : alpha - 1;
+               overlap <= alpha + 1 && overlap <= std::min(x, y);
+               ++overlap) {
+            add_case(cases, x, y, overlap, overlap >= alpha);
+          }
+        }
+      }
+      check(cases, EnumerateSetSimilarity,
+            SetSimilarityPredicate(0, TokenizerSpec::Word(), measure,
+                                   threshold),
+            std::string(SetMeasureName(measure)) + " @ " +
+                std::to_string(threshold));
+    }
+  }
+  for (size_t min_overlap : {1u, 2u, 3u, 5u}) {
+    Expected cases;
+    for (size_t x = 1; x <= 6; ++x) {
+      for (size_t y = 6; y >= 1; --y) {
+        for (size_t overlap = min_overlap - 1;
+             overlap <= min_overlap + 1 && overlap <= std::min(x, y);
+             ++overlap) {
+          add_case(cases, x, y, overlap, overlap >= min_overlap);
+        }
+      }
+    }
+    check(cases, EnumerateOverlap,
+          OverlapPredicate(0, TokenizerSpec::Word(), min_overlap),
+          "overlap >= " + std::to_string(min_overlap));
+  }
+}
+
+// The join's alpha rounds the real bound down by a 1e-9 slack, so at a
+// threshold a hair above a value whose bound is an integer, a pair can
+// have overlap == alpha and still fall short of the threshold. Only the
+// exact Verify rejects such a pair; these cases fail if it is skipped.
+TEST(PrefixFilterSoundnessTest, OverlapAtAlphaStillVerifiesExactly) {
+  struct Case {
+    SetMeasure measure;
+    double threshold;
+    std::string a;
+    std::string b;
+    double bound;  // The real-valued alpha bound of the pair's sizes.
+  };
+  const double eps = 1e-12;
+  const std::vector<Case> cases = {
+      // 2 / 4 = 0.5 < t; bound t * 6 / (1 + t) = 2 + 2.2e-12.
+      {SetMeasure::kJaccard, 0.5 + eps, "p q r", "p q s",
+       (0.5 + eps) * 6 / (1.5 + eps)},
+      // 2 / sqrt(4 * 4) = 0.5 < t; bound t * 4 = 2 + 4e-12.
+      {SetMeasure::kCosine, 0.5 + eps, "p q r s", "p q t u", (0.5 + eps) * 4},
+      // 2 * 2 / 6 < t; bound t * 6 / 2 = 2 + 3e-12.
+      {SetMeasure::kDice, 2.0 / 3.0 + eps, "p q r", "p q s",
+       (2.0 / 3.0 + eps) * 3},
+      // 2 / min(4, 4) = 0.5 < t; bound t * 4 = 2 + 4e-12.
+      {SetMeasure::kOverlapCoefficient, 0.5 + eps, "p q r s", "p q t u",
+       (0.5 + eps) * 4},
+  };
+  for (const Case& c : cases) {
+    const std::string label = std::string(SetMeasureName(c.measure));
+    // The join's alpha (the bound less the slack, rounded up) is 2, the
+    // pair's overlap; the exact least qualifying overlap is 3.
+    ASSERT_GT(c.bound, 2.0) << label;
+    ASSERT_EQ(std::ceil(c.bound - 1e-9), 2.0) << label;
+    Table a = OneColumnTable({c.a});
+    Table b = OneColumnTable({c.b});
+    const SetSimilarityPredicate predicate(0, TokenizerSpec::Word(),
+                                           c.measure, c.threshold);
+    ASSERT_FALSE(predicate.Evaluate(a, 0, b, 0)) << label;
+    EXPECT_TRUE(EnumerateSetSimilarity(a, b, predicate).empty())
+        << label << " / strings";
+    TokenizedTable::BuildAndAttach(a, b);
+    EXPECT_TRUE(EnumerateSetSimilarity(a, b, predicate).empty())
+        << label << " / plane";
+  }
+}
+
+// Repeated-gram q-gram cells at thresholds equal to similarities the pairs
+// actually reach: every such pair sits at overlap exactly alpha, and pairs
+// of the same sizes one gram short sit at alpha - 1.
+TEST(PrefixFilterSoundnessTest, QGramMultisetsAtRealizedThresholds) {
+  const std::vector<std::string> values = {
+      "aaaaaa", "aaaa", "aaab", "abababab", "ababab", "baba", "abab aaaa",
+      "abba", "aabbaabb", "ba ba", "aaaaab", "bbbb"};
+  const Table a = OneColumnTable(values);
+  const Table b = OneColumnTable(values);
+  for (size_t q : {2u, 3u}) {
+    std::vector<std::vector<std::string>> grams;
+    for (const std::string& value : values) {
+      grams.push_back(QGrams(value, q));
+    }
+    for (SetMeasure measure : kMeasures) {
+      std::set<double> realized;
+      for (const auto& x : grams) {
+        for (const auto& y : grams) {
+          size_t overlap = 0;
+          for (const std::string& gram : x) {
+            overlap += std::count(y.begin(), y.end(), gram);
+          }
+          realized.insert(
+              SetSimilarityFromCounts(measure, x.size(), y.size(), overlap));
+        }
+      }
+      for (double threshold : realized) {
+        if (threshold <= 0.0) continue;
+        CheckBothPaths(a, b,
+                       SetSimilarityPredicate(0, TokenizerSpec::QGram(q),
+                                              measure, threshold),
+                       EnumerateSetSimilarity,
+                       std::to_string(q) + "gram " +
+                           SetMeasureName(measure) + " @ " +
+                           std::to_string(threshold));
+      }
     }
   }
 }

@@ -14,6 +14,7 @@
 #include "blocking/rule_blocker.h"
 #include "blocking/standard_blockers.h"
 #include "table/table.h"
+#include "table/tokenized_table.h"
 #include "util/random.h"
 
 namespace mc {
@@ -454,6 +455,53 @@ TEST_P(ExecutorEquivalenceTest, KeyEqualityMatchesNaive) {
     CandidateSet naive = NaiveBlocker(predicate).Run(a, b);
     CandidateSet indexed = EnumerateKeyEquality(a, b, key);
     ExpectSameSets(naive, indexed, "key equality");
+  }
+}
+
+// Keys built to collide, vanish or carry odd bytes: duplicates in both
+// tables, missing and whitespace-only cells, punctuation that normalizes
+// away, NUL and high bytes, numeric strings — under every key function,
+// from strings and over the text plane.
+TEST_P(ExecutorEquivalenceTest, KeyEqualityEdgeKeysMatchNaive) {
+  using namespace std::string_literals;
+  static const std::vector<std::string> kValues = {
+      "Apple Pie"s, "apple pie"s, "APPLE  PIE!"s, " apple pie "s, ""s,
+      "   "s,       "\t\r\n"s,    "!!!"s,          "ab\0cd"s,       "ab\0ce"s,
+      "\0"s,        "x\0"s,       "caf\xc3\xa9"s,   "cafe"s,         "\xff"s,
+      "12"s,        "12.5"s,      "-3"s,           "19.99"s,        "20"s,
+      "Smith"s,     "Smyth"s,     "smith john"s,   "john smith"s,   "x"s};
+  Rng rng(GetParam() + 6000);
+  auto random_table = [&](size_t rows) {
+    Table table(Schema({{"value", AttributeType::kString}}));
+    for (size_t i = 0; i < rows; ++i) {
+      table.AddRow({kValues[rng.NextBelow(kValues.size())]});
+    }
+    return table;
+  };
+  Table a = random_table(40);
+  Table b = random_table(50);
+  using Kind = KeyFunction::Kind;
+  const std::vector<KeyFunction> keys = {
+      KeyFunction(Kind::kFullValue, 0),     KeyFunction(Kind::kRawValue, 0),
+      KeyFunction(Kind::kLastWord, 0),      KeyFunction(Kind::kFirstWord, 0),
+      KeyFunction(Kind::kSoundex, 0),       KeyFunction(Kind::kPrefix, 0, 3),
+      KeyFunction(Kind::kNumericBucket, 0, 10)};
+  for (const char* path : {"strings", "plane"}) {
+    if (std::string(path) == "plane") TokenizedTable::BuildAndAttach(a, b);
+    for (const KeyFunction& key : keys) {
+      const std::string label = key.Description(a.schema()) + " / " + path;
+      CandidateSet naive =
+          NaiveBlocker(std::make_shared<KeyEqualityPredicate>(key)).Run(a, b);
+      ExpectSameSets(naive, EnumerateKeyEquality(a, b, key), label);
+      for (size_t d : {0u, 1u, 2u}) {
+        EditDistancePredicate predicate(key, d);
+        CandidateSet naive_ed =
+            NaiveBlocker(std::make_shared<EditDistancePredicate>(predicate))
+                .Run(a, b);
+        ExpectSameSets(naive_ed, EnumerateEditDistanceKeys(a, b, predicate),
+                       label + " ed <= " + std::to_string(d));
+      }
+    }
   }
 }
 

@@ -40,7 +40,8 @@ Table RandomTable(Rng& rng, size_t rows) {
     size_t n = rng.NextBelow(max + 1);
     for (size_t i = 0; i < n; ++i) {
       if (i > 0) out += ' ';
-      out += "w" + std::to_string(rng.NextZipf(25, 0.9));
+      out += 'w';
+      out += std::to_string(rng.NextZipf(25, 0.9));
     }
     return out;
   };

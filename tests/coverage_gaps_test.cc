@@ -27,7 +27,8 @@ std::pair<Table, Table> RandomTwoAttrTables(Rng& rng, size_t rows) {
     size_t n = 1 + rng.NextBelow(max);
     for (size_t i = 0; i < n; ++i) {
       if (i > 0) out += ' ';
-      out += prefix + std::to_string(rng.NextZipf(20, 0.8));
+      out += prefix;
+      out += std::to_string(rng.NextZipf(20, 0.8));
     }
     return out;
   };

@@ -54,10 +54,14 @@ TEST(CachingScorerTest, AgreesWithDirectScorer) {
                  {"desc", AttributeType::kString}});
   Table a(schema), b(schema);
   for (int i = 0; i < 30; ++i) {
-    std::string name = "name" + std::to_string(rng.NextBelow(10)) + " token" +
-                       std::to_string(rng.NextBelow(5));
-    std::string desc = "d" + std::to_string(rng.NextBelow(8)) + " d" +
-                       std::to_string(rng.NextBelow(8));
+    std::string name = "name";
+    name += std::to_string(rng.NextBelow(10));
+    name += " token";
+    name += std::to_string(rng.NextBelow(5));
+    std::string desc = "d";
+    desc += std::to_string(rng.NextBelow(8));
+    desc += " d";
+    desc += std::to_string(rng.NextBelow(8));
     a.AddRow({name, desc});
     b.AddRow({name + " extra", desc});
   }

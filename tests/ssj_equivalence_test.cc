@@ -30,7 +30,8 @@ std::pair<Table, Table> RandomTables(Rng& rng, size_t rows) {
     size_t n = 2 + rng.NextBelow(7);
     for (size_t t = 0; t < n; ++t) {
       if (t > 0) text += ' ';
-      text += "w" + std::to_string(rng.NextZipf(40, 0.8));
+      text += 'w';
+      text += std::to_string(rng.NextZipf(40, 0.8));
     }
     table.AddRow({text});
   };

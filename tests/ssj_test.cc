@@ -195,7 +195,8 @@ std::pair<Table, Table> RandomTables(Rng& rng, size_t rows_a, size_t rows_b,
     std::string text;
     for (size_t t = 0; t < n; ++t) {
       if (t > 0) text += ' ';
-      text += "w" + std::to_string(rng.NextZipf(vocabulary, 0.8));
+      text += 'w';
+      text += std::to_string(rng.NextZipf(vocabulary, 0.8));
     }
     table.AddRow({text});
   };

@@ -35,7 +35,8 @@ std::pair<Table, Table> RandomTables(Rng& rng, size_t rows) {
     size_t n = 3 + rng.NextBelow(9);
     for (size_t t = 0; t < n; ++t) {
       if (t > 0) text += ' ';
-      text += "w" + std::to_string(rng.NextZipf(70, 0.9));
+      text += 'w';
+      text += std::to_string(rng.NextZipf(70, 0.9));
     }
     table.AddRow({text});
   };

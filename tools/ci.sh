@@ -96,19 +96,30 @@ done
 echo "==== [planner] joint probe reuse under TSan ===="
 ctest --test-dir "${build_root}/tsan" --output-on-failure -R 'JointPlanner'
 
-# Blocking: the flat CandidateSet and the prefix-filter join's length and
-# positional filters must never change a blocker's output. The executor
-# equivalence suite, the CandidateSet unit suite, and the soundness suites
-# (threshold-boundary pairs, repeated-gram q-gram multisets, every paper
-# blocker against naive evaluation) run by name so sanitizer logs call them
-# out. ASan bounds-checks the CSR posting index and the probe-state arrays;
-# UBSan catches overflow in the size and position arithmetic.
-echo "==== [blocking] executor/CandidateSet/filter soundness under ASan + UBSan ===="
+# Blocking: the flat CandidateSet, the prefix-filter join's length,
+# positional and alpha filters, and the interned tokenizers must never
+# change a blocker's output. The executor equivalence suite, the
+# CandidateSet unit suite, the soundness suites (threshold-boundary pairs,
+# overlaps at alpha - 1 / alpha / alpha + 1, repeated-gram q-gram cells,
+# every paper blocker against naive evaluation), and the tokenizer and
+# StringIndex suites (adversarial bytes, a 1 MiB cell, forced hash
+# collisions) run by name so sanitizer logs call them out. ASan
+# bounds-checks the CSR posting index, the probe-state and alpha arrays,
+# and the string index's slots; UBSan catches overflow in the size and
+# position arithmetic.
+echo "==== [blocking] executor/CandidateSet/filter/tokenizer soundness under ASan + UBSan ===="
 for config in asan ubsan; do
   echo "---- [blocking] ${config} ----"
   ctest --test-dir "${build_root}/${config}" --output-on-failure \
-      -R 'ExecutorEquivalenceTest|CandidateSetTest|PrefixFilterSoundnessTest|PaperBlockerSoundnessTest'
+      -R 'ExecutorEquivalenceTest|CandidateSetTest|PrefixFilterSoundnessTest|PaperBlockerSoundnessTest|TokenizerReferenceTest|StringIndexTest'
 done
+
+# Blocking identity: every paper blocker's output (size and sorted-pair
+# checksum, from strings and over the text plane, six datasets x 3 seeds)
+# must equal the committed record byte for byte. About 25 s on 4 cores.
+echo "==== [blocking-identity] blocker_checksums vs bench/BLOCKER_CHECKSUMS.txt ===="
+"${build_root}/release/bench/blocker_checksums" 2>/dev/null \
+    | diff "${repo_root}/bench/BLOCKER_CHECKSUMS.txt" -
 
 # Plan cache + threshold mode: threshold-join execution and cached-plan
 # sessions must stay bit-identical to classic fresh-planned top-k runs, the
