@@ -80,12 +80,12 @@ void PrintDecisions(const Cell& cell, uint64_t seed) {
       MC_CHECK(!plan.truncated);
       std::printf(
           "%s scale=%g k=%zu seed=%llu %s rate=%zu q=%zu shards=%zu "
-          "hybrid=%d tau=%a mode=%s prefix_frac=%a est_events=%llu "
-          "est_scored=%llu kth=%a half_kth=%a cost=%a\n",
+          "hybrid=%d tau=%a mode=%s est_events=%llu est_scored=%llu "
+          "kth=%a half_kth=%a cost=%a\n",
           cell.name, cell.scale, k, static_cast<unsigned long long>(seed),
           blockers[b].label.c_str(), plan.sample_rate, plan.q, plan.shards,
           plan.hybrid ? 1 : 0, plan.prefilter_threshold,
-          JoinExecModeName(plan.mode), plan.threshold_prefix_fraction,
+          JoinExecModeName(plan.mode),
           static_cast<unsigned long long>(plan.est_events),
           static_cast<unsigned long long>(plan.est_scored), plan.sampled_kth,
           plan.half_sample_kth, plan.cost_per_q[plan.q - 1]);

@@ -13,9 +13,6 @@
 #include "joint/caching_scorer.h"
 #include "joint/overlap_cache.h"
 #include "joint/parent_merge.h"
-#include "ssj/cost_calibrator.h"
-#include "mem/per_node_replica.h"
-#include "mem/topology.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/stopwatch.h"
@@ -53,14 +50,10 @@ struct JointContext {
   // Hybrid prefilter threshold for the root config (< 0 = off). Set only
   // when the planner ran and decided for the hybrid mode.
   double root_prefilter = -1.0;
-  // How the root config executes its threshold (kHybridPrefilter vs the
-  // heap-free kThreshold driver); kTopK when no hybrid plan applies.
-  JoinExecMode root_mode = JoinExecMode::kTopK;
   // The planner's winning whole-table probe, when it ran the root join
   // already (fresh plan at sample rate 1): the root node hands it to
   // FinishNode instead of joining again. Null otherwise.
   PlannerProbe* root_probe = nullptr;
-  double root_average_tokens = 0.0;
 
   std::mutex error_mutex;
   void RecordTaskError(const Status& status) {
@@ -89,7 +82,9 @@ struct JointContext {
 // list, so every child seeds from a finished parent (no mid-run polling, no
 // idle spinning). Level 2: each config's join is decomposed into table-A
 // shard sub-joins (RunTopKJoinShard) that run as independent pool tasks, so
-// the machine stays busy even when few configs are ready.
+// the machine stays busy even when few configs are ready. The worker that
+// set a config up runs its shard 0 itself, so a config is joined as soon as
+// its view is built: at most one view per worker is waiting on its join.
 //
 // Determinism: every shard list is the canonical top-k of its sub-space
 // under (score desc, pair asc), so the shard merge reproduces the
@@ -118,21 +113,10 @@ class TwoLevelExecutor {
                                     ctx_.num_threads,
                                     std::max<size_t>(
                                         1, std::thread::hardware_concurrency())));
-    // Topology decomposition: shard tasks are grouped into one contiguous
-    // table-A row window per NUMA node (the slice PlaceForTopology bound to
-    // that node), with the residue split applied inside each window. Every
-    // group task is routed to its node's workers. Single-node topologies
-    // give one group covering all rows — exactly the classic residue
-    // partition. Any disjoint decomposition merges to the same canonical
-    // list, so this moves memory traffic, never results.
-    groups_ = std::min(mem::SystemTopology::Get().num_nodes(), shard_count_);
-    if (groups_ == 0) groups_ = 1;
   }
 
   void Run() {
-    pool_ = std::make_unique<ThreadPool>(
-        ctx_.num_threads,
-        ThreadPoolOptions{.name_prefix = "mc-joint", .topology_aware = true});
+    pool_ = std::make_unique<ThreadPool>(ctx_.num_threads, "mc-joint");
     for (size_t i = 0; i < ctx_.tree.size(); ++i) {
       if (ctx_.tree.nodes[i].parent < 0) {
         pool_->Submit([this, i] { StartNode(i); });
@@ -150,10 +134,6 @@ class TwoLevelExecutor {
     ConfigView view;
     std::vector<std::unique_ptr<CachingPairScorer>> scorers;  // Per shard.
     std::vector<ScoredPair> seed;
-    // Per-node copies of the seed: every shard task of a config reads the
-    // seed list, so the replicas keep that hot read-only structure off a
-    // single node's memory controller. One copy on single-node topologies.
-    mem::PerNodeReplica<std::vector<ScoredPair>> seed_replicas;
     bool use_seed = false;
     std::vector<TopKList> shard_lists;
     std::vector<TopKJoinStats> shard_stats;
@@ -167,7 +147,8 @@ class TwoLevelExecutor {
   };
 
   // Node-ready step: build the view and scorers, re-adjust the parent's
-  // final list into the seed, and fan the config out into shard tasks.
+  // final list into the seed, fan shards 1.. out into pool tasks, and run
+  // shard 0 on this worker.
   void StartNode(size_t index) {
     Node& node = nodes_[index];
     const ConfigNode& tree_node = ctx_.tree.nodes[index];
@@ -175,6 +156,7 @@ class TwoLevelExecutor {
     node.watch.Reset();
     out.config = tree_node.mask;
     out.completed = false;
+    bool shards_started = false;
     try {
       if (ctx_.options.run_context.Cancelled()) {
         // Skipped entirely; children still cascade (and skip too).
@@ -191,7 +173,6 @@ class TwoLevelExecutor {
         // view, k, q, measure, exclusion; no seed), so its canonical list
         // is the root's. FinishNode still publishes the overlap cache and
         // cascades to the children.
-        out.average_tokens = ctx_.root_average_tokens;
         out.shards_used = 1;
         out.from_planner_probe = true;
         node.shard_lists.push_back(std::move(ctx_.root_probe->list));
@@ -203,7 +184,6 @@ class TwoLevelExecutor {
       Stopwatch view_watch;
       node.view = ctx_.corpus.MakeConfigView(tree_node.mask);
       out.view_seconds = view_watch.ElapsedSeconds();
-      out.average_tokens = node.view.average_tokens();
       out.shards_used = shard_count_;
 
       // Per-shard caching scorers: CachingPairScorer is single-threaded
@@ -236,9 +216,6 @@ class TwoLevelExecutor {
         node.use_seed = true;
         out.seeded_from_parent = true;
       }
-      if (node.use_seed && groups_ > 1) {
-        node.seed_replicas.Fill(node.seed, groups_);
-      }
 
       node.context = RunContext::WithParent(ctx_.options.run_context);
       node.shard_lists.reserve(shard_count_);
@@ -247,10 +224,10 @@ class TwoLevelExecutor {
       }
       node.shard_stats.assign(shard_count_, TopKJoinStats{});
       node.shards_remaining.store(shard_count_, std::memory_order_relaxed);
-      for (size_t s = 0; s < shard_count_; ++s) {
-        pool_->SubmitOnNode(static_cast<int>(GroupOfShard(s)),
-                            [this, index, s] { RunShardTask(index, s); });
+      for (size_t s = 1; s < shard_count_; ++s) {
+        pool_->Submit([this, index, s] { RunShardTask(index, s); });
       }
+      shards_started = true;
     } catch (const std::exception& e) {
       ctx_.RecordTaskError(
           Status::Internal(std::string("config task threw: ") + e.what()));
@@ -262,6 +239,9 @@ class TwoLevelExecutor {
       node.failed.store(true, std::memory_order_relaxed);
       Cascade(index);
     }
+    // Outside the try: RunShardTask handles its own failures, and the last
+    // shard to finish cascades.
+    if (shards_started) RunShardTask(index, 0);
   }
 
   void RunShardTask(size_t index, size_t s) {
@@ -281,40 +261,10 @@ class TwoLevelExecutor {
       // sample provides, which would force per-shard restarts.
       if (index == 0 && node.shard_lists.size() == 1 && !node.use_seed) {
         join_options.prefilter_threshold = ctx_.root_prefilter;
-        // Threshold-mode dispatch: the plan's fixed bound runs the
-        // heap-free driver instead of the prefiltered event engine. Same
-        // gate, same accept-or-restart contract, bit-identical output.
-        if (ctx_.root_mode == JoinExecMode::kThreshold &&
-            ctx_.root_prefilter >= 0.0) {
-          node.shard_lists[s] = RunThresholdJoin(node.view, join_options,
-                                                 scorer, /*seed=*/nullptr,
-                                                 &node.shard_stats[s]);
-          if (node.shards_remaining.fetch_sub(
-                  1, std::memory_order_acq_rel) == 1) {
-            FinishNode(index);
-          }
-          return;
-        }
-      }
-      // Topology decomposition of the global shard id: group g owns the
-      // contiguous A-row window PlaceForTopology bound to NUMA node g, and
-      // the residue split runs inside that window. groups_ == 1 degenerates
-      // to the classic full-window residue partition (r == s, window == A).
-      const size_t g = GroupOfShard(s);
-      const size_t r = s - GroupBegin(g);
-      const size_t group_count = GroupBegin(g + 1) - GroupBegin(g);
-      const size_t rows_a = node.view.rows_a();
-      const size_t a_begin = g * rows_a / groups_;
-      const size_t a_end = (g + 1) * rows_a / groups_;
-      const std::vector<ScoredPair>* seed = nullptr;
-      if (node.use_seed) {
-        seed = node.seed_replicas.empty() ? &node.seed
-                                          : &node.seed_replicas.Get(g);
       }
       node.shard_lists[s] = RunTopKJoinShard(
-          node.view, join_options, r, group_count, scorer, seed,
-          &node.shard_stats[s], /*b_shard=*/0, /*b_shard_count=*/1, a_begin,
-          a_end);
+          node.view, join_options, s, shard_count_, scorer,
+          node.use_seed ? &node.seed : nullptr, &node.shard_stats[s]);
     } catch (const std::exception& e) {
       ctx_.RecordTaskError(
           Status::Internal(std::string("config task threw: ") + e.what()));
@@ -387,7 +337,6 @@ class TwoLevelExecutor {
     node.view = ConfigView();
     node.seed.clear();
     node.seed.shrink_to_fit();
-    node.seed_replicas = mem::PerNodeReplica<std::vector<ScoredPair>>();
     node.shard_lists.clear();
     node.shard_stats.clear();
 
@@ -403,17 +352,9 @@ class TwoLevelExecutor {
     }
   }
 
-  // First global shard id owned by group g; group g owns ids
-  // [GroupBegin(g), GroupBegin(g + 1)). Inverse of GroupOfShard.
-  size_t GroupBegin(size_t g) const {
-    return (g * shard_count_ + groups_ - 1) / groups_;
-  }
-  size_t GroupOfShard(size_t s) const { return s * groups_ / shard_count_; }
-
   JointContext& ctx_;
   std::vector<Node> nodes_;
   size_t shard_count_ = 1;
-  size_t groups_ = 1;
   std::unique_ptr<ThreadPool> pool_;
 };
 
@@ -423,10 +364,6 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                               const JointOptions& options) {
   MC_CHECK_GT(tree.size(), 0u);
   Stopwatch total_watch;
-  // Bind the corpus's per-node A-row slices before the join touches them
-  // (advisory: no-op / fallback-counted on single-node, fake, or bind-less
-  // systems; never affects results).
-  corpus.PlaceForTopology();
   JointResult result;
   result.per_config.resize(tree.size());
 
@@ -458,10 +395,6 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
       planner_options.max_shards =
           options.num_threads != 0 ? options.num_threads : hardware;
       planner_options.enable_hybrid = options.planner_hybrid;
-      planner_options.enable_threshold = options.planner_threshold;
-      if (options.calibrator != nullptr) {
-        planner_options.weights = options.calibrator->weights();
-      }
       planner_options.run_context = options.run_context;
       result.plan =
           PlanTopKJoin(corpus, root_view, planner_options, &root_probe);
@@ -501,12 +434,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   }
   if (result.planner_used && result.plan.hybrid) {
     ctx.root_prefilter = result.plan.prefilter_threshold;
-    ctx.root_mode = result.plan.mode;
   }
-  if (root_probe.has_value()) {
-    ctx.root_probe = &*root_probe;
-    ctx.root_average_tokens = root_view.average_tokens();
-  }
+  if (root_probe.has_value()) ctx.root_probe = &*root_probe;
 
   TwoLevelExecutor(ctx).Run();
 
@@ -523,7 +452,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                       !config.from_planner_probe;
     decision.prefilter_threshold =
         decision.hybrid ? ctx.root_prefilter : -1.0;
-    decision.mode = decision.hybrid ? ctx.root_mode : JoinExecMode::kTopK;
+    decision.mode = decision.hybrid ? JoinExecMode::kHybridPrefilter
+                                    : JoinExecMode::kTopK;
     result.plan_decisions.push_back(decision);
   }
 
@@ -536,27 +466,6 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   // A corpus cut short mid-build (deadline/fault during tokenization) makes
   // every per-config list best-so-far, not exact.
   if (corpus.truncated()) result.truncated = true;
-  // Online calibration feedback: every completed config reports the same
-  // operation counts the cost model prices, plus its observed join time. A
-  // root handed over from the planner's probe is skipped: its join ran
-  // inside the planner, so its own time is only the hand-over.
-  // Node order is fixed, so the observation sequence is deterministic for a
-  // given run shape (the calibrator's determinism contract is sequence-in,
-  // weights-out; wall times naturally vary across machines).
-  if (options.calibrator != nullptr) {
-    for (const ConfigJoinResult& config : result.per_config) {
-      if (!config.completed || config.from_planner_probe) continue;
-      CostObservation observation;
-      observation.events = config.stats.events_popped;
-      observation.probes =
-          config.stats.pairs_pruned + config.stats.pairs_scored;
-      observation.scored = config.stats.pairs_scored;
-      observation.mean_tokens = config.average_tokens;
-      observation.seconds =
-          std::max(0.0, config.seconds - config.view_seconds);
-      options.calibrator->Record(observation);
-    }
-  }
   result.total_seconds = total_watch.ElapsedSeconds();
   return result;
 }

@@ -15,8 +15,6 @@
 
 namespace mc {
 
-class CostModelCalibrator;
-
 /// Options for joint execution of top-k SSJs over all configs (paper §4.2).
 struct JointOptions {
   /// Top-k size per config.
@@ -33,8 +31,9 @@ struct JointOptions {
   /// config (ablation switch; per-config output is bit-identical either
   /// way).
   bool planner_hybrid = true;
-  /// Allow promoting a hybrid plan to the threshold-join driver
-  /// (JoinExecMode::kThreshold; ablation switch, bit-identical output).
+  /// Has no effect. Kept only because the session benchmark's staged twin
+  /// still reads it; deleted along with that twin (ROADMAP: "Trace the real
+  /// code path, then delete the staged twin").
   bool planner_threshold = true;
   /// Skip planning entirely and execute this plan (the service's
   /// cross-session plan cache). Only consulted when q == 0; the plan must
@@ -42,17 +41,10 @@ struct JointOptions {
   /// and config signature — the caller owns that invariant (SessionManager
   /// keys its cache by it).
   /// The executed output is bit-identical to planning fresh because the
-  /// planner is deterministic for a fixed (seed, generation, weights) and
-  /// every plan executes to the same canonical lists. Not owned; must
-  /// outlive the call.
+  /// planner is deterministic for a fixed (seed, generation) and every plan
+  /// executes to the same canonical lists. Not owned; must outlive the
+  /// call.
   const JoinPlan* cached_plan = nullptr;
-  /// Online cost-model calibration (ssj/cost_calibrator.h): when set, the
-  /// planner prices candidate plans with the calibrator's current weight
-  /// fit, and every completed config reports its observed operation counts
-  /// and join wall time back after the run. Null (the default) keeps the
-  /// shipped constant weights — existing callers and tests are unaffected.
-  /// Not owned; must outlive the call.
-  CostModelCalibrator* calibrator = nullptr;
   /// Worker threads; 0 = hardware concurrency. Configs are scheduled
   /// parents-first over the config tree, and each config is decomposed
   /// into table-A shard sub-joins that run as independent pool tasks: a
@@ -107,17 +99,12 @@ struct ConfigJoinResult {
   size_t shards_used = 1;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-  /// Average tuple length (tokens) of this config's view — the scoring-cost
-  /// length scale the calibrator feeds back (captured before the view is
-  /// released).
-  double average_tokens = 0.0;
   bool seeded_from_parent = false;
   /// True for a root config whose list is the planner's winning whole-table
   /// probe (PlannerProbe): the root join was not run a second time. `stats`
   /// are the probe's counters, `shards_used` is 1 (the probe ran as one
   /// sequential join), and `seconds` covers only the hand-over — the join
-  /// itself was paid inside JointStageTimings::q_select_seconds, so the
-  /// calibrator gets no observation for it.
+  /// itself was paid inside JointStageTimings::q_select_seconds.
   bool from_planner_probe = false;
   /// False when this config's join was cut short (deadline/cancel) or its
   /// task failed; `topk` then holds the best-so-far list (possibly empty),
@@ -138,8 +125,8 @@ struct ConfigPlanDecision {
   bool hybrid = false;
   /// The prefilter threshold used (< 0 when hybrid is off).
   double prefilter_threshold = -1.0;
-  /// Execution mode the config actually ran (kHybridPrefilter/kThreshold
-  /// only on the root config when the hybrid gate applied).
+  /// Execution mode the config actually ran (kHybridPrefilter only on the
+  /// root config when the hybrid gate applied).
   JoinExecMode mode = JoinExecMode::kTopK;
   bool seeded_from_parent = false;
 };

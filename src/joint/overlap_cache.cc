@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "mem/topology.h"
-
 namespace mc {
 
 size_t OverlapCache::RecommendShards(size_t rows_a, size_t rows_b, size_t k,
@@ -29,14 +27,10 @@ size_t OverlapCache::RecommendShards(size_t rows_a, size_t rows_b, size_t k,
     expected = std::min(expected, estimated_scored_pairs);
   }
   // ~8 entries per stripe keeps insert contention negligible without
-  // allocating thousands of mutexes for toy workloads. On multi-node
-  // machines a bounced stripe mutex costs a cross-socket cache-line
-  // transfer, so the stripe floor scales with the node count (stripe count
-  // only changes contention, never results).
-  const uint64_t node_floor =
-      64 * std::max<uint64_t>(1, mem::SystemTopology::Get().num_nodes());
-  uint64_t shards = std::min<uint64_t>(
-      std::max<uint64_t>(expected / 8, node_floor), 8192);
+  // allocating thousands of mutexes for toy workloads (stripe count only
+  // changes contention, never results).
+  uint64_t shards =
+      std::min<uint64_t>(std::max<uint64_t>(expected / 8, 64), 8192);
   uint64_t rounded = 1;
   while (rounded < shards) rounded <<= 1;
   return static_cast<size_t>(rounded);

@@ -6,8 +6,6 @@
 #include <sys/mman.h>
 #endif
 
-#include "mem/arena_stats.h"
-#include "mem/node_local_arena.h"
 #include "util/fault_injection.h"
 
 namespace mc {
@@ -22,16 +20,7 @@ size_t PageRound(size_t bytes) {
 
 }  // namespace
 
-Arena::Arena(ArenaOptions options) : options_(std::move(options)) {
-  ArenaStatsRegistry::Instance().OnArenaCreated(options_.numa_node);
-  // A logical node with binding off (fake topology) or unavailable is a
-  // placement the machine did not honor: surface it once per arena.
-  if (options_.numa_node >= 0 &&
-      (!options_.bind || !MemoryBindingAvailable())) {
-    fallback_ = true;
-    ArenaStatsRegistry::Instance().RecordTopologyFallback();
-  }
-}
+Arena::Arena(ArenaOptions options) : options_(std::move(options)) {}
 
 Arena::~Arena() {
   for (Chunk& chunk : chunks_) {
@@ -46,8 +35,6 @@ Arena::~Arena() {
   if (options_.budget != nullptr && charged_ > 0) {
     options_.budget->Release(charged_);
   }
-  ArenaStatsRegistry::Instance().OnRelease(options_.numa_node, reserved_);
-  ArenaStatsRegistry::Instance().OnArenaDestroyed(options_.numa_node);
 }
 
 bool Arena::ReserveLocked(size_t bytes) {
@@ -65,40 +52,23 @@ bool Arena::ReserveLocked(size_t bytes) {
     chunk.base = static_cast<std::byte*>(mapped);
     chunk.mmapped = true;
 #if defined(MADV_HUGEPAGE)
-    if (options_.huge_pages &&
-        ::madvise(chunk.base, size, MADV_HUGEPAGE) != 0 && !fallback_) {
-      fallback_ = true;
-      ArenaStatsRegistry::Instance().RecordTopologyFallback();
-    }
+    // Best effort: a refused advice leaves plain pages.
+    if (options_.huge_pages) ::madvise(chunk.base, size, MADV_HUGEPAGE);
 #endif
-    if (options_.bind && options_.numa_node >= 0 &&
-        !BindMemoryToNode(chunk.base, size, options_.numa_node) &&
-        !fallback_) {
-      fallback_ = true;
-      ArenaStatsRegistry::Instance().RecordTopologyFallback();
-    }
   }
 #endif
   if (chunk.base == nullptr) {
-    // mmap unavailable or failed: plain aligned heap pages. Only a
-    // *placement* fallback when placement was asked for.
+    // mmap unavailable or failed: plain aligned heap pages.
     chunk.base = static_cast<std::byte*>(
         ::operator new(size, std::align_val_t{kAlign}, std::nothrow));
     if (chunk.base == nullptr) {
       if (options_.budget != nullptr) options_.budget->Release(size);
       return false;
     }
-    if ((options_.huge_pages ||
-         (options_.bind && options_.numa_node >= 0)) &&
-        !fallback_) {
-      fallback_ = true;
-      ArenaStatsRegistry::Instance().RecordTopologyFallback();
-    }
   }
   chunks_.push_back(chunk);
   reserved_ += size;
   charged_ += options_.budget != nullptr ? size : 0;
-  ArenaStatsRegistry::Instance().OnReserve(options_.numa_node, size);
   return true;
 }
 
@@ -151,11 +121,6 @@ size_t Arena::UsedBytes() const {
   size_t used = 0;
   for (const Chunk& chunk : chunks_) used += chunk.used;
   return used;
-}
-
-bool Arena::used_fallback() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return fallback_;
 }
 
 }  // namespace mem

@@ -12,22 +12,12 @@
 namespace mc {
 namespace mem {
 
-/// How an Arena acquires and places its backing memory.
+/// How an Arena acquires its backing memory.
 struct ArenaOptions {
   /// Growth granularity: chunks are at least this big (page-rounded).
   /// Callers that know their total size Reserve() it up front and never
   /// grow; the chunk size only matters for open-ended scratch arenas.
   size_t chunk_bytes = size_t{1} << 20;
-  /// Logical NUMA node this arena's bytes belong to; -1 = unplaced. The
-  /// node is always recorded in ArenaStats (so fake-topology runs report
-  /// per-node bytes), but memory is only *bound* when `bind` is set.
-  int numa_node = -1;
-  /// Issue the mbind syscall for numa_node. Callers pass
-  /// !SystemTopology::Get().fake() — a fake topology routes decisions but
-  /// must not bind to CPUs/nodes that may not exist. A bind that is
-  /// requested but unavailable (non-Linux, container without the syscall)
-  /// is recorded as a topology fallback, never an error.
-  bool bind = false;
   /// Advise transparent huge pages for each chunk (best effort).
   bool huge_pages = false;
   /// Budget charged exactly ReservedBytes(): every chunk is charged when
@@ -56,7 +46,7 @@ struct ArenaOptions {
 class Arena {
  public:
   explicit Arena(ArenaOptions options = {});
-  virtual ~Arena();
+  ~Arena();
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -86,12 +76,7 @@ class Arena {
   /// Bytes handed out since construction/Reset (<= ReservedBytes()).
   size_t UsedBytes() const;
 
-  int numa_node() const { return options_.numa_node; }
   const std::string& tag() const { return options_.tag; }
-  /// True when any chunk could not be placed as requested (mmap, mbind, or
-  /// huge-page advice failed or was unavailable). The arena still works —
-  /// plain heap pages — it just lost its placement.
-  bool used_fallback() const;
 
   static constexpr size_t kAlign = 64;
 
@@ -112,7 +97,6 @@ class Arena {
   size_t active_ = 0;  // First chunk Allocate bumps from (see Reset).
   size_t reserved_ = 0;
   size_t charged_ = 0;
-  bool fallback_ = false;
 };
 
 }  // namespace mem

@@ -1,16 +1,12 @@
 #include "service/session_manager.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
-#include <string_view>
 #include <utility>
 
 #include "core/session_io.h"
-#include "mem/arena_stats.h"
-#include "ssj/cost_calibrator.h"
 #include "table/tokenized_table.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -54,10 +50,7 @@ uint64_t MixFnvDouble(uint64_t hash, double value) {
 // FNV-1a over the plan-affecting session options. Two sessions with equal
 // signatures on the same plane generation compute byte-identical plans
 // (PlanTopKJoin is deterministic for a fixed seed on a fixed corpus
-// generation), so a memoized plan can stand in for a fresh run. Calibrated
-// cost weights are deliberately excluded: a cached plan pins the decision
-// made at insert time, and recalibration only steers future fresh plans —
-// keying on live weights would make hits vanish as the fit drifts.
+// generation), so a memoized plan can stand in for a fresh run.
 uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   const JointOptions& joint = options.joint;
   uint64_t hash = 1469598103934665603ull;
@@ -66,7 +59,6 @@ uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   hash = MixFnv(hash, joint.planner_seed != 0 ? joint.planner_seed
                                               : PlannerSeedFromEnv());
   hash = MixFnv(hash, joint.planner_hybrid ? 1 : 0);
-  hash = MixFnv(hash, joint.planner_threshold ? 1 : 0);
   hash = MixFnv(hash, joint.num_threads);
   hash = MixFnv(hash, joint.shards_per_config);
   // Config generation picks the attributes, and with them the root view the
@@ -80,13 +72,6 @@ uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   hash = MixFnv(hash, options.infer_types ? 1 : 0);
   hash = MixFnv(hash, static_cast<uint64_t>(options.text_plane));
   return hash;
-}
-
-// MC_PLANNER_CALIBRATE=0 disables the online cost-model feedback loop (the
-// ablation knob); anything else, including unset, leaves it on.
-bool CalibrationEnabled() {
-  const char* env = std::getenv("MC_PLANNER_CALIBRATE");
-  return env == nullptr || std::string_view(env) != "0";
 }
 
 }  // namespace
@@ -127,7 +112,6 @@ SessionManager::SessionManager(const ServiceLimits& limits)
     : limits_(limits),
       budget_(limits.memory_limit_bytes),
       retry_seeds_(limits.seed),
-      calibrate_(CalibrationEnabled()),
       root_context_(RunContext::Cancellable()) {
   MC_CHECK_GE(limits_.max_concurrent_sessions, 1u);
   if (!limits_.checkpoint_dir.empty()) {
@@ -641,9 +625,6 @@ void SessionManager::RunSession(uint64_t id) {
       if (slot == nullptr) slot = std::make_shared<const CachedConfigPick>(pick);
     };
   }
-  if (calibrate_) {
-    options.joint.calibrator = &CostModelCalibrator::Process();
-  }
   if (request.options.joint.q >= 1) {
     // Cache repairable top-k state, first qualifying session wins. Gated on
     // a caller-fixed q: under joint.q == 0 the planner picks q from the
@@ -972,8 +953,6 @@ ServiceStats SessionManager::stats() const {
   snapshot.memory_peak_bytes = budget_.peak();
   snapshot.memory_rejected_charges = budget_.rejected();
   snapshot.memory_release_violations = budget_.release_violations();
-  snapshot.topology_fallbacks =
-      mem::ArenaStatsRegistry::Instance().topology_fallbacks();
   return snapshot;
 }
 

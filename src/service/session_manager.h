@@ -173,12 +173,6 @@ struct ServiceStats {
                                  // option signature, or injected fault).
   size_t plans_evicted = 0;  // Cached plans reclaimed by LRU plane eviction
                              // (delta invalidations are not counted here).
-  /// Topology placement degradations observed process-wide (arena NUMA
-  /// binds or thread pins that fell back to plain placement — mbind/
-  /// pthread_setaffinity unavailable, fake MC_TOPOLOGY, huge-page advisory
-  /// refused). Purely diagnostic: a fallback never fails a build or
-  /// changes results, it only forfeits locality.
-  size_t topology_fallbacks = 0;
   size_t hybrid_plans = 0;    // Plans that enabled the hybrid prefilter.
   size_t hybrid_restarts = 0;  // Prefilter phase-1 lists that fell short of
                                // tau and re-ran without the bound (output
@@ -426,10 +420,6 @@ class SessionManager {
   size_t live_count_ = 0;  // Sessions in a non-terminal state.
   double avg_session_seconds_ = 0.0;  // EMA; feeds the retry-after hint.
   Rng retry_seeds_;  // Forked per retry site, under mutex_.
-  /// MC_PLANNER_CALIBRATE read once at construction: when true, every
-  /// session's joint phase prices plans with — and reports observations
-  /// back into — the process-wide CostModelCalibrator.
-  const bool calibrate_;
   ServiceStats stats_;
   bool shutting_down_ = false;
 

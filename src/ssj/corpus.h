@@ -323,17 +323,6 @@ class SsjCorpus {
     return arena_ != nullptr ? arena_->ReservedBytes() : 0;
   }
 
-  /// Topology-aware placement: binds each NUMA node's contiguous slice of
-  /// the table-A CSR cells (rows n·rows_a/N .. (n+1)·rows_a/N of ranks_ and
-  /// masks_) to that node, so the executor's node-routed shard tasks read
-  /// their rows from local memory. Purely physical — never changes content
-  /// or results. Best effort and idempotent: a single-node topology is a
-  /// no-op, and a fake (MC_TOPOLOGY) or bind-less environment records a
-  /// topology fallback instead of touching any syscall. Safe to call
-  /// concurrently with readers (mbind with MPOL_MF_MOVE migrates pages
-  /// without changing their contents).
-  void PlaceForTopology() const;
-
   /// Builds the token view of a config: zero-copy spans for fully covered
   /// rows, pooled scratch for the rest. Thread-safe (concurrent calls from
   /// scheduler tasks share the scratch pool under its mutex). The returned

@@ -5,11 +5,9 @@
 
 namespace mc {
 
-/// Per-operation weights of the planner's cost model, in abstract units.
-/// The defaults are the hand-tuned constants the planner shipped with; the
-/// online calibrator (ssj/cost_calibrator.h) refits them from observed
-/// executions. They need only rank plans correctly, not predict wall time,
-/// and the event weight is pinned to 1.0 (the model is scale-free).
+/// Per-operation weights of the planner's cost model, in abstract units:
+/// hand-tuned constants that need only rank plans correctly, not predict
+/// wall time. The event weight is 1.0 (the model is scale-free).
 struct CostWeights {
   /// Heap pop + index append, per prefix-extension event.
   double event = 1.0;
@@ -35,12 +33,12 @@ struct CostWeights {
 /// on its final cost — the fact the planner's branch-and-bound q ladder
 /// (TopKJoinOptions::cost_model) rests on.
 struct JoinCostModel {
-  CostWeights weights;
   double scale = 1.0;
   /// Mean token length of both tables (the scoring-merge length scale).
   double mean_len = 0.0;
 
   double Cost(size_t events, size_t probes, size_t scored) const {
+    constexpr CostWeights weights{};
     const double pair_scale = scale * scale;
     return scale * static_cast<double>(events) * weights.event +
            pair_scale *

@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "mem/topology.h"
 #include "ssj/topk_join.h"
 #include "ssj/topk_list.h"
 
@@ -37,14 +36,6 @@ constexpr size_t kTargetSampleRows = 256;
 // correctly, not predict wall time; for a fixed weight vector the argmin —
 // and hence the plan — stays deterministic, unlike the wall-clock race it
 // replaced.
-
-// Threshold-driver promotion cap: a hybrid-eligible plan runs the heap-free
-// threshold driver only when at most this fraction of both tables' tokens
-// survives prefix truncation at the sampled threshold. Above it the
-// truncation strips too little for the up-front index build to beat the
-// heap-driven prefilter pass, which shares the bound but keeps lazy
-// extension scheduling.
-constexpr double kMaxThresholdPrefixFraction = 0.75;
 
 // A candidate q must be reachable by at least this fraction of table-A
 // rows (CorpusPlannerStats::q_coverage_a); a q beyond most rows' length
@@ -132,18 +123,7 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   // by N^2 (JoinCostModel).
   const double scale = static_cast<double>(rate);
   const double mean_len = (stats.mean_tokens_a + stats.mean_tokens_b) / 2.0;
-  // The q ladder is priced with the PINNED default weights, never the
-  // calibrated fit: q is the one plan knob that changes which pairs are
-  // eligible at all (a pair sharing fewer than q tokens is invisible to
-  // the q-overlap index), so a fit drifting with observed wall times must
-  // never flip it — plans, and with them the joined lists, stay
-  // bit-identical across calibration states. The calibrated weights steer
-  // the output-neutral decisions below (shard decomposition).
-  const JoinCostModel pinned{CostWeights{}, scale, mean_len};
-  auto cost_of = [](const JoinCostModel& model, const TopKJoinStats& s) {
-    return model.Cost(s.events_popped, s.pairs_pruned + s.pairs_scored,
-                      s.pairs_scored);
-  };
+  const JoinCostModel model{scale, mean_len};
   // B-side sample offset: the *same* residue as table A, deliberately — on
   // corpora whose matching rows are index-aligned (every generated bench
   // dataset), a different residue would exclude each sampled A row's
@@ -175,14 +155,17 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
     probe.exclude = options.exclude;
     probe.run_context = options.run_context;
     if (best_q != 0) {
-      probe.cost_model = &pinned;
+      probe.cost_model = &model;
       probe.cost_budget = plan.cost_per_q[best_q - 1];
     }
     TopKJoinStats probe_stats;
     TopKList list =
         RunTopKJoinShard(view, probe, offset, rate, /*scorer=*/nullptr,
                          /*seed=*/nullptr, &probe_stats, b_offset, b_rate);
-    plan.cost_per_q[q - 1] = cost_of(pinned, probe_stats);
+    plan.cost_per_q[q - 1] = model.Cost(
+        probe_stats.events_popped,
+        probe_stats.pairs_pruned + probe_stats.pairs_scored,
+        probe_stats.pairs_scored);
     if (probe_stats.truncated) {
       plan.truncated = true;
       break;
@@ -213,38 +196,12 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   // Shard hint from the extrapolated event volume. Sharding splits only the
   // table-A event stream (each shard re-walks table B), so shards beyond
   // what the events fill — or beyond the machine — only add overhead.
-  // This is where the calibrated weights bite: the fit rescales the modeled
-  // cost of the chosen q relative to the pinned defaults, and a join whose
-  // probes/scores got relatively costlier fills a shard with fewer events.
-  // Safe by construction — the shard merge is canonical at every count, so
-  // calibration moves wall time, never bytes; with default weights the
-  // ratio is exactly 1 and the hint matches the uncalibrated planner.
   const size_t max_shards =
       options.max_shards != 0
           ? options.max_shards
           : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const double pinned_cost = plan.cost_per_q[best_q - 1];
-  const double calibrated_cost =
-      cost_of(JoinCostModel{options.weights, scale, mean_len}, best);
-  const double cost_scale =
-      pinned_cost > 0.0
-          ? std::clamp(calibrated_cost / pinned_cost, 1.0 / 16.0, 16.0)
-          : 1.0;
   plan.shards = std::max<size_t>(
-      1, std::min<size_t>(
-             max_shards,
-             static_cast<size_t>(static_cast<double>(plan.est_events) *
-                                 cost_scale / kMinEventsPerShard)));
-  // On multi-node machines the two-level executor folds the shards into one
-  // A-row window per NUMA node; rounding the hint up to a node multiple
-  // keeps those per-node groups equal-sized (no node finishing early and
-  // idling its memory). Only when the join is worth decomposing at all, and
-  // never past the machine cap. The hint moves work placement, not results.
-  const size_t nodes = mem::SystemTopology::Get().num_nodes();
-  if (plan.shards > 1 && nodes > 1) {
-    const size_t rounded = ((plan.shards + nodes - 1) / nodes) * nodes;
-    plan.shards = std::min(std::max<size_t>(rounded, nodes), max_shards);
-  }
+      1, std::min<size_t>(max_shards, plan.est_events / kMinEventsPerShard));
 
   // Hybrid decision: seed the threshold pass with the sampled k-th estimate
   // when it stabilized across nested samples. The full sample's rank-scaled
@@ -284,33 +241,6 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
           plan.prefilter_threshold =
               std::min(plan.sampled_kth, plan.half_sample_kth);
           plan.mode = JoinExecMode::kHybridPrefilter;
-          // Threshold-driver promotion: estimate how much of both tables'
-          // token mass the fixed bound strips. The truncated prefix length
-          // is a pure function of (measure, length, q, threshold), so the
-          // fraction — and hence the mode — is deterministic for a fixed
-          // plan.
-          size_t kept = 0;
-          size_t total = 0;
-          for (size_t row = 0; row < view.rows_a(); ++row) {
-            const size_t len = view.a(row).size();
-            kept += ThresholdPrefixLength(options.measure, len, best_q,
-                                          plan.prefilter_threshold);
-            total += len;
-          }
-          for (size_t row = 0; row < view.rows_b(); ++row) {
-            const size_t len = view.b(row).size();
-            kept += ThresholdPrefixLength(options.measure, len, best_q,
-                                          plan.prefilter_threshold);
-            total += len;
-          }
-          plan.threshold_prefix_fraction =
-              total == 0 ? 1.0
-                         : static_cast<double>(kept) /
-                               static_cast<double>(total);
-          if (options.enable_threshold &&
-              plan.threshold_prefix_fraction <= kMaxThresholdPrefixFraction) {
-            plan.mode = JoinExecMode::kThreshold;
-          }
         }
       }
     }
@@ -327,8 +257,6 @@ const char* JoinExecModeName(JoinExecMode mode) {
       return "topk";
     case JoinExecMode::kHybridPrefilter:
       return "hybrid";
-    case JoinExecMode::kThreshold:
-      return "threshold";
   }
   return "unknown";
 }

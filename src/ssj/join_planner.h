@@ -8,7 +8,6 @@
 
 #include "blocking/candidate_set.h"
 #include "ssj/corpus.h"
-#include "ssj/cost_model.h"
 #include "ssj/topk_join.h"
 #include "ssj/topk_list.h"
 #include "text/similarity.h"
@@ -16,24 +15,19 @@
 
 namespace mc {
 
-/// How a planned join executes. Every mode returns a bit-identical list —
+/// How a planned join executes. Both modes return a bit-identical list —
 /// the mode moves work, never results (TopKJoinOptions::prefilter_threshold
-/// and RunThresholdJoin contracts).
+/// contract).
 enum class JoinExecMode {
   /// Classic prefix-event top-k engine (RunTopKJoin, no prefilter).
   kTopK,
   /// Classic engine with every pruning bound tightened to
   /// max(k-th, sampled threshold); restarts if the threshold overshot.
   kHybridPrefilter,
-  /// Heap-free threshold-join driver (RunThresholdJoin): prefixes truncated
-  /// at the sampled threshold up front, required-overlap bounds fixed for
-  /// the whole pass; restarts into the classic engine if the threshold
-  /// overshot.
-  kThreshold,
 };
 
-/// Short stable name for a JoinExecMode ("topk", "hybrid", "threshold") —
-/// used by --explain-plans and the bench records.
+/// Short stable name for a JoinExecMode ("topk", "hybrid") — used by
+/// --explain-plans and the bench records.
 const char* JoinExecModeName(JoinExecMode mode);
 
 /// Inputs to the cost-based join planner (ShallowBlocker-style: sampled
@@ -65,18 +59,10 @@ struct PlannerOptions {
   /// JoinPlan::prefilter_threshold < 0 (classic execution); the join output
   /// is identical either way.
   bool enable_hybrid = true;
-  /// Allow promoting a hybrid-eligible plan to the threshold-join driver
-  /// (JoinExecMode::kThreshold) when the truncated-prefix estimate says the
-  /// fixed bound removes enough work. Off caps the plan at
-  /// kHybridPrefilter; the join output is identical either way.
+  /// Has no effect. Kept only because the session benchmark's staged twin
+  /// still assigns it; deleted along with that twin (ROADMAP: "Trace the
+  /// real code path, then delete the staged twin").
   bool enable_threshold = true;
-  /// Cost-model weights. Defaults to the hand-tuned constants; the service
-  /// substitutes the online calibrator's current fit (MC_PLANNER_CALIBRATE).
-  /// The fit steers only output-neutral plan knobs (the shard hint): the q
-  /// ladder is always priced with the pinned defaults, because q changes
-  /// which pairs are eligible at all and a fit that drifts with observed
-  /// wall times must never change the joined bytes.
-  CostWeights weights;
   /// Cooperative cancellation for the sampling probes. A cancelled planner
   /// returns the conservative plan (q = 1, one shard, no hybrid) with
   /// JoinPlan::truncated set.
@@ -102,18 +88,11 @@ struct JoinPlan {
   /// min(sampled_kth, half_sample_kth); an overshoot of the true k-th is
   /// absorbed by the engine's restart path, never the output).
   bool hybrid = false;
-  /// Execution mode the plan selects. kHybridPrefilter and kThreshold imply
-  /// hybrid (a stabilized sampled k-th seeds prefilter_threshold); the
-  /// threshold driver is chosen when the truncated-prefix token fraction
-  /// says the fixed bound strips enough of the event stream to beat the
-  /// heap-driven prefilter pass.
+  /// Execution mode the plan selects: kHybridPrefilter exactly when
+  /// `hybrid` is set.
   JoinExecMode mode = JoinExecMode::kTopK;
 
   // --- evidence / diagnostics ---
-  /// Fraction of both tables' tokens that survive prefix truncation at the
-  /// hybrid threshold (1.0 when no hybrid threshold was seeded) — the
-  /// evidence behind the kThreshold promotion.
-  double threshold_prefix_fraction = 1.0;
   /// Systematic sample rate actually used and the rows it selected.
   size_t sample_rate = 0;
   size_t sample_rows = 0;
@@ -163,7 +142,7 @@ struct PlannerProbe {
 /// probe join per candidate q — the probe *is* a shard sub-join, so its
 /// engine, bounds, and counters match real execution exactly — extrapolates
 /// the operation counts to the full table, and picks the cheapest plan
-/// under fixed per-operation weights. Candidates run in descending q order,
+/// under the fixed CostWeights. Candidates run in descending q order,
 /// and every probe after the first is abandoned once its running cost
 /// passes the best complete cost so far (branch and bound); the chosen plan
 /// is the one an exhaustive ladder would pick. Deterministic for a fixed

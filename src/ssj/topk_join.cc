@@ -154,8 +154,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
                       double prefilter, Scorer* scorer,
                       const std::vector<ScoredPair>* seed,
                       TopKJoinStats* stats, size_t shard, size_t shard_count,
-                      size_t b_shard, size_t b_shard_count, size_t a_begin,
-                      size_t a_end) {
+                      size_t b_shard, size_t b_shard_count) {
   TopKList topk(options.k);
 
   // Effective pruning bound. With the prefilter off this is exactly the
@@ -188,9 +187,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
 
   // Pass-local scratch arena backing the inverted indexes, the event heap,
   // and the required-overlap tables. Uncharged (transient working memory,
-  // not resident plane state) and unplaced: its pages are first-touched by
-  // this thread, so under a pinned topology-aware pool the whole scratch
-  // plane lands on the worker's own node for free. Posting-list growth
+  // not resident plane state). Posting-list growth
   // strands its doubling copies in the arena (deallocate is a no-op); the
   // waste is bounded by the geometric series and the arena returns it all
   // at once when the pass ends — cheaper than a heap round-trip per list.
@@ -246,24 +243,18 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
   // internals; a hand-rolled heap buys a replace-top operation (assign the
   // root, one sift-down) that halves the per-event sift work versus
   // priority_queue's pop-then-push.
-  // Side-A rows are confined to the [a_begin, a_end) window before the
-  // residue split (the topology executor's node slices); the default window
-  // covers the whole table.
-  const size_t a_window_end = std::min(a_end, view.rows_a());
-  const size_t a_window_begin = std::min(a_begin, a_window_end);
-
   mem::ArenaVector<Event> events{mem::ArenaAllocator<Event>(&scratch)};
   // Heap size only shrinks after the initial fill (replace_top assigns in
   // place); reserving the per-shard row bound up front means the arena
   // strands nothing to doubling.
   events.reserve(
-      (a_window_end - a_window_begin + shard_count - 1) / shard_count +
+      (view.rows_a() + shard_count - 1) / shard_count +
       (view.rows_b() + b_shard_count - 1) / b_shard_count);
   const EventLess event_less;
   auto push_initial = [&](uint8_t side) {
-    const size_t rows = side == 0 ? a_window_end : view.rows_b();
+    const size_t rows = side == 0 ? view.rows_a() : view.rows_b();
     const size_t step = side == 0 ? shard_count : b_shard_count;
-    for (size_t row = side == 0 ? a_window_begin + shard : b_shard;
+    for (size_t row = side == 0 ? shard : b_shard;
          row < rows; row += step) {
       const TokenSpan tokens = side == 0 ? view.a(row) : view.b(row);
       if (tokens.empty()) continue;
@@ -490,18 +481,16 @@ template <SetMeasure kMeasure, typename Scorer>
 TopKList RunShardImpl(const ConfigView& view, const TopKJoinOptions& options,
                       Scorer* scorer, const std::vector<ScoredPair>* seed,
                       TopKJoinStats* stats, size_t shard, size_t shard_count,
-                      size_t b_shard, size_t b_shard_count, size_t a_begin,
-                      size_t a_end) {
+                      size_t b_shard, size_t b_shard_count) {
   const double tau = options.prefilter_threshold;
   if (tau < 0.0) {
     return RunShardPass<kMeasure, Scorer>(view, options, /*prefilter=*/-1.0,
                                           scorer, seed, stats, shard,
-                                          shard_count, b_shard, b_shard_count,
-                                          a_begin, a_end);
+                                          shard_count, b_shard, b_shard_count);
   }
   TopKList first = RunShardPass<kMeasure, Scorer>(
       view, options, tau, scorer, seed, stats, shard, shard_count, b_shard,
-      b_shard_count, a_begin, a_end);
+      b_shard_count);
   // Cancelled or over budget mid-phase: best-so-far contract, no restart
   // (the restart would be cancelled too and lose the survivors).
   if (stats->truncated || stats->abandoned) return first;
@@ -515,8 +504,7 @@ TopKList RunShardImpl(const ConfigView& view, const TopKJoinOptions& options,
   }
   return RunShardPass<kMeasure, Scorer>(view, options, /*prefilter=*/-1.0,
                                         scorer, &combined, stats, shard,
-                                        shard_count, b_shard, b_shard_count,
-                                        a_begin, a_end);
+                                        shard_count, b_shard, b_shard_count);
 }
 
 // Measure/scorer-kind dispatch into the templated shard runner. `direct` is
@@ -525,19 +513,17 @@ TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
                   PairScorer* scorer, DirectPairScorer* direct,
                   const std::vector<ScoredPair>* seed, TopKJoinStats* stats,
                   size_t shard, size_t shard_count, size_t b_shard = 0,
-                  size_t b_shard_count = 1, size_t a_begin = 0,
-                  size_t a_end = static_cast<size_t>(-1)) {
+                  size_t b_shard_count = 1) {
   auto run = [&](auto measure_tag) {
     constexpr SetMeasure kMeasure = decltype(measure_tag)::value;
     if (direct != nullptr) {
       return RunShardImpl<kMeasure, DirectPairScorer>(
           view, options, direct, seed, stats, shard, shard_count, b_shard,
-          b_shard_count, a_begin, a_end);
+          b_shard_count);
     }
     return RunShardImpl<kMeasure, PairScorer>(view, options, scorer, seed,
                                               stats, shard, shard_count,
-                                              b_shard, b_shard_count, a_begin,
-                                              a_end);
+                                              b_shard, b_shard_count);
   };
   switch (options.measure) {
     case SetMeasure::kJaccard:
@@ -553,261 +539,6 @@ TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
   }
   MC_CHECK(false) << "unknown measure";
   return TopKList(options.k);
-}
-
-// Largest L such that every position p < L of a row with `len` tokens has
-// extension cap >= tau under (kMeasure, q). The cap is non-increasing in
-// the position (the effective suffix only shrinks), so L is found by a
-// binary search for the first position whose cap falls below tau.
-template <SetMeasure kMeasure>
-size_t TruncatedPrefixLength(size_t len, size_t q, double tau) {
-  size_t lo = 0;
-  size_t hi = len;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const size_t effective = mid >= q ? mid - (q - 1) : 0;
-    if (SetSimilarityCap(kMeasure, len, effective) >= tau) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-using PostingList = mem::ArenaVector<IndexEntry>;
-
-// Probes one contiguous block of table-B rows [b_begin, b_end) against the
-// shared read-only table-A truncated-prefix index at the fixed bound `tau`
-// and returns the canonical top-k of the block's sub-space restricted to
-// pairs scoring >= tau (plus any seeds). Unlike RunShardPass there is no
-// event heap — rows stream in order and positions advance sequentially —
-// and the required-overlap table is stamped once per probe row (own_len is
-// the only variable: tau never moves), so the k-th score raising never
-// invalidates cached bounds. The k-th score still tightens the scoring
-// early-abandon bound via max(tau, k-th), which is safe under the
-// accept-or-restart contract of RunThresholdImpl.
-template <SetMeasure kMeasure, typename Scorer>
-TopKList ThresholdBlockPass(const ConfigView& view,
-                            const TopKJoinOptions& options, double tau,
-                            Scorer* scorer,
-                            const std::vector<ScoredPair>* seed,
-                            const mem::ArenaVector<PostingList>& index_a,
-                            const mem::ArenaVector<uint32_t>& b_prefix_len,
-                            size_t b_begin, size_t b_end,
-                            TopKJoinStats* stats) {
-  TopKList topk(options.k);
-  if (seed != nullptr) {
-    for (const ScoredPair& entry : *seed) {
-      topk.Add(entry.pair, entry.score);
-    }
-  }
-  const size_t q = options.q;
-
-  auto score_pair = [&](PairId pair) {
-    if (options.exclude != nullptr && options.exclude->Contains(pair)) {
-      return;
-    }
-    ++stats->pairs_scored;
-    const RowId row_a = PairRowA(pair);
-    const RowId row_b = PairRowB(pair);
-    // The scoring bound max(tau, k-th) mirrors the hybrid prefilter pass:
-    // pairs provably strictly below it can neither enter the accepted list
-    // (boundary >= tau) nor survive to the restart (survivors are exactly
-    // the scored pairs). Kept pairs re-score in full so a re-derivation
-    // lands the same value in place.
-    const double threshold = std::max(tau, topk.KthScore());
-    double score;
-    if constexpr (std::is_same_v<Scorer, DirectPairScorer>) {
-      if (topk.Contains(pair)) {
-        score = SpanScore<kMeasure>(view, row_a, row_b);
-      } else if (!SpanScoreAbove<kMeasure>(view, row_a, row_b, threshold,
-                                           &score)) {
-        return;
-      }
-    } else {
-      if (topk.Contains(pair)) {
-        score = scorer->Score(row_a, row_b);
-      } else if (!scorer->ScoreAbove(row_a, row_b, threshold, &score)) {
-        return;
-      }
-    }
-    topk.Add(pair, score);
-  };
-
-  // Required-overlap cache at the fixed bound tau, stamped by probe row:
-  // req_value[partner_len] holds RequiredOverlap(own_len, partner_len, tau)
-  // for the row being probed. Valid for the whole row — tau is fixed, so
-  // unlike the classic pass nothing ever expires mid-row.
-  size_t max_len = 0;
-  for (size_t row = 0; row < view.rows_a(); ++row) {
-    max_len = std::max(max_len, view.a(row).size());
-  }
-  for (size_t row = b_begin; row < b_end; ++row) {
-    max_len = std::max(max_len, view.b(row).size());
-  }
-  std::vector<uint32_t> req_value(max_len + 1, 0);
-  std::vector<uint64_t> req_stamp(max_len + 1, 0);
-  uint64_t req_epoch = 0;
-
-  size_t since_poll = 0;
-  for (size_t row = b_begin; row < b_end; ++row) {
-    const TokenSpan tokens = view.b(row);
-    const size_t limit = b_prefix_len[row];
-    if (limit == 0) continue;
-    ++req_epoch;
-    const size_t own_len = tokens.size();
-    for (size_t position = 0; position < limit; ++position) {
-      ++stats->events_popped;
-      if (++since_poll >= options.poll_period) {
-        since_poll = 0;
-        if (options.run_context.Cancelled()) {
-          stats->truncated = true;
-          return topk;
-        }
-      }
-      const PostingList& postings = index_a[tokens[position]];
-      if (postings.empty()) continue;
-      const size_t own_remaining = own_len - 1 - position;
-      for (const IndexEntry& entry : postings) {
-        const RowId partner = entry.row;
-        const TokenSpan partner_tokens = view.a(partner);
-        const size_t partner_len = partner_tokens.size();
-        const size_t partner_remaining = partner_len - 1 - entry.position;
-        const size_t prefix_limit =
-            std::min(position, static_cast<size_t>(entry.position));
-        if (prefix_limit + 1 < q) continue;  // c <= prefix_limit + 1 < q.
-        const size_t max_overlap =
-            std::min(std::min(prefix_limit + 1, q) +
-                         std::min(own_remaining, partner_remaining),
-                     std::min(own_len, partner_len));
-        uint32_t required;
-        if (req_stamp[partner_len] == req_epoch) {
-          required = req_value[partner_len];
-        } else {
-          required = static_cast<uint32_t>(
-              RequiredOverlap<kMeasure, /*kStrict=*/false>(own_len,
-                                                           partner_len, tau));
-          req_value[partner_len] = required;
-          req_stamp[partner_len] = req_epoch;
-        }
-        if (max_overlap < required) {
-          ++stats->pairs_pruned;
-          continue;
-        }
-        // Shared tokens appear at increasing positions in both rank-sorted
-        // prefixes, so the i-th shared token inside the truncated prefixes
-        // probes with exactly i - 1 predecessors: each pair is scored at
-        // most once, at its q-th shared truncated-prefix token.
-        const size_t before =
-            PrefixOverlap(tokens.begin(), position, partner_tokens.begin(),
-                          entry.position, /*limit=*/q - 1);
-        if (before == 0) ++stats->pairs_discovered;
-        if (before != q - 1) continue;
-        score_pair(MakePairId(partner, static_cast<RowId>(row)));
-      }
-    }
-  }
-  return topk;
-}
-
-// Threshold-join driver body: truncate both sides' prefixes at tau, index
-// table A sequentially, stream table B (in options.shards contiguous
-// blocks) against it, merge the canonical block lists, and accept or
-// restart per the hybrid prefilter contract.
-template <SetMeasure kMeasure, typename Scorer>
-TopKList RunThresholdImpl(const ConfigView& view,
-                          const TopKJoinOptions& options, Scorer* scorer,
-                          PairScorer* scorer_base,
-                          const std::vector<ScoredPair>* seed,
-                          TopKJoinStats* stats) {
-  const double tau = options.prefilter_threshold;
-  const size_t q = options.q;
-
-  // Scratch arena for the truncated-prefix index: built once on the calling
-  // thread, then shared read-only across the B-row block tasks.
-  mem::Arena scratch(mem::ArenaOptions{.tag = "join_scratch"});
-  const PostingList posting_proto{mem::ArenaAllocator<IndexEntry>(&scratch)};
-  mem::ArenaVector<PostingList> index_a(
-      view.rank_limit(), posting_proto,
-      mem::ArenaAllocator<PostingList>(&scratch));
-
-  // Truncated prefix lengths, computed once per distinct row length would
-  // also work; per row keeps it simple and the binary search is O(log len).
-  for (size_t row = 0; row < view.rows_a(); ++row) {
-    const TokenSpan tokens = view.a(row);
-    const size_t limit = TruncatedPrefixLength<kMeasure>(tokens.size(), q, tau);
-    for (size_t position = 0; position < limit; ++position) {
-      ++stats->events_popped;
-      index_a[tokens[position]].push_back(
-          IndexEntry{static_cast<RowId>(row), static_cast<uint32_t>(position)});
-      ++stats->tokens_indexed;
-    }
-  }
-  mem::ArenaVector<uint32_t> b_prefix_len(
-      view.rows_b(), 0, mem::ArenaAllocator<uint32_t>(&scratch));
-  for (size_t row = 0; row < view.rows_b(); ++row) {
-    b_prefix_len[row] = static_cast<uint32_t>(
-        TruncatedPrefixLength<kMeasure>(view.b(row).size(), q, tau));
-  }
-
-  TopKList merged(options.k);
-  if (options.shards == 1 || view.rows_b() < 2) {
-    merged = ThresholdBlockPass<kMeasure, Scorer>(
-        view, options, tau, scorer, seed, index_a, b_prefix_len,
-        /*b_begin=*/0, /*b_end=*/view.rows_b(), stats);
-  } else {
-    const size_t blocks = std::min(options.shards, view.rows_b());
-    const size_t hardware =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
-    std::vector<TopKList> block_lists(blocks, TopKList(options.k));
-    std::vector<TopKJoinStats> block_stats(blocks);
-    {
-      ThreadPool pool(std::min(blocks, hardware), "mc-ttjoin");
-      for (size_t s = 0; s < blocks; ++s) {
-        pool.Submit([&, s] {
-          const size_t b_begin = s * view.rows_b() / blocks;
-          const size_t b_end = (s + 1) * view.rows_b() / blocks;
-          block_lists[s] = ThresholdBlockPass<kMeasure, Scorer>(
-              view, options, tau, scorer, seed, index_a, b_prefix_len,
-              b_begin, b_end, &block_stats[s]);
-        });
-      }
-      Status status = pool.Wait();
-      MC_CHECK(status.ok()) << status.message();
-    }
-    for (size_t s = 0; s < blocks; ++s) {
-      for (const ScoredPair& entry : block_lists[s].Entries()) {
-        merged.Add(entry.pair, entry.score);
-      }
-      stats->events_popped += block_stats[s].events_popped;
-      stats->pairs_discovered += block_stats[s].pairs_discovered;
-      stats->pairs_scored += block_stats[s].pairs_scored;
-      stats->pairs_pruned += block_stats[s].pairs_pruned;
-      stats->truncated = stats->truncated || block_stats[s].truncated;
-    }
-  }
-  // Cancelled mid-pass: best-so-far contract, no restart (the restart would
-  // be cancelled too and lose the survivors).
-  if (stats->truncated) return merged;
-  // Done case: full list whose boundary reached tau — canonical. Every pair
-  // the truncation skipped has its q-th shared token at a position whose
-  // extension cap is < tau, so it scores strictly below tau <= the final
-  // k-th and cannot even tie; every ScoreAbove rejection was strictly below
-  // max(tau, a then-current block k-th) <= the final k-th.
-  if (merged.KthScore() >= tau) return merged;
-  // Threshold overshot the true k-th: re-run the classic engine seeded with
-  // the survivors (all exactly scored at their q-th shared-token probe,
-  // hence q-eligible), which reproduces the non-threshold output bit for
-  // bit — same repair as the hybrid prefilter restart.
-  ++stats->prefilter_restarts;
-  std::vector<ScoredPair> combined = merged.Entries();
-  if (seed != nullptr) {
-    combined.insert(combined.end(), seed->begin(), seed->end());
-  }
-  TopKJoinOptions classic = options;
-  classic.prefilter_threshold = -1.0;
-  return RunTopKJoin(view, classic, scorer_base, &combined, stats);
 }
 
 }  // namespace
@@ -878,8 +609,7 @@ TopKList RunTopKJoinShard(const ConfigView& view,
                           size_t shard_count, PairScorer* scorer,
                           const std::vector<ScoredPair>* seed,
                           TopKJoinStats* stats, size_t b_shard,
-                          size_t b_shard_count, size_t a_begin,
-                          size_t a_end) {
+                          size_t b_shard_count) {
   MC_CHECK_GE(options.q, 1u);
   MC_CHECK_GE(options.poll_period, 1u);
   MC_CHECK_LT(shard, shard_count);
@@ -890,73 +620,7 @@ TopKList RunTopKJoinShard(const ConfigView& view,
   TopKJoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   return RunShard(view, options, scorer, direct, seed, stats, shard,
-                  shard_count, b_shard, b_shard_count, a_begin, a_end);
-}
-
-TopKList RunThresholdJoin(const ConfigView& view,
-                          const TopKJoinOptions& options, PairScorer* scorer,
-                          const std::vector<ScoredPair>* seed,
-                          TopKJoinStats* stats) {
-  MC_CHECK_GE(options.q, 1u);
-  MC_CHECK_GE(options.poll_period, 1u);
-  MC_CHECK_GE(options.shards, 1u);
-  MC_CHECK_GE(options.prefilter_threshold, 0.0)
-      << "threshold mode needs a fixed bound";
-  MC_CHECK(options.cost_model == nullptr)
-      << "the threshold driver does not enforce a cost budget";
-  PairScorer* scorer_base = scorer;
-  DirectPairScorer direct_scorer(&view, options.measure);
-  const bool direct = scorer == nullptr;
-  if (scorer == nullptr) scorer = &direct_scorer;
-  TopKJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  if (options.run_context.Cancelled()) {
-    stats->truncated = true;
-    TopKList topk(options.k);
-    if (seed != nullptr) {
-      for (const ScoredPair& entry : *seed) topk.Add(entry.pair, entry.score);
-    }
-    return topk;
-  }
-  auto run = [&](auto measure_tag) {
-    constexpr SetMeasure kMeasure = decltype(measure_tag)::value;
-    if (direct) {
-      return RunThresholdImpl<kMeasure, DirectPairScorer>(
-          view, options, &direct_scorer, scorer_base, seed, stats);
-    }
-    return RunThresholdImpl<kMeasure, PairScorer>(view, options, scorer,
-                                                  scorer_base, seed, stats);
-  };
-  switch (options.measure) {
-    case SetMeasure::kJaccard:
-      return run(std::integral_constant<SetMeasure, SetMeasure::kJaccard>{});
-    case SetMeasure::kCosine:
-      return run(std::integral_constant<SetMeasure, SetMeasure::kCosine>{});
-    case SetMeasure::kDice:
-      return run(std::integral_constant<SetMeasure, SetMeasure::kDice>{});
-    case SetMeasure::kOverlapCoefficient:
-      return run(std::integral_constant<SetMeasure,
-                                        SetMeasure::kOverlapCoefficient>{});
-  }
-  MC_CHECK(false) << "unknown measure";
-  return TopKList(options.k);
-}
-
-size_t ThresholdPrefixLength(SetMeasure measure, size_t len, size_t q,
-                             double threshold) {
-  switch (measure) {
-    case SetMeasure::kJaccard:
-      return TruncatedPrefixLength<SetMeasure::kJaccard>(len, q, threshold);
-    case SetMeasure::kCosine:
-      return TruncatedPrefixLength<SetMeasure::kCosine>(len, q, threshold);
-    case SetMeasure::kDice:
-      return TruncatedPrefixLength<SetMeasure::kDice>(len, q, threshold);
-    case SetMeasure::kOverlapCoefficient:
-      return TruncatedPrefixLength<SetMeasure::kOverlapCoefficient>(
-          len, q, threshold);
-  }
-  MC_CHECK(false) << "unknown measure";
-  return len;
+                  shard_count, b_shard, b_shard_count);
 }
 
 TopKList BruteForceTopK(const ConfigView& view, size_t k, SetMeasure measure,

@@ -65,7 +65,7 @@ struct TopKJoinOptions {
   /// Pairs to skip — the blocker output C (killed-off search, Def. 2.2).
   const CandidateSet* exclude = nullptr;
   /// Cancellation cadence: run_context is checked once every poll_period
-  /// popped prefix-extension events (probe positions in threshold mode).
+  /// popped prefix-extension events.
   size_t poll_period = 1024;
   /// Cooperative cancellation/deadline. When it fires mid-run the join
   /// stops at the next poll, returns its best-so-far list, and sets
@@ -109,8 +109,8 @@ struct TopKJoinOptions {
   /// TopKJoinStats::abandoned. JoinCostModel::Cost never decreases as the
   /// counters grow, so an abandoned join's complete cost would have
   /// exceeded the budget too. Single-call engine only (RunTopKJoinShard,
-  /// single-shard RunTopKJoin); the threshold driver and sharded runs reject
-  /// it. Null (the default) never abandons.
+  /// single-shard RunTopKJoin); sharded runs reject it. Null (the default)
+  /// never abandons.
   const JoinCostModel* cost_model = nullptr;
   double cost_budget = 0.0;
 };
@@ -183,63 +183,12 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
 /// planner's sampling probes pass a real decomposition so a probe's event
 /// cost shrinks on *both* sides — without it, every probe still walks
 /// table B's full event stream and costs as much as a full join.
-///
-/// `a_begin`/`a_end` confine the shard to a contiguous window of table-A
-/// rows before the residue split: the shard owns rows a_begin + shard,
-/// a_begin + shard + shard_count, … below min(a_end, rows_a). The default
-/// window is all of A. The topology-aware executor uses this to keep every
-/// shard task inside the A-row slice owned by one NUMA node — and because
-/// each call still returns the canonical top-k of the exact pair sub-space
-/// it owns, merging any disjoint decomposition (windows × residues)
-/// reproduces the sequential list bit for bit.
 TopKList RunTopKJoinShard(const ConfigView& view,
                           const TopKJoinOptions& options, size_t shard,
                           size_t shard_count, PairScorer* scorer = nullptr,
                           const std::vector<ScoredPair>* seed = nullptr,
                           TopKJoinStats* stats = nullptr, size_t b_shard = 0,
-                          size_t b_shard_count = 1, size_t a_begin = 0,
-                          size_t a_end = static_cast<size_t>(-1));
-
-/// Runs the threshold-join (TT-join) driver: a heap-free fixed-bound pass
-/// that exploits `options.prefilter_threshold` (required: >= 0) end-to-end.
-/// Table A's prefixes are truncated up front to the positions whose
-/// extension cap reaches the threshold and indexed in one sequential sweep;
-/// table B's truncated prefixes then stream against that index with the
-/// positional and required-overlap bounds evaluated at the *fixed*
-/// threshold — the required-overlap table is computed once per probe row
-/// and never invalidated by k-th-score churn, and no event heap exists at
-/// all (the classic engine's dominant bookkeeping). Discovered pairs are
-/// scored with the early-abandon bound max(threshold, k-th score) and
-/// collected into a top-k list.
-///
-/// The result contract matches the hybrid prefilter
-/// (TopKJoinOptions::prefilter_threshold): if the pass ends with a full
-/// list whose k-th score reaches the threshold, that list is provably the
-/// canonical top-k (every skipped pair scores strictly below the
-/// threshold, hence below the boundary — it cannot even tie). Otherwise
-/// the threshold overshot the true k-th and the classic engine re-runs
-/// without it, seeded with the pass's survivors (all exactly scored and
-/// q-eligible). Either way the returned list is *bit-identical* to
-/// RunTopKJoin with the same options and prefilter off
-/// (TopKJoinStats::prefilter_restarts counts the repair path).
-///
-/// `options.shards` > 1 splits table B into that many contiguous row
-/// blocks probed in parallel against the shared read-only table-A index
-/// (each block returns the canonical top-k of its sub-space, so the merge
-/// is canonical for any block count and scheduling); as with RunTopKJoin,
-/// a custom `scorer` must tolerate concurrent calls when shards > 1.
-TopKList RunThresholdJoin(const ConfigView& view,
-                          const TopKJoinOptions& options,
-                          PairScorer* scorer = nullptr,
-                          const std::vector<ScoredPair>* seed = nullptr,
-                          TopKJoinStats* stats = nullptr);
-
-/// Number of prefix positions of a row of `len` tokens whose extension cap
-/// under (measure, q) reaches `threshold` — the truncated prefix length the
-/// threshold driver indexes and probes. Exposed for the planner's
-/// mode-selection estimate (the truncated-token fraction) and for tests.
-size_t ThresholdPrefixLength(SetMeasure measure, size_t len, size_t q,
-                             double threshold);
+                          size_t b_shard_count = 1);
 
 /// Reference implementation: scores every non-excluded pair whose token
 /// overlap is at least `min_overlap` (0 admits even disjoint pairs, the

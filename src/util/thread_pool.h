@@ -14,33 +14,6 @@
 
 namespace mc {
 
-/// How a topology-aware pool binds workers to CPUs.
-enum class ThreadPinning {
-  /// Pin when the topology is real (not MC_TOPOLOGY-faked) and has more
-  /// than one node; the MC_PIN_THREADS environment variable ("1"/"0")
-  /// overrides in either direction. The default.
-  kAuto,
-  /// Pin whenever the topology is real. Requesting pinning on a fake
-  /// topology records a topology fallback (the synthesized CPUs may not
-  /// exist) and runs unpinned.
-  kOn,
-  /// Never pin.
-  kOff,
-};
-
-/// Construction options for ThreadPool.
-struct ThreadPoolOptions {
-  /// Worker thread name prefix (util/thread_name.h).
-  std::string name_prefix = "mcpool";
-  /// Group workers by NUMA node: worker i belongs to node
-  /// SystemTopology::NodeOfSlice(i, num_threads), is named
-  /// `<prefix>-n<node>-w<i>`, and prefers tasks submitted for its node
-  /// (SubmitOnNode). Off: the classic flat pool, workers named
-  /// `<prefix>-<i>`.
-  bool topology_aware = false;
-  ThreadPinning pinning = ThreadPinning::kAuto;
-};
-
 /// Fixed-size worker pool with a FIFO task queue. Used by the joint top-k
 /// executor ("one config per core", paper §4.2) and the sharded joins.
 ///
@@ -79,9 +52,6 @@ class ThreadPool {
   explicit ThreadPool(size_t num_threads,
                       const std::string& name_prefix = "mcpool");
 
-  /// As above with explicit options (topology-aware grouping, pinning).
-  ThreadPool(size_t num_threads, const ThreadPoolOptions& options);
-
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
@@ -95,33 +65,12 @@ class ThreadPool {
   /// on failure, at most once, on the worker thread.
   void Submit(std::function<void()> task, ErrorSink error_sink);
 
-  /// Enqueues `task` with a NUMA-node preference: workers of `node` pick it
-  /// up ahead of untagged work when they go idle. Purely a soft routing
-  /// hint — any worker takes the queue front when nothing matches its own
-  /// node, so no task ever starves, and on a non-topology-aware pool the
-  /// tag is inert. Task *results* must not depend on which worker runs
-  /// them (the executor's merges are canonical), so the hint never affects
-  /// output — only locality.
-  void SubmitOnNode(int node, std::function<void()> task);
-
   /// Blocks until every submitted task (including tasks submitted by
   /// running tasks) has completed. Returns the first sink-less task error
   /// since the previous Wait(), or OK; the error is cleared once returned.
   Status Wait();
 
   size_t num_threads() const { return threads_.size(); }
-
-  /// True when this pool groups workers by NUMA node.
-  bool topology_aware() const { return topology_aware_; }
-
-  /// The node worker `i` belongs to (-1 on a non-topology-aware pool).
-  int NodeOfWorker(size_t i) const {
-    return i < worker_nodes_.size() ? worker_nodes_[i] : -1;
-  }
-
-  /// True when workers were actually pinned to cores (for diagnostics; a
-  /// requested-but-unavailable pin is a recorded topology fallback).
-  bool pinned() const { return pinned_; }
 
   /// Number of task errors captured (sink-less tasks only) since the last
   /// Wait() that returned an error.
@@ -131,11 +80,9 @@ class ThreadPool {
   struct Task {
     std::function<void()> fn;
     ErrorSink error_sink;
-    int node = -1;  // Preferred NUMA node; -1 = any worker.
   };
 
-  void Enqueue(Task task);
-  void WorkerLoop(int node);
+  void WorkerLoop();
   void RecordError(Status status);
 
   mutable std::mutex mutex_;
@@ -143,9 +90,6 @@ class ThreadPool {
   std::condition_variable all_idle_;
   std::deque<Task> queue_;
   std::vector<std::thread> threads_;
-  std::vector<int> worker_nodes_;  // Parallel to threads_; -1 = ungrouped.
-  bool topology_aware_ = false;
-  bool pinned_ = false;
   size_t active_ = 0;
   bool shutting_down_ = false;
   Status first_error_;

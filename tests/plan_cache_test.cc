@@ -1,13 +1,12 @@
-// Cross-session plan cache + online calibration suite. The contract under
-// test (docs/algorithms.md §"Threshold-join mode & the plan cache"): a
-// session served a memoized joint plan is bit-identical to one that planned
-// fresh — across warm repeats, randomized delta schedules (every commit
-// invalidates the pair's cached plans), an injected torn-cache-entry fault
-// (degrades to re-planning, never to wrong output), and LRU plane eviction
-// (reclaims the plans, counted in ServiceStats::plans_evicted). The
-// CostModelCalibrator is deterministic given the observation sequence, and
-// MC_PLANNER_CALIBRATE=0 severs the feedback loop. Run under ASan by the
-// ci.sh `plan-cache` stage; override the seed matrix with MC_PLANCACHE_SEED.
+// Cross-session plan cache suite. The contract under test
+// (docs/algorithms.md §"The plan cache"): a session served a memoized joint
+// plan is bit-identical to one that planned fresh — across warm repeats,
+// randomized delta schedules (every commit invalidates the pair's cached
+// plans), an injected torn-cache-entry fault (degrades to re-planning, never
+// to wrong output), and LRU plane eviction (reclaims the plans, counted in
+// ServiceStats::plans_evicted). Options that do not affect the plan do not
+// split the cache. Run under ASan by the ci.sh `plan-cache` stage; override
+// the seed matrix with MC_PLANCACHE_SEED.
 
 #include <cstdlib>
 #include <string>
@@ -19,10 +18,7 @@
 #include "core/session_io.h"
 #include "datagen/generator.h"
 #include "service/session_manager.h"
-#include "ssj/corpus.h"
-#include "ssj/cost_calibrator.h"
 #include "ssj/join_planner.h"
-#include "ssj/topk_join.h"
 #include "table/table_delta.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
@@ -315,139 +311,44 @@ TEST(PlanCacheTest, EvictionReclaimsCachedPlans) {
 }
 
 // ---------------------------------------------------------------------------
-// Calibrator: deterministic given the observation sequence, pinned event
-// weight, Reset() back to the defaults — and observations generated by a
-// consistent linear model are actually accepted as a refit.
+// joint.planner_threshold has no effect, so it is not part of the plan-cache
+// signature: two sessions that differ only in that flag share one cached
+// plan (the second is a hit) and return bit-identical lists.
 
-TEST(CostCalibratorTest, DeterministicGivenTheObservationSequence) {
-  CostModelCalibrator first, second;
-  const CostWeights defaults;
-  const size_t n = 2 * CostModelCalibrator::kRefitPeriod;
-  for (size_t i = 0; i < n; ++i) {
-    // Varied shapes (so the normal equations are well-conditioned), with
-    // seconds drawn exactly from the default model at 10ns per unit: the
-    // fit recovers the defaults and passes the drift gate.
-    CostObservation obs;
-    obs.events = 1000 + 337 * i * i % 9001;
-    obs.probes = 400 + 211 * i % 5003;
-    obs.scored = 20 + 17 * i % 401;
-    obs.mean_tokens = 4.0 + static_cast<double>(i % 7);
-    obs.seconds =
-        (defaults.event * static_cast<double>(obs.events) +
-         defaults.probe * static_cast<double>(obs.probes) +
-         defaults.score_base * static_cast<double>(obs.scored) +
-         defaults.score_token * static_cast<double>(obs.scored) *
-             obs.mean_tokens) *
-        1e-8;
-    first.Record(obs);
-    second.Record(obs);
-    const CostWeights a = first.weights();
-    const CostWeights b = second.weights();
-    EXPECT_EQ(a.event, b.event) << "observation " << i;
-    EXPECT_EQ(a.probe, b.probe) << "observation " << i;
-    EXPECT_EQ(a.score_base, b.score_base) << "observation " << i;
-    EXPECT_EQ(a.score_token, b.score_token) << "observation " << i;
-  }
-  EXPECT_EQ(first.observations(), n);
-  EXPECT_EQ(first.refits(), second.refits());
-  EXPECT_GE(first.refits(), 1u)
-      << "a consistent observation stream must produce an accepted fit";
-  EXPECT_EQ(first.weights().event, 1.0) << "event weight stays pinned";
-
-  // Zero-signal observations carry nothing and are dropped.
-  CostObservation empty;
-  first.Record(empty);
-  EXPECT_EQ(first.observations(), n);
-
-  first.Reset();
-  EXPECT_EQ(first.observations(), 0u);
-  EXPECT_EQ(first.refits(), 0u);
-  EXPECT_EQ(first.weights().probe, defaults.probe);
-  EXPECT_EQ(first.weights().score_token, defaults.score_token);
-}
-
-// MC_PLANNER_CALIBRATE=0 severs the feedback loop: a manager constructed
-// under the ablation never feeds the process calibrator; one constructed
-// without it does. (The env is read at construction, matching mcserve.)
-
-TEST(CostCalibratorTest, AblationEnvDisablesTheFeedbackLoop) {
+TEST(PlanCacheTest, InertThresholdFlagSharesTheCachedPlan) {
   datagen::GeneratedDataset dataset = SmallDataset();
-  SessionRequest request;
-  request.pair_key = "fz";
-  request.options = PlannerOptions();
   ServiceLimits limits;
   limits.max_concurrent_sessions = 2;
+  SessionManager manager(limits);
+  ASSERT_TRUE(manager
+                  .RegisterTablePair("fz", dataset.table_a, dataset.table_b,
+                                     dataset.gold)
+                  .ok());
 
-  const size_t before = CostModelCalibrator::Process().observations();
-  {
-    ::setenv("MC_PLANNER_CALIBRATE", "0", 1);
-    SessionManager ablated(limits);
-    ::unsetenv("MC_PLANNER_CALIBRATE");
-    ASSERT_TRUE(ablated
-                    .RegisterTablePair("fz", dataset.table_a, dataset.table_b,
-                                       dataset.gold)
-                    .ok());
-    MustRun(ablated, request);
-    EXPECT_EQ(CostModelCalibrator::Process().observations(), before)
-        << "the ablation must not feed the process calibrator";
-  }
-  {
-    SessionManager live(limits);
-    ASSERT_TRUE(live
-                    .RegisterTablePair("fz", dataset.table_a, dataset.table_b,
-                                       dataset.gold)
-                    .ok());
-    MustRun(live, request);
-    EXPECT_GT(CostModelCalibrator::Process().observations(), before)
-        << "an enabled manager reports executed joins";
-  }
-}
+  SessionRequest on;
+  on.pair_key = "fz";
+  on.options = PlannerOptions();
+  on.options.joint.planner_threshold = true;
+  SessionRequest off = on;
+  off.options.joint.planner_threshold = false;
 
-// ---------------------------------------------------------------------------
-// The calibration/determinism boundary: a drifted fit may steer only
-// output-neutral plan knobs. q changes which pairs are eligible at all (a
-// pair sharing fewer than q tokens is invisible to the q-overlap index), so
-// the q ladder is priced with the pinned default weights — any weights, no
-// matter how skewed, must produce a plan whose q, mode, and threshold are
-// identical to the uncalibrated plan, and executing either plan must yield
-// the same bytes at every shard count.
+  const SessionOutcome first = MustRun(manager, on);
+  ASSERT_TRUE(first.planner_used);
+  EXPECT_FALSE(first.plan_cache_hit);
+  const SessionOutcome second = MustRun(manager, off);
+  EXPECT_TRUE(second.plan_cache_hit)
+      << "the inert flag must not split the plan-cache signature";
+  EXPECT_EQ(manager.stats().plans_computed, 1u);
 
-TEST(CostCalibratorTest, CalibratedWeightsNeverChangeTheJoinedBytes) {
-  datagen::GeneratedDataset dataset = SmallDataset();
-  SsjCorpus corpus = SsjCorpus::Build(dataset.table_a, dataset.table_b, {0});
-  ConfigView view = corpus.MakeConfigView(0b1);
-
-  struct PlannerOptions planner;  // Elaborated: the helper above shadows it.
-  planner.k = 20;
-  planner.measure = SetMeasure::kJaccard;
-  const JoinPlan pinned = PlanTopKJoin(corpus, view, planner);
-
-  struct PlannerOptions skewed = planner;
-  skewed.weights.probe = 80.0;       // Default 0.5: probes priced 160x up.
-  skewed.weights.score_base = 0.01;  // Default 4.0: scoring nearly free.
-  skewed.weights.score_token = 0.0;
-  const JoinPlan drifted = PlanTopKJoin(corpus, view, skewed);
-
-  EXPECT_EQ(drifted.q, pinned.q);
-  EXPECT_EQ(drifted.mode, pinned.mode);
-  EXPECT_EQ(drifted.prefilter_threshold, pinned.prefilter_threshold);
-  EXPECT_EQ(drifted.cost_per_q, pinned.cost_per_q)
-      << "the reported q ladder must be the pinned pricing the pick used";
-
-  TopKJoinOptions run;
-  run.k = planner.k;
-  run.measure = planner.measure;
-  run.q = pinned.q;
-  const TopKList sequential = RunTopKJoin(view, run);
-  TopKJoinOptions sharded_run = run;
-  sharded_run.shards = 4;  // The only knob calibration may move.
-  const TopKList sharded = RunTopKJoin(view, sharded_run);
-  const auto a = sequential.SortedDescending();
-  const auto b = sharded.SortedDescending();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].pair, b[i].pair) << "rank " << i;
-    EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
+  ASSERT_EQ(second.lists.size(), first.lists.size());
+  for (size_t c = 0; c < first.lists.size(); ++c) {
+    ASSERT_EQ(second.lists[c].size(), first.lists[c].size()) << "config " << c;
+    for (size_t r = 0; r < first.lists[c].size(); ++r) {
+      EXPECT_EQ(second.lists[c][r].pair, first.lists[c][r].pair)
+          << "config " << c << " rank " << r;
+      EXPECT_EQ(second.lists[c][r].score, first.lists[c][r].score)
+          << "config " << c << " rank " << r;
+    }
   }
 }
 

@@ -8,10 +8,11 @@
 // MC_PLANNER_SEED / PlannerOptions::seed. Also pins satellite regressions:
 // corpus planner statistics are invalidated by SsjCorpus::ApplyDelta (the
 // generation bump), and the hybrid prefilter stays bit-identical through a
-// forced restart. The branch-and-bound q ladder must pick the plan an
-// exhaustive ladder picks, and the joint executor's reuse of a whole-table
-// probe as the root join must not change any list. Run under ASan by the
-// ci.sh `planner` stage.
+// forced restart, and at caller-chosen bounds on 1 and 4 shards. The
+// branch-and-bound q ladder must pick the plan an exhaustive ladder picks,
+// and neither the joint executor's reuse of a whole-table probe as the root
+// join nor a cached plan's execution mode may change any list. Run under
+// ASan by the ci.sh `planner` stage.
 
 #include <algorithm>
 #include <bit>
@@ -29,7 +30,6 @@
 #include "datagen/generator.h"
 #include "joint/joint_executor.h"
 #include "ssj/corpus.h"
-#include "ssj/cost_calibrator.h"
 #include "ssj/join_planner.h"
 #include "ssj/topk_join.h"
 #include "table/table.h"
@@ -186,6 +186,101 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{10}, size_t{40})),
     CaseName());
 
+// Fixed-threshold joins: the hybrid prefilter run with a caller-chosen
+// bound instead of the planner's estimate must return the classic list bit
+// for bit (pairs AND raw score bits at every rank), whatever the bound: the
+// exact k-th (accept path), an overshoot (restart path), or zero (every
+// pair survives). At 4 shards each shard applies the bound to its own
+// sub-space, so a shard whose k-th sits below the global one restarts on
+// its own — and the merge must still be canonical.
+class ThresholdJoinTest : public PlannerEquivalenceTest {
+ protected:
+  TopKJoinOptions BaseOptions(size_t q) const {
+    TopKJoinOptions options;
+    options.k = k();
+    options.measure = measure();
+    options.q = q;
+    return options;
+  }
+};
+
+TEST_P(ThresholdJoinTest, MatchesClassicAtTrueKth) {
+  for (size_t q : {size_t{1}, size_t{2}}) {
+    Rng rng(9100 + static_cast<uint64_t>(measure()) * 100 + k() + q);
+    auto [a, b] = RandomTables(rng, 130);
+    SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+    ConfigView view = corpus.MakeConfigView(0b1);
+
+    TopKList want = RunTopKJoin(view, BaseOptions(q));
+    const double tau = want.KthScore();
+    if (!(tau > 0.0)) continue;  // Underfull list: tau=0 case covers it.
+
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      TopKJoinOptions options = BaseOptions(q);
+      options.prefilter_threshold = tau;
+      options.shards = shards;
+      TopKJoinStats stats;
+      TopKList got = RunTopKJoin(view, options, nullptr, nullptr, &stats);
+      ExpectBitIdentical(got, want,
+                         "q=" + std::to_string(q) +
+                             " shards=" + std::to_string(shards));
+      if (shards == 1) {
+        EXPECT_EQ(stats.prefilter_restarts, 0u)
+            << "tau == true k-th must accept without a restart";
+      }
+    }
+  }
+}
+
+TEST_P(ThresholdJoinTest, MatchesClassicWhenTauOvershoots) {
+  Rng rng(9300 + static_cast<uint64_t>(measure()) * 100 + k());
+  auto [a, b] = RandomTables(rng, 120);
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+  ConfigView view = corpus.MakeConfigView(0b1);
+
+  TopKList want = RunTopKJoin(view, BaseOptions(1));
+  const double kth = want.KthScore();
+  const double tau = kth + (1.0 - kth) * 0.5 + 1e-6;  // Strictly above.
+
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    TopKJoinOptions options = BaseOptions(1);
+    options.prefilter_threshold = tau;
+    options.shards = shards;
+    TopKJoinStats stats;
+    TopKList got = RunTopKJoin(view, options, nullptr, nullptr, &stats);
+    ExpectBitIdentical(got, want, "shards=" + std::to_string(shards));
+    if (want.size() == k() && kth < tau) {
+      EXPECT_GE(stats.prefilter_restarts, 1u)
+          << "an overshot tau on a full list must go through the restart";
+    }
+  }
+}
+
+TEST_P(ThresholdJoinTest, MatchesClassicAtZeroTau) {
+  Rng rng(9500 + static_cast<uint64_t>(measure()) * 100 + k());
+  auto [a, b] = RandomTables(rng, 100);
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+  ConfigView view = corpus.MakeConfigView(0b1);
+
+  TopKList want = RunTopKJoin(view, BaseOptions(1));
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    TopKJoinOptions options = BaseOptions(1);
+    options.prefilter_threshold = 0.0;
+    options.shards = shards;
+    ExpectBitIdentical(RunTopKJoin(view, options), want,
+                       "shards=" + std::to_string(shards));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMeasures, ThresholdJoinTest,
+    ::testing::Combine(::testing::Values(SetMeasure::kJaccard,
+                                         SetMeasure::kCosine,
+                                         SetMeasure::kDice,
+                                         SetMeasure::kOverlapCoefficient),
+                       ::testing::Values(size_t{5}, size_t{25}, size_t{80})),
+    CaseName());
+
 // Plans are a pure function of (corpus generation, view, options): the same
 // seed must reproduce every decision and every piece of evidence.
 TEST(PlannerDeterminismTest, SameSeedSamePlan) {
@@ -264,6 +359,31 @@ TEST(PlannerDeterminismTest, SeedResolvesFromEnvironment) {
                                           << "\"";
   }
   ASSERT_EQ(unsetenv("MC_PLANNER_SEED"), 0);
+}
+
+// The shard hint is the one plan knob that only moves work: on a paper
+// dataset, the planned q joined at 4 shards must give the single-shard
+// list bit for bit.
+TEST(PlannerDeterminismTest, ShardedRunOfThePlannedQIsBitIdentical) {
+  datagen::GeneratedDataset dataset = datagen::GenerateFodorsZagats(
+      datagen::ScaleDims(datagen::kDimsFodorsZagats, 0.12), 53);
+  SsjCorpus corpus = SsjCorpus::Build(dataset.table_a, dataset.table_b, {0});
+  ConfigView view = corpus.MakeConfigView(0b1);
+
+  PlannerOptions planner;
+  planner.k = 20;
+  planner.measure = SetMeasure::kJaccard;
+  const JoinPlan plan = PlanTopKJoin(corpus, view, planner);
+  ASSERT_FALSE(plan.truncated);
+
+  TopKJoinOptions run;
+  run.k = planner.k;
+  run.measure = planner.measure;
+  run.q = plan.q;
+  TopKJoinOptions sharded = run;
+  sharded.shards = 4;
+  ExpectBitIdentical(RunTopKJoin(view, sharded), RunTopKJoin(view, run),
+                     "4 shards vs 1");
 }
 
 // ---------------------------------------------------------------------------
@@ -465,7 +585,7 @@ TEST(PlannerLadderTest, EngineCostBudget) {
   auto [a, b] = RandomTables(rng, 200);
   SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
   ConfigView view = corpus.MakeConfigView(0b1);
-  const JoinCostModel model{CostWeights{}, 1.0, 6.0};
+  const JoinCostModel model{1.0, 6.0};
   auto cost = [&](const TopKJoinStats& s) {
     return model.Cost(s.events_popped, s.pairs_pruned + s.pairs_scored,
                       s.pairs_scored);
@@ -670,25 +790,11 @@ TEST(JointPlannerTest, PlannerRunMatchesExplicitQRun) {
 }
 
 
-// The calibrator observations a run should produce: one per completed
-// config with events and a positive join time, except a root handed over
-// from the planner's probe (its join ran inside the planner).
-size_t ExpectedObservations(const JointResult& result) {
-  size_t expected = 0;
-  for (const ConfigJoinResult& config : result.per_config) {
-    if (!config.completed || config.from_planner_probe) continue;
-    if (config.stats.events_popped == 0) continue;
-    if (!(config.seconds - config.view_seconds > 0.0)) continue;
-    ++expected;
-  }
-  return expected;
-}
-
 // At sample rate 1 a fresh plan's winning probe is the root join, and the
 // executor reuses it instead of joining again. The per-config lists must
 // equal both a cached-plan run (which executes the root join) and a
-// fixed-q run; the reused root must report the probe's counters, a plain
-// single-shard decision, and no calibrator observation.
+// fixed-q run; the reused root must report the probe's counters and a plain
+// single-shard decision.
 TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
   datagen::GeneratedDataset dataset = datagen::GenerateFodorsZagats(
       datagen::ScaleDims(datagen::kDimsFodorsZagats, 0.12), 53);
@@ -707,7 +813,6 @@ TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
 
   for (size_t threads : {size_t{1}, size_t{3}}) {
     const std::string label = "threads " + std::to_string(threads);
-    CostModelCalibrator calibrator;
     JointOptions planned;
     planned.k = 20;
     planned.q = 0;
@@ -715,7 +820,6 @@ TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
     planned.num_threads = threads;
     planned.exclude = &exclude;
     planned.reuse_min_avg_tokens = 0.0;  // Overlap cache on.
-    planned.calibrator = &calibrator;
     const JointResult fresh = RunJointTopKJoins(corpus, tree, planned);
     ASSERT_TRUE(fresh.task_error.ok()) << fresh.task_error.ToString();
     ASSERT_FALSE(fresh.truncated) << label;
@@ -734,12 +838,9 @@ TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
     for (size_t i = 1; i < fresh.per_config.size(); ++i) {
       EXPECT_FALSE(fresh.per_config[i].from_planner_probe) << label;
     }
-    EXPECT_EQ(calibrator.observations(), ExpectedObservations(fresh))
-        << label << ": the reused root must not be observed";
 
     JointOptions cached = planned;
     cached.cached_plan = &fresh.plan;
-    cached.calibrator = nullptr;
     const JointResult replay = RunJointTopKJoins(corpus, tree, cached);
     ASSERT_TRUE(replay.plan_from_cache) << label;
     EXPECT_FALSE(replay.per_config[0].from_planner_probe) << label;
@@ -747,7 +848,6 @@ TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
 
     JointOptions fixed = planned;
     fixed.q = fresh.plan.q;
-    fixed.calibrator = nullptr;
     const JointResult direct = RunJointTopKJoins(corpus, tree, fixed);
     EXPECT_FALSE(direct.planner_used) << label;
     ExpectSameLists(fresh, direct, label + " fresh vs fixed q");
@@ -793,8 +893,63 @@ TEST(JointPlannerTest, ReusedRootClaimsNoHybrid) {
   ExpectSameLists(fresh, replay, "reused root vs hybrid root");
 }
 
+// One cached plan executed as kHybridPrefilter and as kTopK must give
+// bit-identical per-config lists — the mode changes work, never output — at
+// 1 and 4 threads. The hybrid bound is the classic root join's k-th score,
+// so the prefilter pass accepts (the restart path is pinned above).
+TEST(JointPlannerTest, CachedPlanModeIsOutputInvariant) {
+  Rng rng(9700);
+  auto [a, b] = RandomTables(rng, 140);
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+  PromisingAttributes attrs;
+  attrs.columns = {0};
+  attrs.e_scores = {0.9};
+  attrs.avg_len_a = {5};
+  attrs.avg_len_b = {5};
+  const ConfigTree tree = GenerateConfigTree(attrs);
+
+  TopKJoinOptions probe;
+  probe.k = 40;
+  const TopKList classic = RunTopKJoin(corpus.MakeConfigView(0b1), probe);
+  ASSERT_TRUE(classic.full());
+
+  JoinPlan hybrid_plan;
+  hybrid_plan.q = 1;
+  hybrid_plan.shards = 1;
+  hybrid_plan.hybrid = true;
+  hybrid_plan.prefilter_threshold = classic.KthScore();
+  hybrid_plan.mode = JoinExecMode::kHybridPrefilter;
+  hybrid_plan.stats_generation = corpus.generation();
+  JoinPlan topk_plan = hybrid_plan;
+  topk_plan.hybrid = false;
+  topk_plan.prefilter_threshold = -1.0;
+  topk_plan.mode = JoinExecMode::kTopK;
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    JointOptions options;
+    options.k = 40;
+    options.q = 0;  // Planner-eligible: the cached plan short-circuits it.
+    options.num_threads = threads;
+    options.cached_plan = &hybrid_plan;
+    const JointResult hybrid_run = RunJointTopKJoins(corpus, tree, options);
+    options.cached_plan = &topk_plan;
+    const JointResult topk_run = RunJointTopKJoins(corpus, tree, options);
+
+    ASSERT_TRUE(hybrid_run.plan_from_cache) << label;
+    ASSERT_TRUE(topk_run.plan_from_cache) << label;
+    ASSERT_FALSE(hybrid_run.truncated) << label;
+    ASSERT_FALSE(topk_run.truncated) << label;
+    EXPECT_EQ(hybrid_run.plan_decisions[0].mode,
+              JoinExecMode::kHybridPrefilter)
+        << label;
+    EXPECT_EQ(topk_run.plan_decisions[0].mode, JoinExecMode::kTopK) << label;
+    ExpectSameLists(hybrid_run, topk_run, label);
+  }
+}
+
 // Above 511 table-A rows the sample is thinned (rate > 1): the probe is not
-// the root join, so nothing is reused and the root is observed as usual.
+// the root join, so nothing is reused and the root joins as usual.
 TEST(JointPlannerTest, SampledPlanRunsTheRootJoin) {
   Rng rng(9600);
   auto [a, b] = RandomTables(rng, 600);
@@ -806,24 +961,20 @@ TEST(JointPlannerTest, SampledPlanRunsTheRootJoin) {
   attrs.avg_len_b = {6};
   const ConfigTree tree = GenerateConfigTree(attrs);
 
-  CostModelCalibrator calibrator;
   JointOptions planned;
   planned.k = 30;
   planned.q = 0;
   planned.planner_seed = 5;
   planned.num_threads = 2;
-  planned.calibrator = &calibrator;
   const JointResult fresh = RunJointTopKJoins(corpus, tree, planned);
   ASSERT_TRUE(fresh.task_error.ok()) << fresh.task_error.ToString();
   ASSERT_GT(fresh.plan.sample_rate, 1u);
   for (const ConfigJoinResult& config : fresh.per_config) {
     EXPECT_FALSE(config.from_planner_probe);
   }
-  EXPECT_EQ(calibrator.observations(), ExpectedObservations(fresh));
 
   JointOptions fixed = planned;
   fixed.q = fresh.plan.q;
-  fixed.calibrator = nullptr;
   ExpectSameLists(fresh, RunJointTopKJoins(corpus, tree, fixed),
                   "sampled plan vs fixed q");
 }

@@ -89,7 +89,7 @@ for seed in 42 31337 909090909; do
   echo "---- [planner] asan MC_PLANNER_SEED=${seed} ----"
   MC_PLANNER_SEED="${seed}" ctest --test-dir "${build_root}/asan" \
       --output-on-failure \
-      -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|PlannerLadder|JointPlanner'
+      -R 'PlannerEquivalence|ThresholdJoin|PlannerDeterminism|PlannerStatsDelta|PlannerLadder|JointPlanner'
 done
 # A root reused from the planner's probe finishes on a pool worker and
 # cascades its children across the pool; TSan checks the hand-over.
@@ -121,50 +121,41 @@ echo "==== [blocking-identity] blocker_checksums vs bench/BLOCKER_CHECKSUMS.txt 
 "${build_root}/release/bench/blocker_checksums" 2>/dev/null \
     | diff "${repo_root}/bench/BLOCKER_CHECKSUMS.txt" -
 
-# Plan cache + threshold mode: threshold-join execution and cached-plan
-# sessions must stay bit-identical to classic fresh-planned top-k runs, the
-# plan-cache fault point must degrade to re-planning (never wrong output),
-# and the online cost-model calibration must never change the joined bytes
-# (it steers only output-neutral plan knobs). ASan covers the truncated
-# prefix views and cached-plan lifetimes; the seed matrix moves the
-# randomized delta schedules of the invalidation tests. The calibration
-# determinism check runs the suite once with the calibrator disabled — same
-# tests, same outputs, proving MC_PLANNER_CALIBRATE is an ablation of cost,
-# not results.
-echo "==== [plan-cache] threshold/plan-cache suites under ASan ===="
+# Plan identity: every JoinPlan decision field the planner prints for the
+# 74 paper-dataset cells (doubles in hex-float) must equal the committed
+# record byte for byte. About 12 s.
+echo "==== [plan-identity] plan_decisions vs bench/PLAN_DECISIONS.txt ===="
+"${build_root}/release/bench/plan_decisions" 2>/dev/null \
+    | diff "${repo_root}/bench/PLAN_DECISIONS.txt" -
+
+# Plan cache: cached-plan sessions must stay bit-identical to fresh-planned
+# ones, the plan-cache fault point must degrade to re-planning (never wrong
+# output), and options that do not affect the plan must not split the
+# cache. ASan covers the cached-plan lifetimes; the seed matrix moves the
+# randomized delta schedules of the invalidation tests.
+echo "==== [plan-cache] plan-cache suite under ASan ===="
 for seed in 5 17 90210; do
   echo "---- [plan-cache] asan MC_PLANCACHE_SEED=${seed} ----"
   MC_PLANCACHE_SEED="${seed}" ctest --test-dir "${build_root}/asan" \
-      --output-on-failure \
-      -R 'ThresholdJoin|ThresholdPrefixLength|PlanCache|CostCalibrator'
+      --output-on-failure -R 'PlanCache'
 done
-echo "==== [plan-cache] calibration determinism (MC_PLANNER_CALIBRATE=0) ===="
-MC_PLANNER_CALIBRATE=0 ctest --test-dir "${build_root}/release" \
-    --output-on-failure \
-    -R 'ThresholdJoin|PlanCache|CostCalibrator|PlannerEquivalence'
 
-# Topology: placement must move bytes and threads, never results. The mem
-# suite (arena/budget/topology unit tests plus the placement bit-identity
-# matrix) runs under ASan for arena lifetime coverage, and the determinism
-# suites re-run under forced single-node and fake dual-node MC_TOPOLOGY so
-# the multi-node decomposition paths (A-row windows, node-routed shards,
-# replicated seeds) are exercised deterministically on any CI machine.
-echo "==== [topology] mem suite under ASan ===="
-ctest --test-dir "${build_root}/asan" --output-on-failure \
-    -R 'ArenaTest|ArenaVectorTest|ArenaStatsTest|TopologyTest|PerNodeReplicaTest|TopologyThreadPoolTest|BudgetConservationTest|TopologyPlacementIdentityTest'
-echo "==== [topology] determinism suites under forced topologies ===="
-for topo in "nodes=1,cores_per_node=4" "nodes=2,cores_per_node=2"; do
-  echo "---- [topology] MC_TOPOLOGY=${topo} ----"
-  MC_TOPOLOGY="${topo}" ctest --test-dir "${build_root}/release" \
-      --output-on-failure \
-      -R 'JointDeterminismTest|CorpusBuildDeterminismTest|DeltaEquivalenceTest|TopologyPlacementIdentityTest'
-done
+# Determinism: the joint executor's config and shard scheduling and the
+# corpus's parallel build must give the same bytes at every thread count.
+# Run by name under TSan so a race in either shows in the log as its own
+# stage (DeltaEquivalenceTest already runs under TSan in
+# [delta-equivalence]).
+echo "==== [determinism] joint + corpus determinism under TSan ===="
+ctest --test-dir "${build_root}/tsan" --output-on-failure \
+    -R 'JointDeterminismTest|CorpusBuildDeterminismTest'
 
 # Bench smoke: emit a perf record on a tiny workload and validate its schema
 # (plus the committed archives). Catches drift between the JSON writer, the
 # record schema, and tools/validate_bench_json.py without a full bench run.
 # BENCH_planner.json is a historical archive: the q race it compares the
 # planner against was removed, so it is validated but not re-emitted.
+# BENCH_numa.json is archive-only: micro_numa and the placement layer it
+# measured were removed, so it is neither re-emitted nor validated.
 echo "==== [bench-smoke] emit + validate perf record ===="
 bench_json="${build_root}/release/bench_smoke.json"
 "${build_root}/release/bench/micro_ssj" \
@@ -202,12 +193,6 @@ delta_json="${build_root}/release/bench_smoke_delta.json"
 "${build_root}/release/bench/micro_delta" \
     --json="${delta_json}" --engine=ci-smoke --scale=0.05 --reps=1 \
     --generations=3
-# micro_numa exits 1 unless every placement (single-node, dual-node,
-# machine) produces bit-identical lists; the validator re-checks the
-# cross-placement checksum equality on the smoke record and the archive.
-numa_json="${build_root}/release/bench_smoke_numa.json"
-"${build_root}/release/bench/micro_numa" \
-    --json="${numa_json}" --engine=ci-smoke --scale=0.05 --reps=1
 # micro_plancache exits 1 unless every cached-plan session is bit-identical
 # to the fresh-planned arm; the validator re-checks the cached-vs-fresh
 # checksum equality on the smoke record and the archive.
@@ -217,7 +202,7 @@ plancache_json="${build_root}/release/bench_smoke_plancache.json"
     --sessions=3
 python3 "${repo_root}/tools/validate_bench_json.py" \
     "${bench_json}" "${joint_json}" "${text_json}" "${kernels_json}" \
-    "${service_json}" "${delta_json}" "${numa_json}" "${plancache_json}" \
+    "${service_json}" "${delta_json}" "${plancache_json}" \
     "${repo_root}/bench/BENCH_ssj.json" \
     "${repo_root}/bench/BENCH_joint.json" \
     "${repo_root}/bench/BENCH_text.json" \
@@ -225,7 +210,6 @@ python3 "${repo_root}/tools/validate_bench_json.py" \
     "${repo_root}/bench/BENCH_service.json" \
     "${repo_root}/bench/BENCH_delta.json" \
     "${repo_root}/bench/BENCH_planner.json" \
-    "${repo_root}/bench/BENCH_numa.json" \
     "${repo_root}/bench/BENCH_plancache.json"
 
 echo "==== all configurations passed ===="

@@ -36,16 +36,12 @@
 //                      q — ">=" marks a q whose probe was abandoned, a
 //                      lower bound), the per-config plan decisions (q,
 //                      shards, hybrid prefilter, exec mode, parent
-//                      seeding), the service plan-cache hit/miss
-//                      counters, and the live calibrated cost-weight
-//                      vector; implies --q 0 unless --q was given
+//                      seeding) and the service plan-cache hit/miss
+//                      counters; implies --q 0 unless --q was given
 //                      explicitly
 //   --no-plan-cache    disable the cross-session plan cache (every
 //                      planner-eligible session re-runs the sampling
 //                      probes; the ablation baseline for the cache)
-//   --topology         print the detected (or MC_TOPOLOGY-forced) NUMA
-//                      topology at startup, and per-node arena bytes plus
-//                      the placement-fallback counter after the run
 //
 // Exit status: 0 when every admitted session ends complete or truncated,
 // 1 when any session fails, 2 on usage errors.
@@ -62,11 +58,7 @@
 #include "blocking/candidate_set.h"
 #include "core/match_catcher.h"
 #include "datagen/generator.h"
-#include "mem/arena_stats.h"
-#include "mem/node_local_arena.h"
-#include "mem/topology.h"
 #include "service/session_manager.h"
-#include "ssj/cost_calibrator.h"
 #include "table/csv.h"
 #include "util/fault_injection.h"
 
@@ -93,7 +85,6 @@ struct Args {
   bool q_set = false;
   bool explain_plans = false;
   bool plan_cache = true;
-  bool topology = false;
 };
 
 int Usage(const char* argv0) {
@@ -103,7 +94,7 @@ int Usage(const char* argv0) {
                "[--deadline-ms N] [--memory-limit B] [--checkpoint DIR] "
                "[--chaos-seed S] [--retry-after] [--deltas N] "
                "[--delta-seed S] [--q N] [--explain-plans] "
-               "[--no-plan-cache] [--topology]\n"
+               "[--no-plan-cache]\n"
                "       %s --tables A.csv,B.csv --candidates C.csv [...]\n",
                argv0, argv0);
   return 2;
@@ -160,8 +151,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->explain_plans = true;
     } else if (arg == "--no-plan-cache") {
       args->plan_cache = false;
-    } else if (arg == "--topology") {
-      args->topology = true;
     } else {
       return false;
     }
@@ -298,13 +287,6 @@ mc::datagen::GeneratedDataset Generate(const Args& args) {
 int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) return Usage(argv[0]);
-
-  if (args.topology) {
-    const mc::mem::SystemTopology& topo = mc::mem::SystemTopology::Get();
-    std::printf("topology: %s binding=%s\n", topo.ToString().c_str(),
-                mc::mem::MemoryBindingAvailable() ? "available"
-                                                  : "unavailable");
-  }
 
   mc::Table table_a, table_b;
   mc::CandidateSet candidates;
@@ -493,38 +475,6 @@ int main(int argc, char** argv) {
       stats.watchdog_cancelled, stats.plans_computed, stats.hybrid_plans,
       stats.hybrid_restarts, stats.plan_cache_hits, stats.plan_cache_misses,
       stats.plans_evicted);
-  if (args.explain_plans) {
-    // The live calibrated weight vector steers the output-neutral knobs
-    // (shard hint) of every fresh plan above — the q ladder stays priced
-    // with the pinned defaults (unless MC_PLANNER_CALIBRATE=0 froze the
-    // fit at the defaults entirely).
-    const mc::CostModelCalibrator& calibrator =
-        mc::CostModelCalibrator::Process();
-    const mc::CostWeights weights = calibrator.weights();
-    std::printf(
-        "calibration: observations=%zu refits=%zu weights=(event=%.4f "
-        "probe=%.4f score_base=%.4f score_token=%.4f)\n",
-        calibrator.observations(), calibrator.refits(), weights.event,
-        weights.probe, weights.score_base, weights.score_token);
-  }
-  if (args.topology) {
-    // Snapshot before Shutdown so the shared planes' arenas are still live
-    // and show up in the per-node bytes.
-    const mc::mem::ArenaStatsSnapshot snapshot =
-        mc::mem::ArenaStatsRegistry::Instance().Snapshot();
-    std::printf("topology: arenas=%zu reserved=%zu fallbacks=%zu\n",
-                snapshot.total_arenas, snapshot.total_reserved_bytes,
-                snapshot.topology_fallbacks);
-    for (const mc::mem::ArenaNodeStats& node : snapshot.per_node) {
-      if (node.node < 0) {
-        std::printf("  node -    : arenas=%zu reserved=%zu (unplaced)\n",
-                    node.arenas, node.reserved_bytes);
-      } else {
-        std::printf("  node %-5d: arenas=%zu reserved=%zu\n", node.node,
-                    node.arenas, node.reserved_bytes);
-      }
-    }
-  }
   manager.Shutdown();
   if (args.chaos) mc::FaultRegistry::Instance().Reset();
   return exit_code;

@@ -218,38 +218,6 @@ DELTA_OUTPUT_FIELDS = {
 }
 
 
-NUMA_WORKLOAD_FIELDS = {
-    "dataset": str,
-    "scale": (int, float),
-    "rows_a": int,
-    "rows_b": int,
-    "k": int,
-    "threads": int,
-    "repetitions": int,
-    "seed": int,
-    "machine_nodes": int,
-}
-
-# micro_numa placements, in emission order.
-NUMA_PLACEMENT_NAMES = ["single_node", "dual_node", "machine"]
-
-NUMA_PLACEMENT_FIELDS = {
-    "name": str,
-    "best_seconds": (int, float),
-    "mean_seconds": (int, float),
-    "pairs": int,
-    "topk_checksum": str,
-}
-
-NUMA_OUTPUT_FIELDS = {
-    "dual_node_speedup": (int, float),
-    "arena_reserved_bytes": int,
-    "live_arenas": int,
-    "topology_fallbacks": int,
-    "identical_across_placements": bool,
-}
-
-
 PLANNER_WORKLOAD_FIELDS = {
     "dataset": str,
     "scale": (int, float),
@@ -533,41 +501,6 @@ def validate_delta_record(record, where):
             f"{where}.output: patched planes differ from a rebuild")
 
 
-def validate_numa_record(record, where):
-    """micro_numa: placement sweep + cross-placement bit-identity."""
-    check_workload(record.get("workload"), NUMA_WORKLOAD_FIELDS,
-                   f"{where}.workload")
-    workload = record["workload"]
-    require(workload["machine_nodes"] >= 1,
-            f"{where}.workload: machine_nodes must be >= 1")
-    results = record.get("results")
-    require(isinstance(results, list), f"{where}: 'results' must be an array")
-    require([r.get("name") for r in results if isinstance(r, dict)]
-            == NUMA_PLACEMENT_NAMES,
-            f"{where}: results must be the placements {NUMA_PLACEMENT_NAMES}")
-    checksums = set()
-    for i, result in enumerate(results):
-        where_r = f"{where}.results[{i}]"
-        check_fields(result, NUMA_PLACEMENT_FIELDS, where_r)
-        require(result["best_seconds"] > 0.0,
-                f"{where_r}: best_seconds must be positive")
-        require(result["mean_seconds"] >= result["best_seconds"],
-                f"{where_r}: mean_seconds < best_seconds")
-        require(re.fullmatch(r"[0-9a-f]{8}", result["topk_checksum"]),
-                f"{where_r}: topk_checksum is not 8 lowercase hex digits")
-        checksums.add(result["topk_checksum"])
-    output = record.get("output")
-    check_fields(output, NUMA_OUTPUT_FIELDS, f"{where}.output")
-    require(output["dual_node_speedup"] > 0.0,
-            f"{where}.output: dual_node_speedup must be positive")
-    # Placement is only a locality optimization: every topology must produce
-    # bit-identical lists, always.
-    require(len(checksums) == 1,
-            f"{where}: placements disagree on topk_checksum ({checksums})")
-    require(output["identical_across_placements"],
-            f"{where}.output: placements produced differing results")
-
-
 def validate_planner_record(record, where):
     """micro_planner: race-vs-planner end-to-end paths + equality proof."""
     check_workload(record.get("workload"), PLANNER_WORKLOAD_FIELDS,
@@ -683,9 +616,6 @@ def validate_record(record, where):
         return
     if record["benchmark"] == "micro_planner":
         validate_planner_record(record, where)
-        return
-    if record["benchmark"] == "micro_numa":
-        validate_numa_record(record, where)
         return
     if record["benchmark"] == "micro_plancache":
         validate_plancache_record(record, where)
