@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "util/check.h"
+#include "util/crc32.h"
 
 namespace mc {
 namespace bench {
@@ -54,6 +55,17 @@ void PrintDatasetHeader(const datagen::GeneratedDataset& dataset) {
   std::cout << dataset.name << ": |A|=" << dataset.table_a.num_rows()
             << " |B|=" << dataset.table_b.num_rows()
             << " gold=" << dataset.gold.size() << "\n";
+}
+
+uint32_t JointChecksum(const JointResult& result) {
+  uint32_t crc = 0;
+  for (const ConfigJoinResult& config : result.per_config) {
+    for (const ScoredPair& entry : config.topk) {
+      crc = Crc32(&entry.pair, sizeof(entry.pair), crc);
+      crc = Crc32(&entry.score, sizeof(entry.score), crc);
+    }
+  }
+  return crc;
 }
 
 std::string Cell(const std::string& text, size_t width) {

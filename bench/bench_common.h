@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "datagen/generator.h"
+#include "joint/joint_executor.h"
 #include "table/table.h"
 
 namespace mc {
@@ -31,6 +32,11 @@ datagen::GeneratedDataset LoadDataset(const std::string& name);
 
 /// Prints "dataset: |A|=..., |B|=..., gold=..." to stdout.
 void PrintDatasetHeader(const datagen::GeneratedDataset& dataset);
+
+/// CRC-32 over every config's list of a joint run, in config order (pair
+/// ids and raw score bits), so two runs can be compared for *identical*
+/// output.
+uint32_t JointChecksum(const JointResult& result);
 
 /// Fixed-width cell helpers for table output.
 std::string Cell(const std::string& text, size_t width);

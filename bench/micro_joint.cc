@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "bench_json.h"
 #include "config/config_generator.h"
 #include "datagen/generator.h"
@@ -33,7 +34,6 @@
 #include "ssj/corpus.h"
 #include "table/profile.h"
 #include "util/check.h"
-#include "util/crc32.h"
 #include "util/stopwatch.h"
 
 namespace mc {
@@ -55,19 +55,6 @@ struct BenchConfig {
   size_t q = 1;
   double reuse_trigger = 20.0;  // Paper's t; the A-G descriptions exceed it.
 };
-
-// CRC-32 over every config's sorted list (pair ids + raw score bits), so
-// two runs can be compared for *identical* output.
-uint32_t JointChecksum(const JointResult& result) {
-  uint32_t crc = 0;
-  for (const ConfigJoinResult& config : result.per_config) {
-    for (const ScoredPair& entry : config.topk) {
-      crc = Crc32(&entry.pair, sizeof(entry.pair), crc);
-      crc = Crc32(&entry.score, sizeof(entry.score), crc);
-    }
-  }
-  return crc;
-}
 
 struct StageTiming {
   double best = 0.0;
@@ -147,7 +134,7 @@ int RunJsonBench(const BenchConfig& config) {
     end_to_end_stage.Record(rep, end_to_end.ElapsedSeconds());
     last_result = std::move(result);
   }
-  const uint32_t checksum = JointChecksum(last_result);
+  const uint32_t checksum = bench::JointChecksum(last_result);
 
   // Determinism spot-check: the parallel output must be bit-identical to a
   // single-threaded run over the same corpus.
@@ -158,7 +145,7 @@ int RunJsonBench(const BenchConfig& config) {
     JointOptions single = MakeJointOptions(config);
     single.num_threads = 1;
     JointResult reference = RunJointTopKJoins(corpus, tree, single);
-    identical_to_single_thread = JointChecksum(reference) == checksum;
+    identical_to_single_thread = bench::JointChecksum(reference) == checksum;
   }
 
   size_t pairs = 0, cache_hits = 0, cache_misses = 0, seeded = 0;

@@ -11,7 +11,7 @@ namespace mc {
 struct CostWeights {
   /// Heap pop + index append, per prefix-extension event.
   double event = 1.0;
-  /// Positional bound + short prefix merge, per probe.
+  /// Positional bound + stamped shared-prefix count, per probe.
   double probe = 0.5;
   /// Fixed part of a full-span scoring merge.
   double score_base = 4.0;

@@ -31,7 +31,7 @@ constexpr size_t kTargetSampleRows = 256;
 
 // Cost-model weights live in CostWeights (cost_model.h): an event is a heap
 // pop plus an index append; a probe pays the positional bound and (often) a
-// short prefix merge; a scored pair pays a full-span merge whose length
+// shared-prefix count; a scored pair pays a full-span merge whose length
 // scales with the mean tuple length. The weights need only rank plans
 // correctly, not predict wall time; for a fixed weight vector the argmin —
 // and hence the plan — stays deterministic, unlike the wall-clock race it

@@ -48,16 +48,6 @@ struct IndexEntry {
   uint32_t position;
 };
 
-// Exact |a[0..len_a) ∩ b[0..len_b)| of two rank-sorted prefixes, stopping
-// as soon as the count exceeds `limit` (the caller only needs equality with
-// a value <= limit). Counts below or equal to `limit` are exact. The capped
-// kernel's contract (exactly limit + 1 once exceeded) keeps the return value
-// level-independent.
-inline size_t PrefixOverlap(const uint32_t* a, size_t len_a, const uint32_t* b,
-                            size_t len_b, size_t limit) {
-  return simd::OverlapCountCapped(a, len_a, b, len_b, limit);
-}
-
 // Exact similarity of a pair by merging its token spans, with the measure
 // fixed at compile time (same arithmetic as DirectPairScorer::Score).
 template <SetMeasure kMeasure>
@@ -210,13 +200,16 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
       mem::ArenaAllocator<PostingList>(&scratch));
 
   // Required-overlap table: req_value[len] caches
-  // RequiredOverlap<kMeasure, true>(own_len, len, kth) for the event being
-  // processed, so each probe's pruning bound is an integer compare instead
-  // of a float division (SetSimilarityFromCounts). Entries are valid while
-  // req_epoch is unchanged; the epoch advances on every new event (own_len
-  // changes) and whenever the k-th score moves (a scored pair entered the
-  // list). Rounded similarity is monotone in the overlap,
-  // so the integer compare reproduces the float compare bit for bit.
+  // RequiredOverlap<kMeasure, false>(own_len, len, bound) for the current
+  // own_len and bound, so each probe's pruning bound is an integer compare
+  // instead of a float division (SetSimilarityFromCounts). The value
+  // depends on nothing else, so entries stay valid while req_epoch is
+  // unchanged: the epoch advances when an event's own_len differs from the
+  // previous scanning event's and whenever the bound moves (a scored pair
+  // entered the list). Heap pops with equal caps mostly come from rows of
+  // one length, so runs of events share the table. Rounded similarity is
+  // monotone in the overlap, so the integer compare reproduces the float
+  // compare bit for bit.
   size_t max_len = 0;
   for (size_t row = 0; row < view.rows_a(); ++row) {
     max_len = std::max(max_len, view.a(row).size());
@@ -229,6 +222,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
   mem::ArenaVector<uint64_t> req_stamp(max_len + 1, 0,
                                        mem::ArenaAllocator<uint64_t>(&scratch));
   uint64_t req_epoch = 1;  // 64-bit: never wraps into a stale stamp.
+  size_t req_own_len = 0;  // own_len of req_epoch; events never have 0.
   double epoch_bound = bound();
   auto note_kth_change = [&] {
     if (bound() != epoch_bound) {
@@ -236,6 +230,16 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
       ++req_epoch;
     }
   };
+
+  // Per-event rank stamp: prefix_stamp[r] == stamp_epoch iff rank r lies in
+  // the current event's prefix tokens[0..position). Stamped lazily, at the
+  // event's first probe that survives the positional bound, so a probe
+  // counts its pair's earlier shared tokens with one load per partner
+  // prefix token. Every epoch value stamps at most one event; on a 32-bit
+  // wrap the array is cleared so no stale stamp can match.
+  mem::ArenaVector<uint32_t> prefix_stamp(
+      view.rank_limit(), 0, mem::ArenaAllocator<uint32_t>(&scratch));
+  uint32_t stamp_epoch = 0;
 
   // Event heap: a plain binary max-heap under EventLess. EventLess is a
   // total order on distinct (cap, side, row, position) keys, so the pop
@@ -359,11 +363,18 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     }
 
     const bool from_a = event.side == 0;
-    ++req_epoch;  // New event: own_len changes, so cached bounds expire.
     const TokenSpan tokens = from_a ? view.a(event.row) : view.b(event.row);
     const uint32_t token = tokens[event.position];
     auto& own_index = from_a ? index_a : index_b;
     auto& other_index = from_a ? index_b : index_a;
+
+    // Probes need both prefixes to reach position q - 1: a pair's shared
+    // tokens up to and including this one number at most min(i, j) + 1,
+    // which must reach q for the probe to be the pair's scoring probe. So
+    // an event below q - 1 has nothing to probe, and its posting would be
+    // skipped by every later probe: it is neither scanned nor indexed (it
+    // still counts as a revealed token).
+    const bool reaches_q = event.position + 1 >= q;
 
     // Probe partners whose prefix already covers `token`. Every shared
     // token of a pair produces exactly one probe (whichever side reveals
@@ -372,11 +383,16 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     // exact shared count at each probe is recomputable from the CSR
     // prefixes alone. That makes the join stateless per pair: no hash map
     // of pair state (formerly the join's dominant cost — one random cache
-    // miss per probe), just a short sequential merge over arena data.
+    // miss per probe), just a count over arena data.
     const PostingList& postings = other_index[token];
-    if (!postings.empty()) {
+    if (reaches_q && !postings.empty()) {
       const size_t own_len = tokens.size();
       const size_t own_remaining = own_len - 1 - event.position;
+      if (own_len != req_own_len) {
+        req_own_len = own_len;
+        ++req_epoch;
+      }
+      bool stamped = false;
       for (const IndexEntry& entry : postings) {
         RowId partner = entry.row;
 
@@ -387,30 +403,25 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
         // bounded by positions alone:
         //   - shared tokens so far: c = q, and also at most min(i, j) + 1
         //     (they all precede the current token in both rank-sorted
-        //     rows);
+        //     rows), which is >= q for every probe made here;
         //   - shared tokens still to come: at most min of the remainders.
-        // So overlap <= min(min(i, j) + 1, q) + min(own_rem, partner_rem),
-        // capped at min of the lengths. If that cannot beat the k-th
-        // score, skip before touching the prefixes: pruning a non-scoring
-        // probe is harmless (it would have been a no-op), and a pair whose
-        // true score exceeds the final k-th always passes at its scoring
-        // probe (score <= bound, and the k-th only rises).
+        // So overlap <= q + min(own_rem, partner_rem), capped at min of the
+        // lengths. If that cannot beat the k-th score, skip before touching
+        // the prefixes: pruning a non-scoring probe is harmless (it would
+        // have been a no-op), and a pair whose true score exceeds the final
+        // k-th always passes at its scoring probe (score <= bound, and the
+        // k-th only rises).
         const TokenSpan partner_tokens =
             from_a ? view.b(partner) : view.a(partner);
         const size_t partner_len = partner_tokens.size();
         const size_t partner_remaining = partner_len - 1 - entry.position;
-        const size_t prefix_limit =
-            std::min(static_cast<size_t>(event.position),
-                     static_cast<size_t>(entry.position));
-        if (prefix_limit + 1 < q) continue;  // c <= prefix_limit + 1 < q.
         const size_t max_overlap =
-            std::min(std::min(prefix_limit + 1, q) +
-                         std::min(own_remaining, partner_remaining),
+            std::min(q + std::min(own_remaining, partner_remaining),
                      std::min(own_len, partner_len));
         // Bound check in integer form: the probe survives iff its overlap
-        // bound reaches the smallest overlap whose similarity beats the
-        // k-th score (cached per partner length for the current event +
-        // k-th score, see req_value above). No float math on this path.
+        // bound reaches the smallest overlap whose similarity reaches the
+        // k-th score (cached per partner length for the current own_len
+        // and bound, see req_value above). No float math on this path.
         uint32_t required;
         if (req_stamp[partner_len] == req_epoch) {
           required = req_value[partner_len];
@@ -429,13 +440,24 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
           continue;
         }
 
-        // Exact c via a short merge of the rank-sorted CSR prefixes — the
-        // join is stateless per pair: no hash map of pair counts (formerly
-        // the dominant cost — one random cache miss per probe).
-        const size_t before =
-            PrefixOverlap(tokens.begin(), event.position,
-                          partner_tokens.begin(), entry.position,
-                          /*limit=*/q - 1);
+        // c - 1 = |own_prefix ∩ partner_prefix|, counted up to q (only "is
+        // it 0" and "is it q - 1" matter): stamp the own prefix once per
+        // event, then count the partner prefix's stamped ranks. Spans are
+        // strictly increasing, so each shared rank counts once.
+        if (!stamped) {
+          if (++stamp_epoch == 0) {
+            std::fill(prefix_stamp.begin(), prefix_stamp.end(), 0);
+            stamp_epoch = 1;
+          }
+          for (uint32_t i = 0; i < event.position; ++i) {
+            prefix_stamp[tokens[i]] = stamp_epoch;
+          }
+          stamped = true;
+        }
+        size_t before = 0;
+        for (uint32_t j = 0; j < entry.position && before < q; ++j) {
+          before += prefix_stamp[partner_tokens[j]] == stamp_epoch;
+        }
         if (before == 0) ++stats->pairs_discovered;
         if (before != q - 1) continue;  // Not the q-th shared token.
         score_pair(from_a ? MakePairId(event.row, partner)
@@ -444,7 +466,9 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     }
 
     // Reveal the token in this side's index.
-    own_index[token].push_back(IndexEntry{event.row, event.position});
+    if (reaches_q) {
+      own_index[token].push_back(IndexEntry{event.row, event.position});
+    }
     ++stats->tokens_indexed;
 
     // Schedule the next extension unless it provably cannot matter — i.e.

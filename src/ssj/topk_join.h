@@ -117,14 +117,27 @@ struct TopKJoinOptions {
 
 /// Counters exposing where the join spends its effort; drives the QJoin-vs-
 /// TopKJoin benchmarks. In sharded mode the counters are summed across
-/// shards.
+/// shards. The planner's cost model (ssj/cost_model.h) prices events,
+/// probes (pruned + scored) and scored pairs, so every counter must stay
+/// exact: an engine change that moves one changes plans.
+/// bench/JOIN_CHECKSUMS.txt and TopKJoinCounterTest pin them.
 struct TopKJoinStats {
   size_t events_popped = 0;
+  /// Probes past the positional bound that find no earlier shared token,
+  /// i.e. made at the pair's first shared token. A pair whose first shared
+  /// token sits below position q - 1 in either row, or whose probe there is
+  /// pruned, is never counted.
   size_t pairs_discovered = 0;
   size_t pairs_scored = 0;
-  /// Probes discarded by the positional upper bound before any pair-state
-  /// bookkeeping (a pair may be counted once per shared token here).
+  /// Probes discarded by the positional upper bound before the shared
+  /// prefix is counted (a pair may be counted once per shared token here).
+  /// Excludes probes with min(i, j) + 1 < q (i, j: the shared token's
+  /// positions in the two rows), which cannot be a pair's q-th shared token
+  /// and are skipped before any counter.
   size_t pairs_pruned = 0;
+  /// Prefix tokens revealed, one per processed event, including those
+  /// below position q - 1 that are never put in the index because no probe
+  /// could use them.
   size_t tokens_indexed = 0;
   /// Hybrid prefilter phases whose threshold proved too optimistic (the
   /// engine restarted without it; see TopKJoinOptions::prefilter_threshold).

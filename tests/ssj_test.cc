@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "ssj/topk_join.h"
 #include "ssj/topk_list.h"
 #include "table/table.h"
+#include "table/table_delta.h"
 #include "text/similarity.h"
 #include "util/random.h"
 
@@ -179,6 +181,78 @@ TEST(CorpusTest, TokenSharedAcrossAttributesHasCombinedMask) {
   // Its config length under each single attribute counts madison once.
   EXPECT_EQ(SsjCorpus::ConfigLength(tuple, 0b01), 2u);  // madison, smith.
   EXPECT_EQ(SsjCorpus::ConfigLength(tuple, 0b10), 1u);  // madison.
+}
+
+// The top-k join counts a probe's shared prefix with a per-event rank stamp,
+// which is exact only if no span repeats a rank: every ConfigView span must
+// be strictly increasing. Covers zero-copy (fully covered) rows,
+// materialized rows of single-attribute configs, and views over corpora
+// patched by ApplyDelta, on cells that repeat words within and across
+// attributes.
+TEST(CorpusTest, ConfigViewSpansStrictlyIncrease) {
+  auto expect_strict = [](const ConfigView& view, const std::string& label) {
+    for (size_t side = 0; side < 2; ++side) {
+      const size_t rows = side == 0 ? view.rows_a() : view.rows_b();
+      for (size_t row = 0; row < rows; ++row) {
+        const TokenSpan tokens = side == 0 ? view.a(row) : view.b(row);
+        for (size_t i = 1; i < tokens.size(); ++i) {
+          ASSERT_LT(tokens[i - 1], tokens[i])
+              << label << " side " << side << " row " << row;
+        }
+      }
+    }
+  };
+  Rng rng(2024);
+  Schema schema({{"name", AttributeType::kString},
+                 {"city", AttributeType::kString}});
+  Table a(schema), b(schema);
+  auto random_cell = [&](size_t vocabulary) {
+    std::string text;
+    const size_t n = rng.NextBelow(6);
+    for (size_t t = 0; t < n; ++t) {
+      if (t > 0) text += ' ';
+      text += 'w' + std::to_string(rng.NextZipf(vocabulary, 0.8));
+    }
+    return text;
+  };
+  for (size_t row = 0; row < 60; ++row) {
+    a.AddRow({random_cell(25), random_cell(10)});
+    b.AddRow({random_cell(25), random_cell(10)});
+  }
+  auto check_corpus = [&](const SsjCorpus& corpus, const std::string& label) {
+    size_t materialized = 0;
+    for (ConfigMask mask : {ConfigMask{0b11}, ConfigMask{0b01},
+                            ConfigMask{0b10}}) {
+      const ConfigView view = corpus.MakeConfigView(mask);
+      materialized += view.materialized_rows();
+      expect_strict(view, label + " mask " + std::to_string(mask));
+    }
+    EXPECT_GT(materialized, 0u) << label;
+  };
+  std::optional<SsjCorpus> corpus = SsjCorpus::Build(a, b, {0, 1});
+  check_corpus(*corpus, "built");
+  for (size_t generation = 1; generation <= 4; ++generation) {
+    TableDelta delta;
+    delta.side = static_cast<uint8_t>(generation % 2);
+    Table& target = delta.side == 0 ? a : b;
+    const size_t base_rows = target.num_rows();
+    for (uint32_t row = static_cast<uint32_t>(generation); row < base_rows;
+         row += 9) {
+      // Fresh tokens, repeated words, and a word shared by both cells.
+      delta.mutated.push_back(
+          {row,
+           {"fresh" + std::to_string(generation) + " w1 w1 " +
+                random_cell(25),
+            "w1 " + random_cell(10)}});
+    }
+    delta.appended.push_back({"w2 w2 appended", "w2"});
+    ASSERT_TRUE(ApplyDeltaToTable(target, delta).ok());
+    Result<RowsDelta> rows = MakeRowsDelta(delta, base_rows);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    corpus = SsjCorpus::ApplyDelta(*corpus, a, b, {0, 1}, *rows);
+    ASSERT_TRUE(corpus.has_value()) << "generation " << generation;
+    check_corpus(*corpus, "patched generation " + std::to_string(generation));
+  }
 }
 
 // --------------------------------------------------------------------------

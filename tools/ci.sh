@@ -128,6 +128,31 @@ echo "==== [plan-identity] plan_decisions vs bench/PLAN_DECISIONS.txt ===="
 "${build_root}/release/bench/plan_decisions" 2>/dev/null \
     | diff "${repo_root}/bench/PLAN_DECISIONS.txt" -
 
+# Join identity: every config's sorted list (CRC over pair ids and score
+# bits), every config's TopKJoinStats counters and the q used, for joint
+# runs on the paper datasets (q = 1..4, k = 100/300/1000, planner-probe and
+# hybrid roots, forced four-shard runs), must equal the committed record
+# byte for byte. The planner prices these counters, so they must stay
+# exact. About 20 s on 4 cores.
+echo "==== [join-identity] join_checksums vs bench/JOIN_CHECKSUMS.txt ===="
+"${build_root}/release/bench/join_checksums" 2>/dev/null \
+    | diff "${repo_root}/bench/JOIN_CHECKSUMS.txt" -
+
+# Join engine: the event engine counts a probe's shared prefix with a
+# rank-indexed stamp array and skips positions below q - 1. The counter
+# suite (edge-case corpora with recorded counters), the brute-force
+# equivalence harness and the property suite run by name under ASan and
+# UBSan. The sanitizer trees build with _GLIBCXX_ASSERTIONS, which
+# bounds-checks the arena-backed stamp array and rank-indexed posting lists
+# (ASan alone cannot see past a vector's end inside an arena chunk); UBSan
+# checks the position arithmetic.
+echo "==== [join-engine] counter/equivalence/property suites under ASan + UBSan ===="
+for config in asan ubsan; do
+  echo "---- [join-engine] ${config} ----"
+  ctest --test-dir "${build_root}/${config}" --output-on-failure \
+      -R 'TopKJoinCounterTest|SsjEquivalenceTest|TopKJoinPropertyTest'
+done
+
 # Plan cache: cached-plan sessions must stay bit-identical to fresh-planned
 # ones, the plan-cache fault point must degrade to re-planning (never wrong
 # output), and options that do not affect the plan must not split the
