@@ -6,6 +6,7 @@
 #include "explain/diagnosis.h"
 #include "ssj/corpus.h"
 #include "table/profile.h"
+#include "table/tokenized_table.h"
 #include "util/stopwatch.h"
 
 namespace mc {
@@ -37,14 +38,12 @@ Result<DebugSession> DebugSession::CreateShared(
   if (options.infer_types && !(a->schema() == b->schema())) {
     return Status::InvalidArgument("tables A and B must share one schema");
   }
-  const bool build_plane = options.text_plane != TextPlane::kLegacy &&
-                           SharedTextPlane(*a, *b) == nullptr;
-  const bool needs_mutation = options.text_plane == TextPlane::kLegacy ||
-                              build_plane || options.infer_types;
+  const bool build_plane = SharedTextPlane(*a, *b) == nullptr;
+  const bool needs_mutation = build_plane || options.infer_types;
   if (needs_mutation && !owned) {
     // The only table copies on the shared path: this session must edit its
-    // view of the tables (plane detach/attach or a schema rewrite), so it
-    // takes private ones. The service's warm path — plane already attached,
+    // view of the tables (plane attach or a schema rewrite), so it takes
+    // private ones. The service's warm path — plane already attached,
     // infer_types resolved before registration — stays zero-copy.
     a = std::make_shared<Table>(*a);
     b = std::make_shared<Table>(*b);
@@ -55,16 +54,13 @@ Result<DebugSession> DebugSession::CreateShared(
     // view is this function's, not the objects'.
     Table& mutable_a = const_cast<Table&>(*a);
     Table& mutable_b = const_cast<Table&>(*b);
-    if (options.text_plane == TextPlane::kLegacy) {
-      // Ablation contract: the legacy path never consults a plane, even one
-      // the caller attached to the inputs.
-      mutable_a.DetachTextPlane();
-      mutable_b.DetachTextPlane();
-    } else if (build_plane) {
+    if (build_plane) {
       // Tokenize once, before profiling: type inference, attribute
       // selection, corpus build, features, and repair all read this plane.
-      // A truncated build (cancellation mid-plane) is simply not attached;
-      // every stage then falls back to per-call string tokenization.
+      // A truncated build (cancellation or a fault mid-plane) is simply not
+      // attached; every stage then falls back to per-call string
+      // tokenization, with bit-identical output
+      // (tests/text_plane_equivalence_test.cc).
       Stopwatch plane_watch;
       TextPlaneBuildOptions plane_options;
       plane_options.num_threads = options.joint.num_threads;

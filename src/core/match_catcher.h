@@ -14,7 +14,6 @@
 #include "learn/features.h"
 #include "ssj/corpus.h"
 #include "table/table.h"
-#include "table/tokenized_table.h"
 #include "util/memory_budget.h"
 #include "util/status.h"
 #include "verifier/match_verifier.h"
@@ -42,14 +41,6 @@ struct MatchCatcherOptions {
   /// Run rule-based attribute type inference on the inputs (recommended for
   /// freshly loaded CSVs whose schema types are all kString).
   bool infer_types = true;
-  /// Which text data path the session runs on. kTokenized builds the
-  /// tokenize-once TokenizedTable up front (unless the caller already
-  /// attached one to both inputs) and every stage — profiling, corpus build,
-  /// features, repair — reads spans from it. kLegacy detaches any plane and
-  /// re-tokenizes strings per call; outputs are bit-identical either way
-  /// (tests/text_plane_equivalence_test.cc), so kLegacy exists for
-  /// before/after benchmarking and ablation.
-  TextPlane text_plane = TextPlane::kTokenized;
   /// Cooperative cancellation/deadline for the whole Create() pipeline,
   /// propagated into config generation and the joint executor (overrides
   /// any context set on `config`/`joint`). Expiry during config generation
@@ -132,11 +123,10 @@ class DebugSession {
   /// Zero-copy construction: the session shares `table_a`/`table_b` rather
   /// than copying them, so N sessions over one pair pay zero per-session
   /// table copies. The tables are only copied when this session must edit
-  /// its view of them — TextPlane::kLegacy (detaches the plane),
-  /// infer_types (rewrites the schema), or a missing text plane (built and
-  /// attached here). The caller must not mutate the tables afterwards;
-  /// replace-and-republish (the service's delta pattern) is fine because
-  /// the session keeps its own references.
+  /// its view of them — infer_types (rewrites the schema) or a missing text
+  /// plane (built and attached here). The caller must not mutate the tables
+  /// afterwards; replace-and-republish (the service's delta pattern) is fine
+  /// because the session keeps its own references.
   static Result<DebugSession> Create(std::shared_ptr<const Table> table_a,
                                      std::shared_ptr<const Table> table_b,
                                      const CandidateSet& blocker_output,
@@ -167,8 +157,8 @@ class DebugSession {
   double topk_seconds() const { return joint_.total_seconds; }
   /// Wall-clock seconds of config generation.
   double config_seconds() const { return config_seconds_; }
-  /// Wall-clock seconds of the tokenize-once text plane build (0 under
-  /// TextPlane::kLegacy or when the caller supplied an attached plane).
+  /// Wall-clock seconds of the tokenize-once text plane build (0 when the
+  /// caller supplied an attached plane).
   double text_plane_seconds() const { return text_plane_seconds_; }
 
   /// True when the joint phase ran over MatchCatcherOptions::shared_corpus

@@ -49,8 +49,8 @@ Result<std::vector<std::vector<ScoredPair>>> LoadTopKLists(
 
 /// Checksum over per-config lists: list count, then each list's length and
 /// (pair, score-bits) entries in order. Two runs produce equal CRCs iff
-/// their lists are bit-identical — what the delta-equivalence suite and
-/// bench/micro_delta compare patched vs rebuilt outputs with.
+/// their lists are bit-identical — what the delta-equivalence suite
+/// compares patched vs rebuilt outputs with.
 uint32_t TopKListsCrc(const std::vector<std::vector<ScoredPair>>& lists);
 
 }  // namespace mc

@@ -181,9 +181,7 @@ class TwoLevelExecutor {
         return;
       }
 
-      Stopwatch view_watch;
       node.view = ctx_.corpus.MakeConfigView(tree_node.mask);
-      out.view_seconds = view_watch.ElapsedSeconds();
       out.shards_used = shard_count_;
 
       // Per-shard caching scorers: CachingPairScorer is single-threaded
@@ -371,10 +369,7 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   // with the cost-based planner. It respects the run context, so a deadline
   // also bounds this warm-up phase.
   size_t q = options.q;
-  Stopwatch root_view_watch;
   ConfigView root_view = corpus.MakeConfigView(tree.nodes[0].mask);
-  result.stages.view_seconds += root_view_watch.ElapsedSeconds();
-  Stopwatch q_watch;
   std::optional<PlannerProbe> root_probe;
   const size_t hardware =
       std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -403,7 +398,6 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     q = result.plan.q;
   }
   result.q_used = q;
-  result.stages.q_select_seconds = q_watch.ElapsedSeconds();
 
   // The reuse trigger uses the average tuple length over the root config.
   const bool overlap_reuse =
@@ -452,16 +446,11 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                       !config.from_planner_probe;
     decision.prefilter_threshold =
         decision.hybrid ? ctx.root_prefilter : -1.0;
-    decision.mode = decision.hybrid ? JoinExecMode::kHybridPrefilter
-                                    : JoinExecMode::kTopK;
     result.plan_decisions.push_back(decision);
   }
 
   for (const ConfigJoinResult& config : result.per_config) {
     if (!config.completed) result.truncated = true;
-    result.stages.view_seconds += config.view_seconds;
-    result.stages.join_seconds +=
-        std::max(0.0, config.seconds - config.view_seconds);
   }
   // A corpus cut short mid-build (deadline/fault during tokenization) makes
   // every per-config list best-so-far, not exact.

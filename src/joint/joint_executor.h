@@ -93,8 +93,6 @@ struct ConfigJoinResult {
   std::vector<ScoredPair> topk;
   TopKJoinStats stats;
   double seconds = 0.0;
-  /// Time spent building this config's token view (part of `seconds`).
-  double view_seconds = 0.0;
   /// Table-A shard tasks this config's join was decomposed into.
   size_t shards_used = 1;
   size_t cache_hits = 0;
@@ -104,7 +102,7 @@ struct ConfigJoinResult {
   /// probe (PlannerProbe): the root join was not run a second time. `stats`
   /// are the probe's counters, `shards_used` is 1 (the probe ran as one
   /// sequential join), and `seconds` covers only the hand-over — the join
-  /// itself was paid inside JointStageTimings::q_select_seconds.
+  /// itself was paid inside the planner, before any config ran.
   bool from_planner_probe = false;
   /// False when this config's join was cut short (deadline/cancel) or its
   /// task failed; `topk` then holds the best-so-far list (possibly empty),
@@ -121,38 +119,18 @@ struct ConfigPlanDecision {
   size_t q = 1;
   /// Table-A shard tasks the config was decomposed into.
   size_t shards = 1;
-  /// Whether the hybrid threshold/top-k prefilter was applied.
+  /// Whether the hybrid threshold/top-k prefilter was applied (only ever
+  /// on the root config, when the hybrid gate held).
   bool hybrid = false;
   /// The prefilter threshold used (< 0 when hybrid is off).
   double prefilter_threshold = -1.0;
-  /// Execution mode the config actually ran (kHybridPrefilter only on the
-  /// root config when the hybrid gate applied).
-  JoinExecMode mode = JoinExecMode::kTopK;
   bool seeded_from_parent = false;
-};
-
-/// Where the joint execution spent its time, aggregated across configs
-/// (bench/micro_joint reports these alongside corpus-build timings).
-struct JointStageTimings {
-  /// The optional plan-selection phase (the cost-based planner; runs once,
-  /// on the root view). At sample rate 1 it includes the root config's
-  /// join, which the planner's winning probe already ran
-  /// (ConfigJoinResult::from_planner_probe).
-  double q_select_seconds = 0.0;
-  /// Sum of per-config view construction times.
-  double view_seconds = 0.0;
-  /// Sum of per-config join execution times (shard runs + merge + seeding;
-  /// per-config `seconds` minus `view_seconds`). Sums task time, not wall
-  /// time: with parallel workers this exceeds the elapsed total_seconds.
-  double join_seconds = 0.0;
 };
 
 /// Outcome of the whole joint execution, in config-tree node order.
 struct JointResult {
   std::vector<ConfigJoinResult> per_config;
   double total_seconds = 0.0;
-  /// Per-stage breakdown of total_seconds (see JointStageTimings).
-  JointStageTimings stages;
   /// OverlapCache stripe count actually used (auto-sized or explicit).
   size_t overlap_cache_shards_used = 0;
   /// The q value actually used (after the optional planner).

@@ -62,15 +62,14 @@ uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   hash = MixFnv(hash, joint.num_threads);
   hash = MixFnv(hash, joint.shards_per_config);
   // Config generation picks the attributes, and with them the root view the
-  // plan prices — its knobs (and type inference, and the text data path)
-  // are part of what makes two plans interchangeable.
+  // plan prices — its knobs (and type inference) are part of what makes two
+  // plans interchangeable.
   const ConfigGeneratorOptions& config = options.config;
   hash = MixFnvDouble(hash, config.categorical_value_jaccard_threshold);
   hash = MixFnvDouble(hash, config.delta);
   hash = MixFnv(hash, config.handle_long_attributes ? 1 : 0);
   hash = MixFnv(hash, config.max_attributes);
   hash = MixFnv(hash, options.infer_types ? 1 : 0);
-  hash = MixFnv(hash, static_cast<uint64_t>(options.text_plane));
   return hash;
 }
 
@@ -506,13 +505,11 @@ void SessionManager::RunSession(uint64_t id) {
       limits_.enable_plan_cache && request.options.joint.q == 0;
   {
     std::lock_guard<std::mutex> pair_lock(entry->pair_mutex);
-    if (request.options.text_plane == TextPlane::kTokenized &&
-        AttachedTextPlane(*entry->table_a) == nullptr &&
-        !context.Cancelled()) {
+    if (AttachedTextPlane(*entry->table_a) == nullptr && !context.Cancelled()) {
       // Built under the root context, not the session's: the plane outlives
       // this session, so one session's deadline must not truncate it. A
       // truncated build (shutdown mid-flight, budget refusal) is simply not
-      // attached; this and later sessions fall back to the legacy path.
+      // attached; this and later sessions fall back to the string path.
       // Staged on copies and republished (one-time cost per pair): the
       // entry's tables are shared with live sessions and must never mutate
       // in place.
@@ -560,12 +557,10 @@ void SessionManager::RunSession(uint64_t id) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (request.options.text_plane == TextPlane::kTokenized) {
-      if (built_plane) {
-        ++stats_.plane_cache_misses;
-      } else {
-        ++stats_.plane_cache_hits;
-      }
+    if (built_plane) {
+      ++stats_.plane_cache_misses;
+    } else {
+      ++stats_.plane_cache_hits;
     }
     if (shared_corpus != nullptr) ++stats_.corpus_cache_hits;
     if (plan_cache_eligible) {

@@ -26,8 +26,8 @@ namespace mc::simd {
 /// every similarity in the system is derived from (|A|, |B|, overlap) via
 /// SetSimilarityFromCounts, identical counts make every score, ranking, and
 /// checksum bit-identical across dispatch levels (the determinism recipe of
-/// the CSR-engine PRs; enforced by tests/simd_kernels_test.cc and the
-/// cross-level checksum checks of bench/micro_kernels).
+/// the CSR-engine PRs; enforced by tests/simd_kernels_test.cc and, for the
+/// verifier's scores, tests/verifier_test.cc).
 ///
 /// Skewed lengths (one side much longer) divert to a shared galloping search
 /// that consumes matched elements, reproducing the merge count exactly; it is
@@ -97,11 +97,11 @@ size_t OverlapCountCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
 bool OverlapAtLeast(const uint32_t* a, size_t len_a, const uint32_t* b,
                     size_t len_b, size_t required, size_t* overlap);
 
-/// Rank-span counterpart of the legacy string-vector OverlapSize in
+/// Rank-span counterpart of the string-vector OverlapSize in
 /// text/similarity.h: the overlap of two tokenized cells without ever
 /// materializing strings. Plane-attached callers use this (or the kernels
-/// above directly); the string-vector versions remain only for
-/// TextPlane::kLegacy.
+/// above directly); the string-vector versions serve only tables with no
+/// plane attached.
 inline size_t OverlapSize(RankSpan a, RankSpan b) {
   return OverlapCount(a.data, a.length, b.data, b.length);
 }

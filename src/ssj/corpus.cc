@@ -14,7 +14,6 @@
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace mc {
@@ -197,10 +196,12 @@ SsjCorpus SsjCorpus::Build(const Table& table_a, const Table& table_b,
   SsjCorpus corpus;
   corpus.num_attributes_ = columns.size();
 
-  // Tokenize-once fast path: when both tables share an attached text plane,
-  // phase 1 projects its per-cell spans instead of re-tokenizing strings.
-  const TokenizedTable* plane =
-      options.use_text_plane ? SharedTextPlane(table_a, table_b) : nullptr;
+  // Tokenize-once fast path: when both tables share an attached,
+  // non-truncated text plane (table/tokenized_table.h), phase 1 projects its
+  // per-cell spans instead of re-tokenizing strings. The built corpus is
+  // bit-identical to the string path (the plane's distinct streams are the
+  // DistinctWordTokens sequences).
+  const TokenizedTable* plane = SharedTextPlane(table_a, table_b);
   const size_t plane_side_a = table_a.text_plane_side();
   const size_t plane_side_b = table_b.text_plane_side();
 
@@ -231,13 +232,11 @@ SsjCorpus SsjCorpus::Build(const Table& table_a, const Table& table_b,
                    ? options.num_threads
                    : std::max<size_t>(1, std::thread::hardware_concurrency()));
   corpus.build_stats_.blocks = blocks.size();
-  corpus.build_stats_.threads = threads;
 
   // Phase 1 (parallel): tokenize blocks with thread-local dictionaries.
   // Cancellation and the corpus/build_block fault point are checked once
   // per block; a dropped block leaves its rows empty and marks the corpus
   // truncated (best-so-far contract, docs/robustness.md).
-  Stopwatch tokenize_watch;
   auto tokenize_one = [&](TokenizedBlock& block, bool is_a) {
     if (options.run_context.Cancelled()) {
       block.dropped = true;
@@ -276,13 +275,11 @@ SsjCorpus SsjCorpus::Build(const Table& table_a, const Table& table_b,
     // pool's captured Status carries no extra information.
     pool.Wait();
   }
-  corpus.build_stats_.tokenize_seconds = tokenize_watch.ElapsedSeconds();
 
   // Phase 2 (sequential, block order): merge the thread-local dictionaries
   // into the global one. Interning block-by-block in local first-occurrence
   // order assigns exactly the ids a sequential pass over all rows would
   // have assigned; per-token document frequencies merge additively.
-  Stopwatch merge_watch;
   for (TokenizedBlock& block : blocks) {
     if (block.dropped) {
       corpus.truncated_ = true;
@@ -307,7 +304,6 @@ SsjCorpus SsjCorpus::Build(const Table& table_a, const Table& table_b,
     }
   }
   corpus.dictionary_.FinalizeRanks();
-  corpus.build_stats_.merge_seconds = merge_watch.ElapsedSeconds();
 
   // Memory plane: one arena backs every CSR vector of the corpus, charged
   // against the budget exactly what it reserves. The offset tables' sizes
@@ -338,7 +334,6 @@ SsjCorpus SsjCorpus::Build(const Table& table_a, const Table& table_b,
   }
 
   // Phase 3 (sequential): row offsets for both CSR arenas.
-  Stopwatch flatten_watch;
   auto fill_offsets = [&](size_t first_block, size_t block_count,
                           mem::ArenaVector<uint64_t>& offsets,
                           uint64_t base) {
@@ -502,7 +497,6 @@ SsjCorpus SsjCorpus::Build(const Table& table_a, const Table& table_b,
                                    out.row_mask_counts.begin(),
                                    out.row_mask_counts.end());
   }
-  corpus.build_stats_.flatten_seconds = flatten_watch.ElapsedSeconds();
 
   if (stats != nullptr) *stats = corpus.build_stats_;
   return corpus;

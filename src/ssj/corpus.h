@@ -127,7 +127,7 @@ class ConfigView {
   double average_tokens() const { return average_tokens_; }
 
   /// Rows served straight from the corpus arena vs. copied into scratch
-  /// (diagnostics for the zero-copy path; micro_joint reports the split).
+  /// (diagnostics for the zero-copy path).
   size_t zero_copy_rows() const { return zero_copy_rows_; }
   size_t materialized_rows() const { return materialized_rows_; }
 
@@ -161,12 +161,6 @@ struct CorpusBuildOptions {
   /// determines the work decomposition, so it must stay fixed across runs
   /// being compared.
   size_t block_rows = 1024;
-  /// When both tables carry the same attached, non-truncated TokenizedTable
-  /// (table/tokenized_table.h), phase 1 projects per-cell token spans out of
-  /// the plane instead of re-tokenizing cell strings. The built corpus is
-  /// bit-identical to the string path (the plane's distinct streams are the
-  /// DistinctWordTokens sequences); disable to force the legacy path.
-  bool use_text_plane = true;
   /// Cooperative cancellation/deadline. When it fires mid-build, remaining
   /// blocks are skipped: their rows get empty token lists and the corpus is
   /// marked truncated() — joins over it return best-so-far results, and
@@ -214,14 +208,10 @@ struct CorpusPlannerStats {
   double required_overlap_frac[4] = {0.0, 0.0, 0.0, 0.0};
 };
 
-/// Where SsjCorpus::Build spent its time (surfaced by bench/micro_joint).
+/// How SsjCorpus::Build split its input, and how much of it was lost.
 struct CorpusBuildStats {
-  double tokenize_seconds = 0.0;  // Parallel per-block tokenization.
-  double merge_seconds = 0.0;     // Block-order dictionary/frequency merge.
-  double flatten_seconds = 0.0;   // Rank conversion + CSR arena fill.
   size_t blocks = 0;
   size_t dropped_blocks = 0;  // Cancelled or fault-injected blocks.
-  size_t threads = 0;
 };
 
 /// Tokenized form of tables A and B over the promising attributes, with a

@@ -240,7 +240,6 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
           plan.hybrid = true;
           plan.prefilter_threshold =
               std::min(plan.sampled_kth, plan.half_sample_kth);
-          plan.mode = JoinExecMode::kHybridPrefilter;
         }
       }
     }
@@ -249,16 +248,6 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
     whole_table_probe->emplace(PlannerProbe{std::move(*best_list), best});
   }
   return plan;
-}
-
-const char* JoinExecModeName(JoinExecMode mode) {
-  switch (mode) {
-    case JoinExecMode::kTopK:
-      return "topk";
-    case JoinExecMode::kHybridPrefilter:
-      return "hybrid";
-  }
-  return "unknown";
 }
 
 }  // namespace mc

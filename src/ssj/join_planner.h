@@ -15,21 +15,6 @@
 
 namespace mc {
 
-/// How a planned join executes. Both modes return a bit-identical list —
-/// the mode moves work, never results (TopKJoinOptions::prefilter_threshold
-/// contract).
-enum class JoinExecMode {
-  /// Classic prefix-event top-k engine (RunTopKJoin, no prefilter).
-  kTopK,
-  /// Classic engine with every pruning bound tightened to
-  /// max(k-th, sampled threshold); restarts if the threshold overshot.
-  kHybridPrefilter,
-};
-
-/// Short stable name for a JoinExecMode ("topk", "hybrid") — used by
-/// --explain-plans and the bench records.
-const char* JoinExecModeName(JoinExecMode mode);
-
 /// Inputs to the cost-based join planner (ShallowBlocker-style: sampled
 /// cost model + hybrid threshold/top-k execution).
 struct PlannerOptions {
@@ -86,11 +71,10 @@ struct JoinPlan {
   /// True when the sampled k-th estimate stabilized across nested samples
   /// and seeds the hybrid threshold pass (prefilter_threshold then holds
   /// min(sampled_kth, half_sample_kth); an overshoot of the true k-th is
-  /// absorbed by the engine's restart path, never the output).
+  /// absorbed by the engine's restart path, never the output). Either way
+  /// the join returns a bit-identical list: the prefilter moves work, never
+  /// results (TopKJoinOptions::prefilter_threshold contract).
   bool hybrid = false;
-  /// Execution mode the plan selects: kHybridPrefilter exactly when
-  /// `hybrid` is set.
-  JoinExecMode mode = JoinExecMode::kTopK;
 
   // --- evidence / diagnostics ---
   /// Systematic sample rate actually used and the rows it selected.

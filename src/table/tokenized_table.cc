@@ -12,7 +12,6 @@
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace mc {
@@ -136,13 +135,11 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
                    ? options.num_threads
                    : std::max<size_t>(1, std::thread::hardware_concurrency()));
   plane.build_stats_.blocks = blocks.size();
-  plane.build_stats_.threads = threads;
 
   // Phase 1 (parallel): tokenize blocks with thread-local dictionaries.
   // Cancellation and the text_plane/build_block fault point are checked
   // once per block; a dropped block leaves its cells empty and marks the
   // plane truncated (it is then never attached/served).
-  Stopwatch tokenize_watch;
   auto tokenize_one = [&](PlaneBlock& block, const Table& table) {
     if (options.run_context.Cancelled()) {
       block.dropped = true;
@@ -177,13 +174,11 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
     // A throwing block (injected fault) is already marked dropped.
     pool.Wait();
   }
-  plane.build_stats_.tokenize_seconds = tokenize_watch.ElapsedSeconds();
 
   // Phase 2 (sequential, block order): merge the thread-local dictionaries
   // and normalized-value pools. Interning block-by-block in local
   // first-occurrence order assigns exactly the ids a sequential pass over
   // all cells would have assigned.
-  Stopwatch merge_watch;
   // Pool id 0 is always "": cells of dropped blocks point at it, and its
   // unconditional presence keeps pool ids thread-count independent.
   plane.norm_values_.Insert("");
@@ -209,7 +204,6 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
   }
   MC_CHECK_LE(plane.dictionary_.size(), size_t{kTextTokenIdMask});
   plane.dictionary_.FinalizeRanks();
-  plane.build_stats_.merge_seconds = merge_watch.ElapsedSeconds();
 
   // All CSR storage (offset tables, norm ids, missing bits, and the cell
   // arenas themselves) draws from one arena that charges the budget
@@ -245,7 +239,6 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
   // Phase 3 (sequential): per-cell offsets, missing bits, pool-resolved
   // norm ids for both sides. Idempotent (clears its outputs first) so the
   // budget-refusal path below can re-run it after dropping every block.
-  Stopwatch flatten_watch;
   uint64_t arena_sizes[2][2] = {{0, 0}, {0, 0}};  // [side][stream, sorted].
   auto fill_side = [&](size_t first_block, size_t block_count, size_t side,
                        const Table& table) {
@@ -361,7 +354,6 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
     Status status = pool.Wait();
     MC_CHECK(status.ok()) << status.message();
   }
-  plane.build_stats_.flatten_seconds = flatten_watch.ElapsedSeconds();
 
   if (stats != nullptr) *stats = plane.build_stats_;
   return plane_ptr;

@@ -20,18 +20,6 @@
 
 namespace mc {
 
-/// Which text data path a pipeline runs on. kTokenized is the production
-/// path: every cell is normalized and tokenized exactly once into the
-/// TokenizedTable arenas below, and all downstream stages (corpus build,
-/// profiling, blockers, features, repair) read spans. kLegacy keeps the
-/// original WordTokens(std::string)-per-call string path, retained for
-/// before/after benchmarking and ablation; both paths produce bit-identical
-/// outputs (tests/text_plane_equivalence_test.cc).
-enum class TextPlane {
-  kTokenized,
-  kLegacy,
-};
-
 /// High bit of a token-stream entry: set when the token already appeared
 /// earlier in the same cell. Masking repeats out of the stream yields the
 /// cell's DistinctWordTokens sequence (first-appearance order); keeping
@@ -75,14 +63,10 @@ struct TextPlaneBuildOptions {
   MemoryBudget* memory_budget = nullptr;
 };
 
-/// Where TokenizedTable::Build spent its time.
+/// How TokenizedTable::Build split its input, and how much of it was lost.
 struct TextPlaneBuildStats {
-  double tokenize_seconds = 0.0;  // Parallel per-block tokenization.
-  double merge_seconds = 0.0;     // Block-order dictionary/pool merge.
-  double flatten_seconds = 0.0;   // Rank conversion + CSR arena fill.
   size_t blocks = 0;
   size_t dropped_blocks = 0;  // Cancelled or fault-injected blocks.
-  size_t threads = 0;
 };
 
 /// The tokenize-once text plane of a table pair: every cell of tables A and
@@ -338,8 +322,10 @@ const TokenizedTable* AttachedTextPlane(const Table& table);
 
 /// The plane shared by both tables (same object attached to each, covering
 /// both), or nullptr. Pair consumers (predicates, features, repair, corpus
-/// build) gate their fast path on this; nullptr means the legacy string
-/// path — which is exactly the TextPlane::kLegacy behaviour.
+/// build) gate their fast path on this; nullptr means the per-call string
+/// path, the fallback for tables whose plane was truncated or never
+/// attached. Both paths give bit-identical output
+/// (tests/text_plane_equivalence_test.cc).
 const TokenizedTable* SharedTextPlane(const Table& table_a,
                                       const Table& table_b);
 

@@ -20,11 +20,12 @@ namespace mc {
 /// Size of the intersection of two token sets. Duplicates in the inputs are
 /// ignored (set semantics).
 ///
-/// Legacy-only: plane-attached callers must not tokenize strings per pair —
-/// they go through the SIMD-dispatched rank-span kernels instead
+/// String path only: plane-attached callers must not tokenize strings per
+/// pair — they go through the SIMD-dispatched rank-span kernels instead
 /// (simd::OverlapSize / SortedSpanOverlap over TokenizedTable spans). These
-/// string-vector entry points remain for the TextPlane::kLegacy paths (no
-/// plane attached: ad-hoc predicates, raw-string diagnosis/explain).
+/// string-vector entry points serve tables with no plane attached (a
+/// truncated or never-built plane, ad-hoc predicates, raw-string
+/// diagnosis/explain).
 size_t OverlapSize(const std::vector<std::string>& a,
                    const std::vector<std::string>& b);
 

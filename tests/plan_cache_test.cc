@@ -126,7 +126,7 @@ TEST(PlanCacheTest, WarmSessionsServeTheMemoizedPlanBitIdentically) {
         << "cached-plan session diverged from the fresh-planned one";
     // The served plan is the published one, not a re-derivation.
     EXPECT_EQ(outcome.plan.q, cold.plan.q);
-    EXPECT_EQ(outcome.plan.mode, cold.plan.mode);
+    EXPECT_EQ(outcome.plan.hybrid, cold.plan.hybrid);
     EXPECT_EQ(outcome.plan.prefilter_threshold, cold.plan.prefilter_threshold);
   }
 

@@ -833,7 +833,6 @@ TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
     EXPECT_EQ(root.stats.pairs_scored, fresh.plan.est_scored) << label;
     EXPECT_FALSE(fresh.plan_decisions[0].hybrid) << label;
     EXPECT_EQ(fresh.plan_decisions[0].shards, 1u) << label;
-    EXPECT_EQ(fresh.plan_decisions[0].mode, JoinExecMode::kTopK) << label;
     EXPECT_LT(fresh.plan_decisions[0].prefilter_threshold, 0.0) << label;
     for (size_t i = 1; i < fresh.per_config.size(); ++i) {
       EXPECT_FALSE(fresh.per_config[i].from_planner_probe) << label;
@@ -881,7 +880,6 @@ TEST(JointPlannerTest, ReusedRootClaimsNoHybrid) {
   ASSERT_EQ(fresh.plan.shards, 1u);
   EXPECT_TRUE(fresh.per_config[0].from_planner_probe);
   EXPECT_FALSE(fresh.plan_decisions[0].hybrid);
-  EXPECT_EQ(fresh.plan_decisions[0].mode, JoinExecMode::kTopK);
   EXPECT_LT(fresh.plan_decisions[0].prefilter_threshold, 0.0);
 
   JointOptions cached = planned;
@@ -889,13 +887,13 @@ TEST(JointPlannerTest, ReusedRootClaimsNoHybrid) {
   const JointResult replay = RunJointTopKJoins(corpus, tree, cached);
   EXPECT_FALSE(replay.per_config[0].from_planner_probe);
   EXPECT_TRUE(replay.plan_decisions[0].hybrid);
-  EXPECT_EQ(replay.plan_decisions[0].mode, fresh.plan.mode);
+  EXPECT_EQ(replay.plan_decisions[0].hybrid, fresh.plan.hybrid);
   ExpectSameLists(fresh, replay, "reused root vs hybrid root");
 }
 
-// One cached plan executed as kHybridPrefilter and as kTopK must give
-// bit-identical per-config lists — the mode changes work, never output — at
-// 1 and 4 threads. The hybrid bound is the classic root join's k-th score,
+// One cached plan executed with and without the hybrid prefilter must give
+// bit-identical per-config lists — the prefilter changes work, never output
+// — at 1 and 4 threads. The hybrid bound is the classic root join's k-th score,
 // so the prefilter pass accepts (the restart path is pinned above).
 TEST(JointPlannerTest, CachedPlanModeIsOutputInvariant) {
   Rng rng(9700);
@@ -918,12 +916,10 @@ TEST(JointPlannerTest, CachedPlanModeIsOutputInvariant) {
   hybrid_plan.shards = 1;
   hybrid_plan.hybrid = true;
   hybrid_plan.prefilter_threshold = classic.KthScore();
-  hybrid_plan.mode = JoinExecMode::kHybridPrefilter;
   hybrid_plan.stats_generation = corpus.generation();
   JoinPlan topk_plan = hybrid_plan;
   topk_plan.hybrid = false;
   topk_plan.prefilter_threshold = -1.0;
-  topk_plan.mode = JoinExecMode::kTopK;
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     const std::string label = "threads=" + std::to_string(threads);
@@ -940,10 +936,8 @@ TEST(JointPlannerTest, CachedPlanModeIsOutputInvariant) {
     ASSERT_TRUE(topk_run.plan_from_cache) << label;
     ASSERT_FALSE(hybrid_run.truncated) << label;
     ASSERT_FALSE(topk_run.truncated) << label;
-    EXPECT_EQ(hybrid_run.plan_decisions[0].mode,
-              JoinExecMode::kHybridPrefilter)
-        << label;
-    EXPECT_EQ(topk_run.plan_decisions[0].mode, JoinExecMode::kTopK) << label;
+    EXPECT_TRUE(hybrid_run.plan_decisions[0].hybrid) << label;
+    EXPECT_FALSE(topk_run.plan_decisions[0].hybrid) << label;
     ExpectSameLists(hybrid_run, topk_run, label);
   }
 }

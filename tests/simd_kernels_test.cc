@@ -6,6 +6,7 @@
 
 #include "simd/kernels.h"
 #include "simd/kernels_impl.h"
+#include "simd_levels.h"
 #include "text/similarity.h"
 #include "util/random.h"
 
@@ -52,29 +53,6 @@ std::vector<uint32_t> MakeSorted(Rng& rng, size_t length, uint32_t universe,
   }
   return values;
 }
-
-std::vector<SimdLevel> UsableLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (MaxSupportedSimdLevel() >= SimdLevel::kSse4) {
-    levels.push_back(SimdLevel::kSse4);
-  }
-  if (MaxSupportedSimdLevel() >= SimdLevel::kAvx2) {
-    levels.push_back(SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
-// Restores the ambient dispatch level when a test ends.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) : previous_(ActiveSimdLevel()) {
-    EXPECT_TRUE(SetSimdLevel(level));
-  }
-  ~ScopedSimdLevel() { SetSimdLevel(previous_); }
-
- private:
-  SimdLevel previous_;
-};
 
 struct Case {
   std::vector<uint32_t> a;

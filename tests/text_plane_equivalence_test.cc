@@ -1,10 +1,13 @@
-// The PR-level acceptance test for the tokenize-once text plane: every
-// output of the debugging pipeline — promising-attribute e-scores, per-config
-// top-k lists (pairs AND score bits), the candidate set E, pair feature
-// vectors, blocker candidate sets, and repair suggestions — must be
-// bit-identical between TextPlane::kLegacy (per-call string tokenization)
-// and TextPlane::kTokenized (span reads), at 1 and N threads.
+// The acceptance test for the tokenize-once text plane: every output of the
+// debugging pipeline — promising-attribute e-scores, per-config top-k lists
+// (pairs AND score bits), the candidate set E, pair feature vectors, blocker
+// candidate sets, and repair suggestions — must be bit-identical between
+// span reads off the attached plane and the per-call string path, at 1 and
+// N threads. Sessions reach the string path the way production does: a
+// plane build cut short (here by the text_plane/build_block fault point) is
+// truncated and never attached, so every stage falls back to strings.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "datagen/generator.h"
 #include "explain/repair.h"
 #include "table/tokenized_table.h"
+#include "util/fault_injection.h"
 
 namespace mc {
 namespace {
@@ -27,13 +31,23 @@ datagen::GeneratedDataset TestDataset() {
 
 Result<DebugSession> MakeSession(const datagen::GeneratedDataset& dataset,
                                  const CandidateSet& blocker_output,
-                                 TextPlane text_plane, size_t threads) {
+                                 size_t threads) {
   MatchCatcherOptions options;
   options.joint.k = 50;
   options.joint.num_threads = threads;
-  options.text_plane = text_plane;
   return DebugSession::Create(dataset.table_a, dataset.table_b,
                               blocker_output, options);
+}
+
+// A session whose plane build loses its first block to an injected error:
+// the truncated plane is not attached, so the session runs on strings.
+Result<DebugSession> MakeStringPathSession(
+    const datagen::GeneratedDataset& dataset,
+    const CandidateSet& blocker_output, size_t threads) {
+  ScopedFaultArm fault("text_plane/build_block", FaultKind::kError, 1);
+  Result<DebugSession> session = MakeSession(dataset, blocker_output, threads);
+  EXPECT_GT(fault.HitCount(), 0u);
+  return session;
 }
 
 // Exact double equality, expressed over the bit patterns so the failure
@@ -48,84 +62,105 @@ Result<DebugSession> MakeSession(const datagen::GeneratedDataset& dataset,
          << x << " vs " << y << " (bits " << bx << " vs " << by << ")";
 }
 
+// Every session output of `got` matches `want` bit for bit.
+void ExpectSameSession(const DebugSession& got, const DebugSession& want) {
+  // Promising attributes: same columns, bit-identical e-scores and
+  // average lengths (profiling ran on spans vs strings).
+  const PromisingAttributes& pa = got.attributes();
+  const PromisingAttributes& pl = want.attributes();
+  ASSERT_EQ(pa.columns, pl.columns);
+  ASSERT_EQ(pa.e_scores.size(), pl.e_scores.size());
+  for (size_t i = 0; i < pa.e_scores.size(); ++i) {
+    EXPECT_TRUE(SameBits(pa.e_scores[i], pl.e_scores[i])) << "e_score " << i;
+    EXPECT_TRUE(SameBits(pa.avg_len_a[i], pl.avg_len_a[i]));
+    EXPECT_TRUE(SameBits(pa.avg_len_b[i], pl.avg_len_b[i]));
+  }
+
+  // Inferred schema types must agree (type inference profiles via the
+  // plane when one is attached).
+  ASSERT_TRUE(got.table_a().schema() == want.table_a().schema());
+
+  // Per-config top-k lists: identical pairs and score bits, in order.
+  auto lists_t = got.TopKLists();
+  auto lists_l = want.TopKLists();
+  ASSERT_EQ(lists_t.size(), lists_l.size());
+  for (size_t c = 0; c < lists_t.size(); ++c) {
+    ASSERT_EQ(lists_t[c].size(), lists_l[c].size()) << "config " << c;
+    for (size_t i = 0; i < lists_t[c].size(); ++i) {
+      EXPECT_EQ(lists_t[c][i].pair, lists_l[c][i].pair)
+          << "config " << c << " entry " << i;
+      EXPECT_TRUE(SameBits(lists_t[c][i].score, lists_l[c][i].score))
+          << "config " << c << " entry " << i;
+    }
+  }
+
+  // E and per-pair feature vectors.
+  std::vector<PairId> pairs_t = got.CandidatePairs();
+  std::vector<PairId> pairs_l = want.CandidatePairs();
+  ASSERT_EQ(pairs_t, pairs_l);
+  for (PairId pair : pairs_t) {
+    FeatureVector ft = got.extractor().Extract(pair);
+    FeatureVector fl = want.extractor().Extract(pair);
+    ASSERT_EQ(ft.size(), fl.size());
+    for (size_t i = 0; i < ft.size(); ++i) {
+      EXPECT_TRUE(SameBits(ft[i], fl[i]))
+          << "pair " << pair << " feature " << i << " ("
+          << got.extractor().feature_names()[i] << ")";
+    }
+  }
+
+  // Repair suggestions render identically (BestComplementaryAttribute
+  // averages span Jaccards vs string Jaccards).
+  std::vector<PairId> confirmed(pairs_t.begin(),
+                                pairs_t.begin() +
+                                    std::min<size_t>(pairs_t.size(), 20));
+  std::string repairs_t = RenderRepairs(
+      got.table_a().schema(),
+      SuggestRepairs(got.table_a(), got.table_b(), confirmed));
+  std::string repairs_l = RenderRepairs(
+      want.table_a().schema(),
+      SuggestRepairs(want.table_a(), want.table_b(), confirmed));
+  EXPECT_EQ(repairs_t, repairs_l);
+}
+
 TEST(TextPlaneEquivalenceTest, FullSessionBitIdentical) {
   datagen::GeneratedDataset dataset = TestDataset();
   size_t city = dataset.table_a.schema().RequireIndexOf("city");
   auto blocker = HashBlocker::AttributeEquivalence(city);
   CandidateSet blocked = blocker->Run(dataset.table_a, dataset.table_b);
 
-  Result<DebugSession> legacy =
-      MakeSession(dataset, blocked, TextPlane::kLegacy, 1);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->text_plane_seconds(), 0.0);
+  // The reference: the string path at one thread. Both paths at every
+  // thread count must reproduce it, so a thread-count defect shows even
+  // when it hits both paths alike.
+  Result<DebugSession> reference = MakeStringPathSession(dataset, blocked, 1);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_FALSE(reference->truncated());
+  EXPECT_EQ(SharedTextPlane(reference->table_a(), reference->table_b()),
+            nullptr);
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    Result<DebugSession> tokenized =
-        MakeSession(dataset, blocked, TextPlane::kTokenized, threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    Result<DebugSession> tokenized = MakeSession(dataset, blocked, threads);
     ASSERT_TRUE(tokenized.ok());
     EXPECT_GT(tokenized->text_plane_seconds(), 0.0);
     EXPECT_NE(SharedTextPlane(tokenized->table_a(), tokenized->table_b()),
               nullptr);
-    EXPECT_EQ(SharedTextPlane(legacy->table_a(), legacy->table_b()), nullptr);
-
-    // Promising attributes: same columns, bit-identical e-scores and
-    // average lengths (profiling ran on spans vs strings).
-    const PromisingAttributes& pa = tokenized->attributes();
-    const PromisingAttributes& pl = legacy->attributes();
-    ASSERT_EQ(pa.columns, pl.columns) << threads << " threads";
-    ASSERT_EQ(pa.e_scores.size(), pl.e_scores.size());
-    for (size_t i = 0; i < pa.e_scores.size(); ++i) {
-      EXPECT_TRUE(SameBits(pa.e_scores[i], pl.e_scores[i])) << "e_score " << i;
-      EXPECT_TRUE(SameBits(pa.avg_len_a[i], pl.avg_len_a[i]));
-      EXPECT_TRUE(SameBits(pa.avg_len_b[i], pl.avg_len_b[i]));
+    {
+      SCOPED_TRACE("plane");
+      ExpectSameSession(*tokenized, *reference);
     }
 
-    // Inferred schema types must agree (type inference profiles via the
-    // plane under kTokenized).
-    ASSERT_TRUE(tokenized->table_a().schema() == legacy->table_a().schema());
-
-    // Per-config top-k lists: identical pairs and score bits, in order.
-    auto lists_t = tokenized->TopKLists();
-    auto lists_l = legacy->TopKLists();
-    ASSERT_EQ(lists_t.size(), lists_l.size());
-    for (size_t c = 0; c < lists_t.size(); ++c) {
-      ASSERT_EQ(lists_t[c].size(), lists_l[c].size()) << "config " << c;
-      for (size_t i = 0; i < lists_t[c].size(); ++i) {
-        EXPECT_EQ(lists_t[c][i].pair, lists_l[c][i].pair)
-            << "config " << c << " entry " << i;
-        EXPECT_TRUE(SameBits(lists_t[c][i].score, lists_l[c][i].score))
-            << "config " << c << " entry " << i;
-      }
+    if (threads == 1) continue;  // the reference itself
+    Result<DebugSession> strings =
+        MakeStringPathSession(dataset, blocked, threads);
+    ASSERT_TRUE(strings.ok());
+    EXPECT_FALSE(strings->truncated());
+    EXPECT_EQ(SharedTextPlane(strings->table_a(), strings->table_b()),
+              nullptr);
+    {
+      SCOPED_TRACE("strings");
+      ExpectSameSession(*strings, *reference);
     }
-
-    // E and per-pair feature vectors.
-    std::vector<PairId> pairs_t = tokenized->CandidatePairs();
-    std::vector<PairId> pairs_l = legacy->CandidatePairs();
-    ASSERT_EQ(pairs_t, pairs_l);
-    for (PairId pair : pairs_t) {
-      FeatureVector ft = tokenized->extractor().Extract(pair);
-      FeatureVector fl = legacy->extractor().Extract(pair);
-      ASSERT_EQ(ft.size(), fl.size());
-      for (size_t i = 0; i < ft.size(); ++i) {
-        EXPECT_TRUE(SameBits(ft[i], fl[i]))
-            << "pair " << pair << " feature " << i << " ("
-            << tokenized->extractor().feature_names()[i] << ")";
-      }
-    }
-
-    // Repair suggestions render identically (BestComplementaryAttribute
-    // averages span Jaccards vs string Jaccards).
-    std::vector<PairId> confirmed(pairs_t.begin(),
-                                  pairs_t.begin() +
-                                      std::min<size_t>(pairs_t.size(), 20));
-    std::string repairs_t = RenderRepairs(
-        tokenized->table_a().schema(),
-        SuggestRepairs(tokenized->table_a(), tokenized->table_b(),
-                       confirmed));
-    std::string repairs_l = RenderRepairs(
-        legacy->table_a().schema(),
-        SuggestRepairs(legacy->table_a(), legacy->table_b(), confirmed));
-    EXPECT_EQ(repairs_t, repairs_l);
   }
 }
 

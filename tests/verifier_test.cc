@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "learn/features.h"
+#include "simd/kernels.h"
+#include "simd_levels.h"
 #include "ssj/topk_list.h"
 #include "table/table.h"
+#include "table/tokenized_table.h"
 #include "util/random.h"
 #include "verifier/match_verifier.h"
 #include "verifier/user_oracle.h"
@@ -30,7 +33,10 @@ struct World {
   }
 };
 
-std::unique_ptr<World> MakeWorld(size_t rows, uint64_t seed) {
+// With `attach_plane`, features read spans off a shared text plane, so
+// re-ranking runs through the SIMD-dispatched overlap kernels.
+std::unique_ptr<World> MakeWorld(size_t rows, uint64_t seed,
+                                 bool attach_plane = false) {
   auto world = std::make_unique<World>();
   Rng rng(seed);
   static const char* const kCities[] = {"atlanta", "boston", "chicago",
@@ -70,6 +76,7 @@ std::unique_ptr<World> MakeWorld(size_t rows, uint64_t seed) {
   std::sort(list1.begin(), list1.end(), by_score);
   std::sort(list2.begin(), list2.end(), by_score);
   world->lists = {list1, list2};
+  if (attach_plane) TokenizedTable::BuildAndAttach(world->a, world->b, {});
   world->extractor =
       std::make_unique<PairFeatureExtractor>(&world->a, &world->b);
   return world;
@@ -226,32 +233,47 @@ TEST(MatchVerifierTest, LearningBeatsOrEqualsWmrOnStructuredData) {
 
 TEST(MatchVerifierTest, BatchedRerankIsBitIdenticalAcrossThreadCounts) {
   // The batched re-ranking (parallel feature-matrix build + fused
-  // PredictBatch) must produce byte-identical runs at 1 and 4 threads:
-  // same batches in the same order, same phases, same confirmed matches.
-  auto make_result = [](size_t num_threads) {
-    auto world = MakeWorld(60, 11);
+  // PredictBatch) must produce byte-identical runs at 1 and 4 threads and,
+  // over an attached text plane, at every usable SIMD dispatch level: same
+  // batches in the same order, same phases, same confirmed matches. The
+  // reference is the string path at one thread.
+  auto make_result = [](size_t num_threads, bool attach_plane) {
+    auto world = MakeWorld(60, 11, attach_plane);
+    EXPECT_EQ(SharedTextPlane(world->a, world->b) != nullptr, attach_plane);
     VerifierOptions options = SmallOptions();
     options.num_threads = num_threads;
     MatchVerifier verifier(world->lists, world->extractor.get(), options);
     GoldOracle oracle(&world->gold);
     return verifier.Run(oracle);
   };
-  const VerifierResult sequential = make_result(1);
-  const VerifierResult parallel = make_result(4);
-
-  ASSERT_EQ(sequential.num_iterations(), parallel.num_iterations());
-  for (size_t i = 0; i < sequential.num_iterations(); ++i) {
-    EXPECT_EQ(sequential.iterations[i].phase, parallel.iterations[i].phase)
-        << "iteration " << i;
-    EXPECT_EQ(sequential.iterations[i].shown, parallel.iterations[i].shown)
-        << "iteration " << i;
-    EXPECT_EQ(sequential.iterations[i].new_matches,
-              parallel.iterations[i].new_matches)
-        << "iteration " << i;
+  auto expect_same = [](const VerifierResult& want, const VerifierResult& got,
+                        const std::string& label) {
+    ASSERT_EQ(want.num_iterations(), got.num_iterations()) << label;
+    for (size_t i = 0; i < want.num_iterations(); ++i) {
+      EXPECT_EQ(want.iterations[i].phase, got.iterations[i].phase)
+          << label << " iteration " << i;
+      EXPECT_EQ(want.iterations[i].shown, got.iterations[i].shown)
+          << label << " iteration " << i;
+      EXPECT_EQ(want.iterations[i].new_matches, got.iterations[i].new_matches)
+          << label << " iteration " << i;
+    }
+    EXPECT_EQ(want.confirmed_matches.SortedPairs(),
+              got.confirmed_matches.SortedPairs())
+        << label;
+    EXPECT_EQ(want.pairs_shown, got.pairs_shown) << label;
+  };
+  const VerifierResult sequential = make_result(1, /*attach_plane=*/false);
+  expect_same(sequential, make_result(4, /*attach_plane=*/false),
+              "strings threads=4");
+  for (simd::SimdLevel level : simd::UsableLevels()) {
+    simd::ScopedSimdLevel scoped(level);
+    ASSERT_EQ(simd::ActiveSimdLevel(), level);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      expect_same(sequential, make_result(threads, /*attach_plane=*/true),
+                  std::string("plane level=") + simd::SimdLevelName(level) +
+                      " threads=" + std::to_string(threads));
+    }
   }
-  EXPECT_EQ(sequential.confirmed_matches.SortedPairs(),
-            parallel.confirmed_matches.SortedPairs());
-  EXPECT_EQ(sequential.pairs_shown, parallel.pairs_shown);
 }
 
 TEST(RandomForestBatchTest, PredictBatchMatchesSingleSamplePredictions) {

@@ -174,67 +174,10 @@ echo "==== [determinism] joint + corpus determinism under TSan ===="
 ctest --test-dir "${build_root}/tsan" --output-on-failure \
     -R 'JointDeterminismTest|CorpusBuildDeterminismTest'
 
-# Bench smoke: emit a perf record on a tiny workload and validate its schema
-# (plus the committed archives). Catches drift between the JSON writer, the
-# record schema, and tools/validate_bench_json.py without a full bench run.
-# BENCH_planner.json is a historical archive: the q race it compares the
-# planner against was removed, so it is validated but not re-emitted.
-# BENCH_numa.json is archive-only: micro_numa and the placement layer it
-# measured were removed, so it is neither re-emitted nor validated.
-echo "==== [bench-smoke] emit + validate perf record ===="
-bench_json="${build_root}/release/bench_smoke.json"
-"${build_root}/release/bench/micro_ssj" \
-    --json="${bench_json}" --engine=ci-smoke --scale=0.002 --reps=1
-joint_json="${build_root}/release/bench_smoke_joint.json"
-"${build_root}/release/bench/micro_joint" \
-    --json="${joint_json}" --engine=ci-smoke --scale=0.05 --reps=1 --k=50
-text_json="${build_root}/release/bench_smoke_text.json"
-"${build_root}/release/bench/micro_text" \
-    --json="${text_json}" --engine=ci-smoke --scale=0.1 --reps=1 --pairs=2000
-# micro_kernels: one smoke record per dispatch level, merged into a single
-# array so the validator's cross-level checksum-equality check runs on
-# fresh data (not just the committed archive).
-kernels_json="${build_root}/release/bench_smoke_kernels.json"
-for level in scalar sse4 avx2; do
-  "${build_root}/release/bench/micro_kernels" \
-      --json="${build_root}/release/bench_smoke_kernels_${level}.json" \
-      --engine=ci-smoke --simd-level="${level}" \
-      --spans=512 --pairs=20000 --verifier-rows=120 --reps=1
-done
-python3 - "${kernels_json}" \
-    "${build_root}/release/bench_smoke_kernels_"{scalar,sse4,avx2}.json \
-    <<'PY'
-import json, sys
-out, *parts = sys.argv[1:]
-json.dump([json.load(open(p)) for p in parts], open(out, "w"), indent=1)
-PY
-service_json="${build_root}/release/bench_smoke_service.json"
-"${build_root}/release/bench/micro_service" \
-    --json="${service_json}" --engine=ci-smoke --scale=0.02 --reps=1 \
-    --sessions=4 --concurrency=2
-# micro_delta exits 1 on any patch-vs-rebuild divergence; the validator
-# re-checks the checksum equality on both the smoke record and the archive.
-delta_json="${build_root}/release/bench_smoke_delta.json"
-"${build_root}/release/bench/micro_delta" \
-    --json="${delta_json}" --engine=ci-smoke --scale=0.05 --reps=1 \
-    --generations=3
-# micro_plancache exits 1 unless every cached-plan session is bit-identical
-# to the fresh-planned arm; the validator re-checks the cached-vs-fresh
-# checksum equality on the smoke record and the archive.
-plancache_json="${build_root}/release/bench_smoke_plancache.json"
-"${build_root}/release/bench/micro_plancache" \
-    --json="${plancache_json}" --engine=ci-smoke --scale=0.02 --reps=1 \
-    --sessions=3
-python3 "${repo_root}/tools/validate_bench_json.py" \
-    "${bench_json}" "${joint_json}" "${text_json}" "${kernels_json}" \
-    "${service_json}" "${delta_json}" "${plancache_json}" \
-    "${repo_root}/bench/BENCH_ssj.json" \
-    "${repo_root}/bench/BENCH_joint.json" \
-    "${repo_root}/bench/BENCH_text.json" \
-    "${repo_root}/bench/BENCH_kernels.json" \
-    "${repo_root}/bench/BENCH_service.json" \
-    "${repo_root}/bench/BENCH_delta.json" \
-    "${repo_root}/bench/BENCH_planner.json" \
-    "${repo_root}/bench/BENCH_plancache.json"
+# Session-benchmark comparison: the unit tests of sessionbench/compare.py,
+# the script that decides whether a change made a session metric worse.
+# Reads sessionbench/ only; bytecode is not written so the tree stays clean.
+echo "==== [sessionbench-compare] sessionbench/test_compare.py ===="
+PYTHONDONTWRITEBYTECODE=1 python3 "${repo_root}/sessionbench/test_compare.py"
 
 echo "==== all configurations passed ===="

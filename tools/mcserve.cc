@@ -31,14 +31,13 @@
 //   --q N              joint q parameter; 0 runs the cost-based planner
 //                      (default 1: fixed q, planner off)
 //   --explain-plans    print each session's cost-based plan (with its
-//                      execution mode, whether it was served from the
+//                      hybrid switch, whether it was served from the
 //                      cross-session plan cache, and the modeled cost per
 //                      q — ">=" marks a q whose probe was abandoned, a
 //                      lower bound), the per-config plan decisions (q,
-//                      shards, hybrid prefilter, exec mode, parent
-//                      seeding) and the service plan-cache hit/miss
-//                      counters; implies --q 0 unless --q was given
-//                      explicitly
+//                      shards, hybrid prefilter, parent seeding) and the
+//                      service plan-cache hit/miss counters; implies --q 0
+//                      unless --q was given explicitly
 //   --no-plan-cache    disable the cross-session plan cache (every
 //                      planner-eligible session re-runs the sampling
 //                      probes; the ablation baseline for the cache)
@@ -169,13 +168,12 @@ void PrintPlan(uint64_t id, const mc::SessionOutcome& outcome) {
   }
   const mc::JoinPlan& plan = outcome.plan;
   std::printf(
-      "  plan[%llu]: q=%zu shards=%zu mode=%s hybrid=%d tau=%.6f "
+      "  plan[%llu]: q=%zu shards=%zu hybrid=%d tau=%.6f "
       "sample=%zu rows (rate 1/%zu) kth=%.6f half_kth=%.6f stats_gen=%llu "
       "seed=%llu%s%s\n",
       static_cast<unsigned long long>(id), plan.q, plan.shards,
-      mc::JoinExecModeName(plan.mode), plan.hybrid ? 1 : 0,
-      plan.prefilter_threshold, plan.sample_rows, plan.sample_rate,
-      plan.sampled_kth, plan.half_sample_kth,
+      plan.hybrid ? 1 : 0, plan.prefilter_threshold, plan.sample_rows,
+      plan.sample_rate, plan.sampled_kth, plan.half_sample_kth,
       static_cast<unsigned long long>(plan.stats_generation),
       static_cast<unsigned long long>(plan.seed),
       outcome.plan_cache_hit ? " (plan cache hit)" : "",
@@ -188,11 +186,9 @@ void PrintPlan(uint64_t id, const mc::SessionOutcome& outcome) {
   }
   for (const mc::ConfigPlanDecision& decision : outcome.plan_decisions) {
     std::printf(
-        "    config=0x%llx q=%zu shards=%zu mode=%s hybrid=%d tau=%.6f "
-        "seeded=%d\n",
+        "    config=0x%llx q=%zu shards=%zu hybrid=%d tau=%.6f seeded=%d\n",
         static_cast<unsigned long long>(decision.config), decision.q,
-        decision.shards, mc::JoinExecModeName(decision.mode),
-        decision.hybrid ? 1 : 0, decision.prefilter_threshold,
+        decision.shards, decision.hybrid ? 1 : 0, decision.prefilter_threshold,
         decision.seeded_from_parent ? 1 : 0);
   }
 }
