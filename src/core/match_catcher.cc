@@ -145,29 +145,6 @@ Result<DebugSession> DebugSession::CreateShared(
     options.plan_sink(session.joint_.plan);
   }
 
-  // Snapshot the finished lists with their seeding lineage for delta
-  // repair. Only exact (un-truncated) executions qualify: repair replays
-  // the seeding decisions against these lists, so they must be canonical.
-  if (options.joint_sink != nullptr && !session.joint_.truncated) {
-    JointListsSnapshot snapshot;
-    const size_t n = session.tree_.nodes.size();
-    snapshot.configs.reserve(n);
-    snapshot.parents.reserve(n);
-    snapshot.seeded.reserve(n);
-    snapshot.lists.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      snapshot.configs.push_back(session.tree_.nodes[i].mask);
-      snapshot.parents.push_back(session.tree_.nodes[i].parent);
-      snapshot.seeded.push_back(
-          session.joint_.per_config[i].seeded_from_parent ? 1 : 0);
-      snapshot.lists.push_back(session.joint_.per_config[i].topk);
-    }
-    snapshot.k = options.joint.k;
-    snapshot.measure = options.joint.measure;
-    snapshot.q_used = session.joint_.q_used;
-    options.joint_sink(snapshot);
-  }
-
   session.extractor_ = std::make_unique<PairFeatureExtractor>(
       session.table_a_.get(), session.table_b_.get());
   return session;

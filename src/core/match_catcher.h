@@ -10,7 +10,6 @@
 #include "config/config_generator.h"
 #include "explain/summary.h"
 #include "joint/joint_executor.h"
-#include "joint/joint_repair.h"
 #include "learn/features.h"
 #include "ssj/corpus.h"
 #include "table/table.h"
@@ -65,13 +64,6 @@ struct MatchCatcherOptions {
   std::function<void(std::shared_ptr<const SsjCorpus>,
                      const std::vector<size_t>&)>
       corpus_sink;
-  /// Called once after an *un-truncated* joint phase with the per-config
-  /// lists and their seeding lineage — the service's hook for caching
-  /// repairable top-k state, so a later table delta patches the lists
-  /// (joint/joint_repair.h) instead of rerunning the joins. Truncated
-  /// executions are never snapshotted: their lists are best-so-far, not
-  /// canonical, and cannot anchor an exact repair.
-  std::function<void(const JointListsSnapshot&)> joint_sink;
   /// Cached execution plan for the joint phase (the service's cross-session
   /// plan cache). When set and the joint phase would run the cost planner
   /// (joint.q == 0), the sampling probes are

@@ -275,10 +275,15 @@ Status SessionManager::ApplyTableDelta(const std::string& key,
 
   bool patched_plane = false;
   bool patched_corpus = false;
-  JointRepairStats repair_stats;
   const Status status = [&]() -> Status {
     if (delta.empty()) {
       return Status::InvalidArgument("empty delta for pair " + key);
+    }
+    if (delta.side > 1) {
+      return Status::InvalidArgument("delta side " +
+                                     std::to_string(delta.side) +
+                                     " is neither 0 (A) nor 1 (B) for pair " +
+                                     key);
     }
     if (MC_FAULT_POINT("service/delta") != FaultKind::kNone) {
       return Status::Unavailable("injected fault: service/delta");
@@ -351,36 +356,9 @@ Status SessionManager::ApplyTableDelta(const std::string& key,
       }
     }
 
-    // Repair the cached top-k lists against the patched corpus. Without a
-    // corpus (evicted, or never published) the snapshot cannot be repaired
-    // and is dropped — serving stale lists would be wrong.
-    std::shared_ptr<const JointListsSnapshot> new_lists;
-    if (entry->joint_lists != nullptr && new_corpus != nullptr) {
-      std::vector<RowId> touched_a;
-      std::vector<RowId> touched_b;
-      std::vector<RowId>& touched = delta.side == 0 ? touched_a : touched_b;
-      touched.assign(rows.touched.begin(), rows.touched.end());
-      for (size_t i = 0; i < rows.appended; ++i) {
-        touched.push_back(static_cast<RowId>(rows.base_rows + i));
-      }
-      JointRepairOptions repair_options;
-      repair_options.exclude = entry->blocker_output.get();
-      repair_options.run_context = root_context_;
-      auto repaired =
-          std::make_shared<JointListsSnapshot>(*entry->joint_lists);
-      repaired->lists =
-          RepairJointLists(*new_corpus, *entry->joint_lists, touched_a,
-                           touched_b, repair_options, &repair_stats);
-      new_lists = std::move(repaired);
-    }
-
-    // Publish. The displaced generation's plane/corpus park on the
-    // superseded list — in-flight sessions keep their own references, and
-    // the evictor reclaims these before any live plane.
-    if (old_plane != nullptr || entry->corpus != nullptr) {
-      entry->superseded.push_back(SupersededPlane{
-          entry->generation, old_plane, std::move(entry->corpus)});
-    }
+    // Publish. The entry drops its references to the displaced generation;
+    // in-flight sessions pinned to it hold their own, so it is freed when
+    // the last of them ends.
     entry->table_a = std::make_shared<const Table>(std::move(staged_a));
     entry->table_b = std::make_shared<const Table>(std::move(staged_b));
     entry->total_rows.store(
@@ -388,7 +366,6 @@ Status SessionManager::ApplyTableDelta(const std::string& key,
             static_cast<uint64_t>(entry->table_b->num_rows()),
         std::memory_order_relaxed);
     entry->corpus = std::move(new_corpus);
-    entry->joint_lists = std::move(new_lists);
     // Cached plans priced the displaced generation's sampled corpus
     // statistics; none survives the bump. The next planner-eligible session
     // re-plans against the patched corpus and repopulates the cache.
@@ -405,8 +382,6 @@ Status SessionManager::ApplyTableDelta(const std::string& key,
   ++stats_.deltas_applied;
   if (patched_plane) ++stats_.planes_patched;
   if (patched_corpus) ++stats_.corpora_patched;
-  stats_.lists_repaired += repair_stats.configs_repaired;
-  stats_.lists_rejoined += repair_stats.configs_rejoined;
   return status;
 }
 
@@ -422,24 +397,6 @@ Result<uint64_t> SessionManager::PairGeneration(const std::string& key) const {
   }
   std::lock_guard<std::mutex> pair_lock(entry->pair_mutex);
   return entry->generation;
-}
-
-Result<std::vector<std::vector<ScoredPair>>> SessionManager::CachedTopKLists(
-    const std::string& key) const {
-  std::shared_ptr<PairEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = pairs_.find(key);
-    if (it == pairs_.end()) {
-      return Status::NotFound("unknown table pair: " + key);
-    }
-    entry = it->second;
-  }
-  std::lock_guard<std::mutex> pair_lock(entry->pair_mutex);
-  if (entry->joint_lists == nullptr) {
-    return Status::NotFound("no cached top-k lists for pair: " + key);
-  }
-  return entry->joint_lists->lists;
 }
 
 void SessionManager::RunSession(uint64_t id) {
@@ -501,8 +458,7 @@ void SessionManager::RunSession(uint64_t id) {
   std::shared_ptr<const JoinPlan> cached_plan;
   std::shared_ptr<const CachedConfigPick> cached_config;
   uint64_t plan_signature = 0;
-  const bool plan_cache_eligible =
-      limits_.enable_plan_cache && request.options.joint.q == 0;
+  const bool plan_cache_eligible = request.options.joint.q == 0;
   {
     std::lock_guard<std::mutex> pair_lock(entry->pair_mutex);
     if (AttachedTextPlane(*entry->table_a) == nullptr && !context.Cancelled()) {
@@ -620,22 +576,6 @@ void SessionManager::RunSession(uint64_t id) {
       if (slot == nullptr) slot = std::make_shared<const CachedConfigPick>(pick);
     };
   }
-  if (request.options.joint.q >= 1) {
-    // Cache repairable top-k state, first qualifying session wins. Gated on
-    // a caller-fixed q: under joint.q == 0 the planner picks q from the
-    // data, so a rebuild could legitimately pick a different q than the
-    // snapshot replays — only a deterministic q makes repair-vs-rebuild
-    // equivalence provable. Truncated executions never reach the sink.
-    options.joint_sink = [this, entry,
-                          plane_generation](const JointListsSnapshot& lists) {
-      std::lock_guard<std::mutex> pair_lock(entry->pair_mutex);
-      if (entry->generation != plane_generation) return;  // Stale session.
-      if (entry->joint_lists == nullptr) {
-        entry->joint_lists = std::make_shared<const JointListsSnapshot>(lists);
-      }
-    };
-  }
-
   // The build is pure until FinishSession publishes, so rebuilding after a
   // transient failure (the "service/build" fault, a budget rejection that
   // cleared) is safe — exactly the idempotent case RetryPolicy covers.
@@ -814,30 +754,14 @@ size_t SessionManager::EvictSharedPlanesLocked(size_t max_evictions) {
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   size_t evicted = 0;
-  // Pass 1: superseded generations. No new session can ever see them, so
-  // they are pure reclaim — they go before any live plane is touched, and
-  // pinned sessions are unaffected (they hold their own references).
-  for (auto& [tick, entry] : order) {
-    if (max_evictions != 0 && evicted >= max_evictions) break;
-    // try_lock: a pair whose plane is being built (or snapshotted, or
-    // patched) right now is busy, not idle — skip it rather than invert
-    // the mutex_ → pair_mutex order and deadlock.
-    std::unique_lock<std::mutex> pair_lock(entry->pair_mutex,
-                                           std::try_to_lock);
-    if (!pair_lock.owns_lock()) continue;
-    while (!entry->superseded.empty() &&
-           (max_evictions == 0 || evicted < max_evictions)) {
-      entry->superseded.erase(entry->superseded.begin());  // Oldest first.
-      ++evicted;
-      ++stats_.planes_evicted;
-      ++stats_.superseded_planes_evicted;
-    }
-  }
-  // Pass 2: live planes, LRU first — but only on pairs no live session is
-  // pinned to, so a running session never loses the shared cache under it.
+  // Live planes, LRU first — but only on pairs no live session is pinned
+  // to, so a running session never loses the shared cache under it.
   for (auto& [tick, entry] : order) {
     if (max_evictions != 0 && evicted >= max_evictions) break;
     if (entry->active_sessions != 0) continue;
+    // try_lock: a pair whose plane is being built (or snapshotted, or
+    // patched) right now is busy, not idle — skip it rather than invert
+    // the mutex_ → pair_mutex order and deadlock.
     std::unique_lock<std::mutex> pair_lock(entry->pair_mutex,
                                            std::try_to_lock);
     if (!pair_lock.owns_lock()) continue;
@@ -863,9 +787,6 @@ size_t SessionManager::EvictSharedPlanesLocked(size_t max_evictions) {
     }
     entry->corpus.reset();
     entry->corpus_columns.clear();
-    // Without a corpus the snapshot can no longer be repaired by a delta;
-    // drop it with the cache it rode on.
-    entry->joint_lists.reset();
     ++evicted;
     ++stats_.planes_evicted;
   }

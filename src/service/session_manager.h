@@ -61,13 +61,6 @@ struct ServiceLimits {
   RetryPolicy retry;
   /// Seed for the retry jitter streams (each session forks its own).
   uint64_t seed = 42;
-  /// Cache joint execution plans across sessions on the same pair, keyed by
-  /// (plane generation, plan-affecting option signature). A hit skips the
-  /// planner's sampling probes entirely; output stays bit-identical because
-  /// the planner is deterministic for a fixed (seed, generation) — serving
-  /// the memoized plan is indistinguishable from re-running it. Off =
-  /// every session plans fresh (`mcserve --no-plan-cache` ablation).
-  bool enable_plan_cache = true;
 };
 
 /// Session lifecycle (docs/robustness.md has the transition diagram):
@@ -158,10 +151,6 @@ struct ServiceStats {
   size_t delta_failures = 0;    // Failed deltas; prior generation kept.
   size_t planes_patched = 0;    // Planes updated via TokenizedTable::ApplyDelta.
   size_t corpora_patched = 0;   // Corpora updated via SsjCorpus::ApplyDelta.
-  size_t lists_repaired = 0;    // Config lists repaired by incremental merge.
-  size_t lists_rejoined = 0;    // Config lists that fell back to a full join.
-  size_t superseded_planes_evicted = 0;  // Subset of planes_evicted that
-                                         // were superseded generations.
   size_t memory_used_bytes = 0;
   size_t memory_peak_bytes = 0;
   size_t memory_rejected_charges = 0;
@@ -201,11 +190,11 @@ struct ServiceStats {
 ///     published the same way. Shared results are bit-identical to isolated
 ///     builds (the builders are thread-count deterministic).
 ///   - Incremental deltas: ApplyTableDelta() patches the stored tables, the
-///     shared plane, the cached corpus, and the cached per-config top-k
-///     lists in place of a rebuild, then bumps the pair's generation.
-///     In-flight sessions keep the generation they pinned at snapshot time;
-///     superseded generations park on a reclaim list the evictor drains
-///     first. A failed delta leaves the prior generation intact and visible.
+///     shared plane, and the cached corpus in place of a rebuild, then bumps
+///     the pair's generation. In-flight sessions keep the generation they
+///     pinned at snapshot time; the entry drops its references on commit,
+///     so a displaced generation is freed when its last pinned session
+///     ends. A failed delta leaves the prior generation intact and visible.
 ///   - Retry/backoff: session builds and checkpoint IO run under the
 ///     configured RetryPolicy; injected faults ("service/build",
 ///     "session_io/*") exercise the real paths.
@@ -240,35 +229,28 @@ class SessionManager {
 
   /// Applies a batch of row edits to one side of a registered pair and
   /// patches every cached artifact incrementally: the stored tables, the
-  /// attached TokenizedTable (TokenizedTable::ApplyDelta), the cached
-  /// corpus (SsjCorpus::ApplyDelta), and the cached per-config top-k lists
-  /// (RepairJointLists) — all staged on copies and published atomically as
-  /// a new plane generation. Patched artifacts are content-identical to
+  /// attached TokenizedTable (TokenizedTable::ApplyDelta), and the cached
+  /// corpus (SsjCorpus::ApplyDelta) — all staged on copies and published
+  /// atomically as a new plane generation, with the pair's cached plans
+  /// dropped. Patched artifacts are content-identical to
   /// from-scratch rebuilds of the mutated tables (the delta-equivalence
   /// suite holds this bit for bit). When an artifact's dead-token fraction
   /// passes the compaction threshold (0.5), it is rebuilt instead of
   /// patched — same contract, fresh dictionary.
   ///
   /// In-flight sessions are unaffected: they hold references to the
-  /// generation they snapshotted. On any failure — validation, the
+  /// generation they snapshotted, and the displaced generation is freed
+  /// when the last of them ends. On any failure — validation, the
   /// "service/delta" fault, a budget refusal mid-patch — the prior
   /// generation stays intact and visible, and nothing is published.
   /// Typed errors: kNotFound (unknown key), kInvalidArgument (empty or
-  /// malformed delta), kUnavailable (fault/patch failure, shutting down),
+  /// malformed delta, or a side other than 0 or 1), kUnavailable (fault/patch failure, shutting down),
   /// kResourceExhausted (compaction rebuild truncated by the budget).
   Status ApplyTableDelta(const std::string& key, const TableDelta& delta);
 
   /// Current plane generation of a registered pair (starts at 1; each
   /// committed delta increments it). kNotFound for unknown keys.
   Result<uint64_t> PairGeneration(const std::string& key) const;
-
-  /// The pair's cached per-config top-k lists — populated by the first
-  /// non-truncated session that ran with a deterministic q (joint.q >= 1),
-  /// then repaired in place by every committed delta. kNotFound when the
-  /// pair is unknown or nothing is cached (no qualifying session yet, or
-  /// the cache was evicted).
-  Result<std::vector<std::vector<ScoredPair>>> CachedTopKLists(
-      const std::string& key) const;
 
   /// Blocks until the session is terminal; returns its outcome.
   Result<SessionOutcome> Wait(uint64_t session_id);
@@ -313,16 +295,6 @@ class SessionManager {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// A plane generation displaced by a committed delta. New sessions can
-  /// never see it again, so the evictor reclaims these before touching any
-  /// live plane; in-flight sessions pinned to it hold their own references
-  /// and are unaffected by the reclaim.
-  struct SupersededPlane {
-    uint64_t generation = 0;
-    std::shared_ptr<const TokenizedTable> plane;
-    std::shared_ptr<const SsjCorpus> corpus;
-  };
-
   struct PairEntry {
     /// Immutable and shared: sessions snapshot these pointers under
     /// pair_mutex instead of copying the tables (zero-copy session start).
@@ -344,10 +316,6 @@ class SessionManager {
     /// over it directly.
     std::shared_ptr<const SsjCorpus> corpus;
     std::vector<size_t> corpus_columns;
-    /// Cached repairable top-k state: published by the first qualifying
-    /// session's joint_sink, repaired in place by every committed delta.
-    /// Guarded by pair_mutex, like corpus.
-    std::shared_ptr<const JointListsSnapshot> joint_lists;
     /// One memoized session plan: the joint execution plan plus the config
     /// pick (promising attributes + tree) it was planned over. The two
     /// halves publish independently (config before the joint phase, plan
@@ -368,9 +336,6 @@ class SessionManager {
     /// Monotone plane generation; ApplyTableDelta bumps it on commit.
     /// Guarded by pair_mutex.
     uint64_t generation = 1;
-    /// Prior generations awaiting reclaim, oldest first. Guarded by
-    /// pair_mutex.
-    std::vector<SupersededPlane> superseded;
     uint64_t last_used_tick = 0;
     /// Sessions currently pinned to this entry (claimed but not yet
     /// terminal). Guarded by mutex_ — the evictor reads it there to skip

@@ -39,7 +39,6 @@ namespace mc::simd::internal {
 
 enum class BlockMode {
   kFull,     // exact count
-  kCapped,   // exact while <= bound, else bound + 1
   kAtLeast,  // early-abandon via positional bound (sets *ok)
 };
 
@@ -65,9 +64,6 @@ size_t BlockCore(const uint32_t* a, size_t len_a, const uint32_t* b,
       i += a_max <= b_max ? kW : 0;
       j += b_max <= a_max ? kW : 0;
     }
-    if constexpr (kMode == BlockMode::kCapped) {
-      if (count > bound) return bound + 1;
-    }
   }
   // Scalar tail (also handles inputs shorter than one block).
   while (i < len_a && j < len_b) {
@@ -79,12 +75,7 @@ size_t BlockCore(const uint32_t* a, size_t len_a, const uint32_t* b,
     }
     const uint32_t x = a[i];
     const uint32_t y = b[j];
-    if (x == y) {
-      ++count;
-      if constexpr (kMode == BlockMode::kCapped) {
-        if (count > bound) return count;  // count == bound + 1.
-      }
-    }
+    count += x == y;
     i += x <= y;
     j += y <= x;
   }
@@ -99,13 +90,6 @@ template <typename Ops>
 size_t BlockOverlap(const uint32_t* a, size_t len_a, const uint32_t* b,
                     size_t len_b) {
   return BlockCore<Ops, BlockMode::kFull>(a, len_a, b, len_b, 0, nullptr);
-}
-
-template <typename Ops>
-size_t BlockOverlapCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
-                          size_t len_b, size_t limit) {
-  return BlockCore<Ops, BlockMode::kCapped>(a, len_a, b, len_b, limit,
-                                            nullptr);
 }
 
 template <typename Ops>

@@ -28,19 +28,6 @@ size_t ScalarOverlap(const uint32_t* a, size_t len_a, const uint32_t* b,
   return count;
 }
 
-size_t ScalarOverlapCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
-                           size_t len_b, size_t limit) {
-  size_t i = 0, j = 0, count = 0;
-  while (i < len_a && j < len_b) {
-    const uint32_t x = a[i];
-    const uint32_t y = b[j];
-    if (x == y && ++count > limit) return count;  // count == limit + 1.
-    i += x <= y;
-    j += y <= x;
-  }
-  return count;
-}
-
 bool ScalarOverlapAtLeast(const uint32_t* a, size_t len_a, const uint32_t* b,
                           size_t len_b, size_t required, size_t* overlap) {
   size_t i = 0, j = 0, count = 0;
@@ -72,8 +59,8 @@ size_t ScalarOverlapResume(const uint32_t* a, size_t len_a, const uint32_t* b,
   return count;
 }
 
-size_t GallopOverlapCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
-                           size_t len_b, size_t limit) {
+size_t GallopOverlap(const uint32_t* a, size_t len_a, const uint32_t* b,
+                     size_t len_b) {
   // Iterate the short side; gallop (exponential probe + binary search) for
   // each element in the long side's remainder. A matched long-side element
   // is consumed, which reproduces the greedy merge's multiset count
@@ -103,15 +90,14 @@ size_t GallopOverlapCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
     }
     if (b[j] == x) {
       ++j;
-      if (++count > limit) return count;  // count == limit + 1.
+      ++count;
     }
   }
   return count;
 }
 
 const KernelTable& ScalarKernels() {
-  static const KernelTable table = {&ScalarOverlap, &ScalarOverlapCapped,
-                                    &ScalarOverlapAtLeast};
+  static const KernelTable table = {&ScalarOverlap, &ScalarOverlapAtLeast};
   return table;
 }
 
@@ -209,8 +195,7 @@ const ActiveState* Active() {
 
 // Shared front door of the count kernels: empty/ordering normalization and
 // the skew cut-over to the (level-independent) galloping path, so every
-// level sees only the balanced case. `limit >= min(len_a, len_b)` never
-// triggers, making the capped kernel double as the exact one.
+// level sees only the balanced case.
 inline size_t CountWith(const KernelTable& table, const uint32_t* a,
                         size_t len_a, const uint32_t* b, size_t len_b) {
   if (len_a > len_b) {
@@ -219,7 +204,7 @@ inline size_t CountWith(const KernelTable& table, const uint32_t* a,
   }
   if (len_a == 0) return 0;
   if (len_b / len_a >= internal::kGallopSkew) {
-    return internal::GallopOverlapCapped(a, len_a, b, len_b, len_a);
+    return internal::GallopOverlap(a, len_a, b, len_b);
   }
   return table.overlap(a, len_a, b, len_b);
 }
@@ -269,23 +254,6 @@ size_t OverlapCount(const uint32_t* a, size_t len_a, const uint32_t* b,
   return CountWith(*Active()->table, a, len_a, b, len_b);
 }
 
-size_t OverlapCountCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
-                          size_t len_b, size_t limit) {
-  if (len_a > len_b) {
-    std::swap(a, b);
-    std::swap(len_a, len_b);
-  }
-  if (len_a == 0) return 0;
-  if (len_a <= limit) {
-    // The cap can never trigger; the plain kernel avoids its checks.
-    return CountWith(*Active()->table, a, len_a, b, len_b);
-  }
-  if (len_b / len_a >= internal::kGallopSkew) {
-    return internal::GallopOverlapCapped(a, len_a, b, len_b, limit);
-  }
-  return Active()->table->overlap_capped(a, len_a, b, len_b, limit);
-}
-
 bool OverlapAtLeast(const uint32_t* a, size_t len_a, const uint32_t* b,
                     size_t len_b, size_t required, size_t* overlap) {
   if (len_a > len_b) {
@@ -298,8 +266,7 @@ bool OverlapAtLeast(const uint32_t* a, size_t len_a, const uint32_t* b,
     return true;  // required == 0.
   }
   if (len_b / len_a >= internal::kGallopSkew) {
-    const size_t count =
-        internal::GallopOverlapCapped(a, len_a, b, len_b, len_a);
+    const size_t count = internal::GallopOverlap(a, len_a, b, len_b);
     if (count < required) return false;
     *overlap = count;
     return true;

@@ -76,15 +76,6 @@ struct RankSpan {
 size_t OverlapCount(const uint32_t* a, size_t len_a, const uint32_t* b,
                     size_t len_b);
 
-/// Count-only early-exit variant for integer pruning tables: returns the
-/// exact count while it is <= limit, and exactly limit + 1 as soon as the
-/// count provably exceeds `limit`. This is what the QJoin probe's q-th
-/// shared-token test and the required-overlap table consume — they only need
-/// equality with values <= limit, so the kernel stops merging the moment the
-/// answer is "more than limit".
-size_t OverlapCountCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
-                          size_t len_b, size_t limit);
-
 /// Bounded-overlap kernel for early-abandon scoring: returns true iff the
 /// merge count is >= required, abandoning the merge as soon as even matching
 /// every remaining token leaves the count below `required` (the positional

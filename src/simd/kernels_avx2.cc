@@ -52,7 +52,6 @@ struct Avx2Ops {
 
 const KernelTable* Avx2Kernels() {
   static const KernelTable table = {&BlockOverlap<Avx2Ops>,
-                                    &BlockOverlapCapped<Avx2Ops>,
                                     &BlockOverlapAtLeast<Avx2Ops>};
   return &table;
 }

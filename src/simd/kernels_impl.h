@@ -15,31 +15,27 @@ namespace mc::simd::internal {
 struct KernelTable {
   size_t (*overlap)(const uint32_t* a, size_t len_a, const uint32_t* b,
                     size_t len_b);
-  size_t (*overlap_capped)(const uint32_t* a, size_t len_a, const uint32_t* b,
-                           size_t len_b, size_t limit);
   bool (*overlap_at_least)(const uint32_t* a, size_t len_a, const uint32_t* b,
                            size_t len_b, size_t required, size_t* overlap);
 };
 
 /// One side this many times longer than the other diverts to the galloping
-/// path (shared by every level; see GallopOverlapCapped).
+/// path (shared by every level; see GallopOverlap).
 inline constexpr size_t kGallopSkew = 32;
 
 /// Greedy-merge count of the skewed case via galloping (exponential probe +
 /// binary search) over the longer side. Matched elements of the long side
 /// are consumed (search resumes past them), which reproduces the merge's
 /// multiset semantics exactly — the property tests compare this against the
-/// scalar merge on duplicate-laden inputs. Returns the exact count while
-/// <= limit, else limit + 1. `len_a <= len_b` is the caller's job.
-size_t GallopOverlapCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
-                           size_t len_b, size_t limit);
+/// scalar merge on duplicate-laden inputs. `len_a <= len_b` is the
+/// caller's job.
+size_t GallopOverlap(const uint32_t* a, size_t len_a, const uint32_t* b,
+                     size_t len_b);
 
 /// Scalar reference kernels (always available; also the tail loops of the
 /// vector kernels).
 size_t ScalarOverlap(const uint32_t* a, size_t len_a, const uint32_t* b,
                      size_t len_b);
-size_t ScalarOverlapCapped(const uint32_t* a, size_t len_a, const uint32_t* b,
-                           size_t len_b, size_t limit);
 bool ScalarOverlapAtLeast(const uint32_t* a, size_t len_a, const uint32_t* b,
                           size_t len_b, size_t required, size_t* overlap);
 

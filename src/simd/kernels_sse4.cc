@@ -49,7 +49,6 @@ struct Sse4Ops {
 
 const KernelTable* Sse4Kernels() {
   static const KernelTable table = {&BlockOverlap<Sse4Ops>,
-                                    &BlockOverlapCapped<Sse4Ops>,
                                     &BlockOverlapAtLeast<Sse4Ops>};
   return &table;
 }

@@ -32,7 +32,7 @@ struct TableDelta {
   }
 };
 
-/// The delta reduced to the row sets the plane / corpus / top-k patchers
+/// The delta reduced to the row sets the plane and corpus patchers
 /// consume: which pre-existing rows changed content, which of those are
 /// tombstones, and how many rows were appended.
 struct RowsDelta {

@@ -96,8 +96,8 @@ TableDelta RandomDelta(const Table& table, uint8_t side, size_t generation,
 // ---------------------------------------------------------------------------
 // Warm reuse: the first planner-eligible session on a pair publishes its
 // plan; every following identical session is served from the cache with
-// bit-identical lists. The --no-plan-cache ablation plans fresh every time
-// and still produces the same bytes.
+// bit-identical lists, the same bytes as an isolated session that plans
+// fresh.
 
 TEST(PlanCacheTest, WarmSessionsServeTheMemoizedPlanBitIdentically) {
   datagen::GeneratedDataset dataset = SmallDataset();
@@ -135,24 +135,14 @@ TEST(PlanCacheTest, WarmSessionsServeTheMemoizedPlanBitIdentically) {
   EXPECT_EQ(stats.plan_cache_hits, 2u);
   EXPECT_EQ(stats.plans_computed, 1u);  // Hits never run the planner.
 
-  // Ablation: with the cache off every session plans fresh — three planner
-  // runs, no hit/miss accounting — and the output is byte-for-byte the same.
-  ServiceLimits no_cache = limits;
-  no_cache.enable_plan_cache = false;
-  SessionManager fresh(no_cache);
-  ASSERT_TRUE(fresh
-                  .RegisterTablePair("fz", dataset.table_a, dataset.table_b,
-                                     dataset.gold)
-                  .ok());
-  for (int i = 0; i < 3; ++i) {
-    const SessionOutcome outcome = MustRun(fresh, request);
-    EXPECT_FALSE(outcome.plan_cache_hit);
-    EXPECT_EQ(TopKListsCrc(outcome.lists), want_crc);
-  }
-  stats = fresh.stats();
-  EXPECT_EQ(stats.plan_cache_hits, 0u);
-  EXPECT_EQ(stats.plan_cache_misses, 0u);
-  EXPECT_EQ(stats.plans_computed, 3u);
+  // An isolated session never sees a cached plan: it runs the planner and
+  // produces the same bytes.
+  Result<DebugSession> isolated = DebugSession::Create(
+      dataset.table_a, dataset.table_b, dataset.gold, request.options);
+  ASSERT_TRUE(isolated.ok()) << isolated.status().ToString();
+  EXPECT_TRUE(isolated->joint_result().planner_used);
+  EXPECT_FALSE(isolated->joint_result().plan_from_cache);
+  EXPECT_EQ(TopKListsCrc(isolated->TopKLists()), want_crc);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,8 +150,8 @@ TEST(PlanCacheTest, WarmSessionsServeTheMemoizedPlanBitIdentically) {
 // cached plans (the old plan was fitted to a corpus generation that no
 // longer exists), and the session served the re-published plan is
 // bit-identical to fresh-planned sessions over the same patched state —
-// both the re-planning session on this manager and every session of a
-// mirror manager running with the cache disabled.
+// both the re-planning session on this manager and an isolated session on
+// the mirrored tables.
 
 TEST(PlanCacheTest, DeltaSchedulesInvalidateAndStayBitIdentical) {
   for (uint64_t seed : SeedMatrix()) {
@@ -179,16 +169,6 @@ TEST(PlanCacheTest, DeltaSchedulesInvalidateAndStayBitIdentical) {
     SessionManager manager(limits);
     ASSERT_TRUE(
         manager.RegisterTablePair("fz", table_a, table_b, dataset.gold).ok());
-    // The ground-truth mirror: identical pair, identical deltas, never a
-    // cached plan. Its sessions are always fresh-planned, and the patched
-    // planes it plans over are bit-identical to the cached manager's (the
-    // delta patch contract), so any cache-induced divergence shows up as a
-    // checksum mismatch.
-    ServiceLimits no_cache = limits;
-    no_cache.enable_plan_cache = false;
-    SessionManager mirror(no_cache);
-    ASSERT_TRUE(
-        mirror.RegisterTablePair("fz", table_a, table_b, dataset.gold).ok());
 
     // Warm the cache on generation 1.
     MustRun(manager, request);
@@ -201,11 +181,17 @@ TEST(PlanCacheTest, DeltaSchedulesInvalidateAndStayBitIdentical) {
           RandomDelta(side == 0 ? table_a : table_b, side, round, rng);
       ASSERT_TRUE(ApplyDeltaToTable(side == 0 ? table_a : table_b, delta).ok());
       ASSERT_TRUE(manager.ApplyTableDelta("fz", delta).ok());
-      ASSERT_TRUE(mirror.ApplyTableDelta("fz", delta).ok());
 
-      const SessionOutcome fresh = MustRun(mirror, request);
-      EXPECT_FALSE(fresh.plan_cache_hit);
-      const uint32_t want_crc = TopKListsCrc(fresh.lists);
+      // The ground truth: an isolated session on the mirrored tables always
+      // plans fresh, and the patched planes the manager plans over are
+      // bit-identical to its from-scratch builds (the delta patch
+      // contract), so any cache-induced divergence shows up as a checksum
+      // mismatch.
+      Result<DebugSession> fresh =
+          DebugSession::Create(table_a, table_b, dataset.gold,
+                               request.options);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      const uint32_t want_crc = TopKListsCrc(fresh->TopKLists());
 
       const SessionOutcome replanned = MustRun(manager, request);
       EXPECT_FALSE(replanned.plan_cache_hit)

@@ -152,32 +152,6 @@ TEST(SimdKernelsTest, AllLevelsMatchMergeReference) {
   }
 }
 
-TEST(SimdKernelsTest, CappedMatchesSpecAtEveryLimit) {
-  const auto cases = BuildCases();
-  Rng rng(99);
-  for (SimdLevel level : UsableLevels()) {
-    ScopedSimdLevel scoped(level);
-    for (size_t idx = 0; idx < cases.size(); ++idx) {
-      const Case& c = cases[idx];
-      const auto [storage_a, storage_b] = Materialize(c);
-      const uint32_t* a = storage_a.data() + c.offset_a;
-      const uint32_t* b = storage_b.data() + c.offset_b;
-      const size_t exact = MergeCount(c.a, c.b);
-      // Limits below, at, and above the exact count, plus 0 and random.
-      std::vector<size_t> limits = {0, exact, exact + 1, exact + 100,
-                                    rng.NextBelow(exact + 2)};
-      if (exact > 0) limits.push_back(exact - 1);
-      for (size_t limit : limits) {
-        const size_t got = OverlapCountCapped(a, c.a.size(), b, c.b.size(),
-                                              limit);
-        const size_t want = exact <= limit ? exact : limit + 1;
-        EXPECT_EQ(got, want) << "level=" << SimdLevelName(level)
-                             << " case=" << idx << " limit=" << limit;
-      }
-    }
-  }
-}
-
 TEST(SimdKernelsTest, AtLeastMatchesSpecAtEveryThreshold) {
   const auto cases = BuildCases();
   for (SimdLevel level : UsableLevels()) {

@@ -60,12 +60,16 @@ for config in asan tsan; do
   done
 done
 
-# Delta equivalence: incremental plane/corpus/list patching must stay
+# Delta equivalence: incremental plane/corpus patching must stay
 # bit-identical to from-scratch rebuilds across randomized delta schedules,
 # including faults mid-patch (a failed patch leaves the prior generation
-# intact). ASan catches arena lifetime bugs in the CSR patchers; TSan
-# catches races between ApplyTableDelta and in-flight sessions pinned to
-# the superseded generation. The seed matrix extends the built-in seeds.
+# intact) and malformed deltas (typed errors, nothing staged). ASan catches
+# arena lifetime bugs in the CSR patchers; TSan checks the last-reference
+# release of a displaced generation, which runs on the session thread that
+# was pinned to it once ApplyTableDelta has dropped the entry's references.
+# ServiceEvictionTest checks that committed deltas no longer accumulate
+# planes and corpora in the budget. The seed matrix extends the built-in
+# seeds.
 echo "==== [delta-equivalence] patch-vs-rebuild suite under ASan + TSan ===="
 for config in asan tsan; do
   for seed in 7 1234 424242; do

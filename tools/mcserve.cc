@@ -38,9 +38,6 @@
 //                      shards, hybrid prefilter, parent seeding) and the
 //                      service plan-cache hit/miss counters; implies --q 0
 //                      unless --q was given explicitly
-//   --no-plan-cache    disable the cross-session plan cache (every
-//                      planner-eligible session re-runs the sampling
-//                      probes; the ablation baseline for the cache)
 //
 // Exit status: 0 when every admitted session ends complete or truncated,
 // 1 when any session fails, 2 on usage errors.
@@ -83,7 +80,6 @@ struct Args {
   size_t joint_q = 1;
   bool q_set = false;
   bool explain_plans = false;
-  bool plan_cache = true;
 };
 
 int Usage(const char* argv0) {
@@ -92,8 +88,7 @@ int Usage(const char* argv0) {
                "[--concurrency N] [--queue N] [--k N] [--threads N] "
                "[--deadline-ms N] [--memory-limit B] [--checkpoint DIR] "
                "[--chaos-seed S] [--retry-after] [--deltas N] "
-               "[--delta-seed S] [--q N] [--explain-plans] "
-               "[--no-plan-cache]\n"
+               "[--delta-seed S] [--q N] [--explain-plans]\n"
                "       %s --tables A.csv,B.csv --candidates C.csv [...]\n",
                argv0, argv0);
   return 2;
@@ -148,8 +143,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->q_set = true;
     } else if (arg == "--explain-plans") {
       args->explain_plans = true;
-    } else if (arg == "--no-plan-cache") {
-      args->plan_cache = false;
     } else {
       return false;
     }
@@ -321,7 +314,6 @@ int main(int argc, char** argv) {
   limits.memory_limit_bytes = args.memory_limit;
   limits.default_deadline_millis = args.deadline_ms;
   limits.checkpoint_dir = args.checkpoint_dir;
-  limits.enable_plan_cache = args.plan_cache;
   mc::SessionManager manager(limits);
 
   if (!args.checkpoint_dir.empty()) {
@@ -453,7 +445,7 @@ int main(int argc, char** argv) {
       "sharing: plane hits/misses=%zu/%zu corpus hits=%zu builds=%zu "
       "evicted=%zu\n"
       "deltas: applied=%zu failed=%zu planes_patched=%zu "
-      "corpora_patched=%zu lists repaired/rejoined=%zu/%zu\n"
+      "corpora_patched=%zu\n"
       "memory: used=%zu peak=%zu rejected_charges=%zu "
       "release_violations=%zu | restored=%zu "
       "restore_failures=%zu watchdog_cancelled=%zu\n"
@@ -464,7 +456,7 @@ int main(int argc, char** argv) {
       stats.plane_cache_hits, stats.plane_cache_misses,
       stats.corpus_cache_hits, stats.corpus_builds, stats.planes_evicted,
       stats.deltas_applied, stats.delta_failures, stats.planes_patched,
-      stats.corpora_patched, stats.lists_repaired, stats.lists_rejoined,
+      stats.corpora_patched,
       stats.memory_used_bytes, stats.memory_peak_bytes,
       stats.memory_rejected_charges, stats.memory_release_violations,
       stats.sessions_restored, stats.restore_failures,
