@@ -1,5 +1,6 @@
 #include "core/match_catcher.h"
 
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -39,12 +40,20 @@ Result<DebugSession> DebugSession::CreateShared(
     return Status::InvalidArgument("tables A and B must share one schema");
   }
   const bool build_plane = SharedTextPlane(*a, *b) == nullptr;
-  const bool needs_mutation = build_plane || options.infer_types;
+  // Inference profiles through the plane, so it runs after a plane build
+  // below; over an attached plane it runs here, and tables that already
+  // carry the inferred schema need no rewrite.
+  std::optional<Schema> inferred;
+  if (options.infer_types && !build_plane) inferred = InferAttributeTypes(*a);
+  const bool rewrite_schema =
+      options.infer_types && (build_plane || !(*inferred == a->schema()));
+  const bool needs_mutation = build_plane || rewrite_schema;
   if (needs_mutation && !owned) {
     // The only table copies on the shared path: this session must edit its
     // view of the tables (plane attach or a schema rewrite), so it takes
-    // private ones. The service's warm path — plane already attached,
-    // infer_types resolved before registration — stays zero-copy.
+    // private ones. The service's warm path — plane attached, and for
+    // infer_types sessions the generation's inferred copy of the pair —
+    // stays zero-copy.
     a = std::make_shared<Table>(*a);
     b = std::make_shared<Table>(*b);
     owned = true;
@@ -69,8 +78,9 @@ Result<DebugSession> DebugSession::CreateShared(
       TokenizedTable::BuildAndAttach(mutable_a, mutable_b, plane_options);
       session.text_plane_seconds_ = plane_watch.ElapsedSeconds();
     }
-    if (options.infer_types) {
-      mutable_a.SetSchema(InferAttributeTypes(mutable_a));
+    if (rewrite_schema) {
+      if (!inferred.has_value()) inferred = InferAttributeTypes(mutable_a);
+      mutable_a.SetSchema(*std::move(inferred));
       mutable_b.SetSchema(mutable_a.schema());
     }
   }

@@ -115,8 +115,9 @@ class DebugSession {
   /// Zero-copy construction: the session shares `table_a`/`table_b` rather
   /// than copying them, so N sessions over one pair pay zero per-session
   /// table copies. The tables are only copied when this session must edit
-  /// its view of them — infer_types (rewrites the schema) or a missing text
-  /// plane (built and attached here). The caller must not mutate the tables
+  /// its view of them — infer_types on tables whose schema is not already
+  /// the inferred one (rewrites the schema) or a missing text plane (built
+  /// and attached here). The caller must not mutate the tables
   /// afterwards; replace-and-republish (the service's delta pattern) is fine
   /// because the session keeps its own references.
   static Result<DebugSession> Create(std::shared_ptr<const Table> table_a,

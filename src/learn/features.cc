@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "text/normalize.h"
 #include "text/similarity.h"
@@ -10,6 +11,27 @@
 #include "util/thread_pool.h"
 
 namespace mc {
+namespace {
+
+// Runs fn(block, begin, end) over [0, n) split into `blocks` contiguous
+// ranges, on `pool` when there is more than one block.
+template <typename Fn>
+void ForEachBlock(ThreadPool* pool, size_t blocks, size_t n, const Fn& fn) {
+  if (blocks <= 1) {
+    fn(size_t{0}, size_t{0}, n);
+    return;
+  }
+  const size_t chunk = (n + blocks - 1) / blocks;
+  for (size_t block = 0; block * chunk < n; ++block) {
+    const size_t begin = block * chunk;
+    const size_t end = std::min(begin + chunk, n);
+    pool->Submit([&fn, block, begin, end] { fn(block, begin, end); });
+  }
+  const Status status = pool->Wait();
+  MC_CHECK(status.ok()) << status.message();
+}
+
+}  // namespace
 
 PairFeatureExtractor::PairFeatureExtractor(const Table* table_a,
                                            const Table* table_b)
@@ -17,25 +39,18 @@ PairFeatureExtractor::PairFeatureExtractor(const Table* table_a,
   MC_CHECK(table_a_->schema() == table_b_->schema());
   plane_ = SharedTextPlane(*table_a_, *table_b_);
   if (plane_ != nullptr) {
-    plane_side_a_ = table_a_->text_plane_side();
-    plane_side_b_ = table_b_->text_plane_side();
-    grams3_.resize(table_a_->num_columns(), nullptr);
+    plane_side_[0] = table_a_->text_plane_side();
+    plane_side_[1] = table_b_->text_plane_side();
   }
   const Schema& schema = table_a_->schema();
   for (size_t c = 0; c < schema.size(); ++c) {
     const std::string& name = schema.attribute(c).name;
     if (schema.attribute(c).type == AttributeType::kNumeric) {
-      numeric_columns_.push_back(c);
       feature_names_.push_back(name + ":abs_diff");
       feature_names_.push_back(name + ":rel_diff");
       feature_names_.push_back(name + ":both_present");
     } else {
       string_columns_.push_back(c);
-      if (plane_ != nullptr) {
-        // Resolve the lazy 3-gram plane up front so Extract stays lock-free
-        // on its hot path.
-        grams3_[c] = plane_->QGramsForColumn(3, c);
-      }
       feature_names_.push_back(name + ":jaccard_word");
       feature_names_.push_back(name + ":jaccard_3gram");
       feature_names_.push_back(name + ":cosine_word");
@@ -43,6 +58,23 @@ PairFeatureExtractor::PairFeatureExtractor(const Table* table_a,
       feature_names_.push_back(name + ":edit_sim");
       feature_names_.push_back(name + ":both_present");
     }
+  }
+}
+
+void PairFeatureExtractor::CodeRow(size_t side, size_t row,
+                                   std::vector<uint32_t>& out,
+                                   std::string& scratch) const {
+  const Table& table = side == 0 ? *table_a_ : *table_b_;
+  const size_t header = string_columns_.size() + 1;
+  const size_t begin = out.size();
+  out.resize(begin + header, 0);
+  for (size_t s = 0; s < string_columns_.size(); ++s) {
+    const size_t c = string_columns_[s];
+    if (!table.IsMissing(row, c)) {
+      AppendQGramCodes(plane_->NormalizedValue(plane_side_[side], row, c), 3,
+                       scratch, out);
+    }
+    out[begin + s + 1] = static_cast<uint32_t>(out.size() - begin - header);
   }
 }
 
@@ -57,8 +89,30 @@ void PairFeatureExtractor::ExtractInto(PairId pair, double* out) const {
   const size_t row_b = PairRowB(pair);
   MC_CHECK_LT(row_a, table_a_->num_rows());
   MC_CHECK_LT(row_b, table_b_->num_rows());
+  if (plane_ == nullptr || string_columns_.empty()) {
+    ExtractWith(pair, nullptr, nullptr, out);
+    return;
+  }
+  std::vector<uint32_t> slabs;
+  std::string scratch;
+  CodeRow(0, row_a, slabs, scratch);
+  const size_t slab_b = slabs.size();
+  CodeRow(1, row_b, slabs, scratch);
+  ExtractWith(pair, slabs.data(), slabs.data() + slab_b, out);
+}
+
+void PairFeatureExtractor::ExtractWith(PairId pair, const uint32_t* slab_a,
+                                       const uint32_t* slab_b,
+                                       double* out) const {
+  const size_t row_a = PairRowA(pair);
+  const size_t row_b = PairRowB(pair);
+  const size_t header = string_columns_.size() + 1;
+  auto grams = [header](const uint32_t* slab, size_t s) {
+    return CellSpan{slab + header + slab[s], slab[s + 1] - slab[s]};
+  };
 
   double* f = out;
+  size_t s = 0;  // String-column index of column c.
   const Schema& schema = table_a_->schema();
   for (size_t c = 0; c < schema.size(); ++c) {
     if (schema.attribute(c).type == AttributeType::kNumeric) {
@@ -79,17 +133,19 @@ void PairFeatureExtractor::ExtractInto(PairId pair, double* out) const {
       bool present = !table_a_->IsMissing(row_a, c) &&
                      !table_b_->IsMissing(row_b, c);
       if (present && plane_ != nullptr) {
-        // Span path: every quantity below comes from the tokenize-once
-        // plane; no strings are tokenized per pair. Identical doubles to
-        // the string path — all four set measures reduce to
-        // SetSimilarityFromCounts over the same (|A|, |B|, overlap).
-        CellSpan words_a = plane_->SortedRanks(plane_side_a_, row_a, c);
-        CellSpan words_b = plane_->SortedRanks(plane_side_b_, row_b, c);
+        // Span path: words and normalized values come from the
+        // tokenize-once plane, 3-grams from the row slabs; only the slabs
+        // are coded per call, once per distinct row. Identical doubles to the
+        // string path — all four set measures reduce to
+        // SetSimilarityFromCounts over the same (|A|, |B|, overlap), and
+        // QGramJaccard codes grams with the same coder.
+        CellSpan words_a = plane_->SortedRanks(plane_side_[0], row_a, c);
+        CellSpan words_b = plane_->SortedRanks(plane_side_[1], row_b, c);
         const size_t word_overlap = SortedSpanOverlap(words_a, words_b);
         *f++ = SetSimilarityFromCounts(SetMeasure::kJaccard, words_a.size(),
                                        words_b.size(), word_overlap);
-        CellSpan grams_a = grams3_[c]->Row(plane_side_a_, row_a);
-        CellSpan grams_b = grams3_[c]->Row(plane_side_b_, row_b);
+        CellSpan grams_a = grams(slab_a, s);
+        CellSpan grams_b = grams(slab_b, s);
         *f++ = SetSimilarityFromCounts(SetMeasure::kJaccard, grams_a.size(),
                                        grams_b.size(),
                                        SortedSpanOverlap(grams_a, grams_b));
@@ -99,10 +155,10 @@ void PairFeatureExtractor::ExtractInto(PairId pair, double* out) const {
                                        words_a.size(), words_b.size(),
                                        word_overlap);
         std::string_view norm_a =
-            plane_->NormalizedValue(plane_side_a_, row_a, c)
+            plane_->NormalizedValue(plane_side_[0], row_a, c)
                 .substr(0, kEditPrefixLimit);
         std::string_view norm_b =
-            plane_->NormalizedValue(plane_side_b_, row_b, c)
+            plane_->NormalizedValue(plane_side_[1], row_b, c)
                 .substr(0, kEditPrefixLimit);
         *f++ = NormalizedEditSimilarity(norm_a, norm_b);
         *f++ = 1.0;
@@ -124,6 +180,7 @@ void PairFeatureExtractor::ExtractInto(PairId pair, double* out) const {
       } else {
         for (int i = 0; i < 6; ++i) *f++ = 0.0;
       }
+      ++s;
     }
   }
   MC_CHECK_EQ(static_cast<size_t>(f - out), num_features());
@@ -143,25 +200,57 @@ void PairFeatureExtractor::ExtractBatch(const PairId* pairs, size_t count,
 void PairFeatureExtractor::ExtractBatch(const PairId* pairs, size_t count,
                                         ThreadPool* pool,
                                         double* matrix) const {
+  if (count == 0) return;
   const size_t nf = num_features();
   const size_t threads =
       pool == nullptr ? 1 : std::min(pool->num_threads(), count);
-  if (threads <= 1) {
-    for (size_t i = 0; i < count; ++i) ExtractInto(pairs[i], matrix + i * nf);
-    return;
-  }
-  // Contiguous row ranges, one per worker; rows are disjoint writes.
-  const size_t chunk = (count + threads - 1) / threads;
-  for (size_t begin = 0; begin < count; begin += chunk) {
-    const size_t end = std::min(begin + chunk, count);
-    pool->Submit([this, pairs, matrix, nf, begin, end] {
+  if (plane_ == nullptr || string_columns_.empty()) {
+    ForEachBlock(pool, threads, count, [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         ExtractInto(pairs[i], matrix + i * nf);
       }
     });
+    return;
   }
-  const Status status = pool->Wait();
-  MC_CHECK(status.ok()) << status.message();
+  // The batch's rows, keyed 2 * row + side, sorted and distinct: each is
+  // coded once however many pairs share it.
+  std::vector<size_t> rows;
+  rows.reserve(2 * count);
+  for (size_t i = 0; i < count; ++i) {
+    MC_CHECK_LT(PairRowA(pairs[i]), table_a_->num_rows());
+    MC_CHECK_LT(PairRowB(pairs[i]), table_b_->num_rows());
+    rows.push_back(2 * size_t{PairRowA(pairs[i])});
+    rows.push_back(2 * size_t{PairRowB(pairs[i])} + 1);
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  // Coded in parallel, one code buffer per block; slab j points into its
+  // block's buffer once that block is done growing it.
+  std::vector<std::vector<uint32_t>> codes(threads);
+  std::vector<size_t> offsets(rows.size());
+  std::vector<const uint32_t*> slabs(rows.size());
+  ForEachBlock(pool, threads, rows.size(),
+               [&](size_t block, size_t begin, size_t end) {
+                 std::string scratch;
+                 for (size_t j = begin; j < end; ++j) {
+                   offsets[j] = codes[block].size();
+                   CodeRow(rows[j] & 1, rows[j] >> 1, codes[block], scratch);
+                 }
+                 for (size_t j = begin; j < end; ++j) {
+                   slabs[j] = codes[block].data() + offsets[j];
+                 }
+               });
+  auto slab_of = [&](size_t key) {
+    return slabs[std::lower_bound(rows.begin(), rows.end(), key) -
+                 rows.begin()];
+  };
+  ForEachBlock(pool, threads, count, [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ExtractWith(pairs[i], slab_of(2 * size_t{PairRowA(pairs[i])}),
+                  slab_of(2 * size_t{PairRowB(pairs[i])} + 1),
+                  matrix + i * nf);
+    }
+  });
 }
 
 }  // namespace mc

@@ -1,6 +1,7 @@
 #ifndef MATCHCATCHER_LEARN_FEATURES_H_
 #define MATCHCATCHER_LEARN_FEATURES_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,9 @@ using FeatureVector = std::vector<double>;
 /// difference, and a both-present flag. Missing values zero the similarity
 /// features and the flag, letting trees learn "missing brand" style blocker
 /// problems directly.
+///
+/// Thread-safe: any number of threads may call the const API on one
+/// extractor at once.
 class PairFeatureExtractor {
  public:
   PairFeatureExtractor(const Table* table_a, const Table* table_b);
@@ -39,10 +43,10 @@ class PairFeatureExtractor {
 
   /// Fills a row-major feature matrix (count x num_features()): row i gets
   /// the features of pairs[i]. `num_threads > 1` extracts rows in parallel
-  /// over a ThreadPool — rows are disjoint writes and extraction is
-  /// read-only over the tables/plane, so the matrix is bit-identical for
-  /// every thread count. This is the once-per-iteration matrix build of the
-  /// verifier's batched re-ranking.
+  /// over a ThreadPool — rows are disjoint writes and extraction only reads
+  /// the tables, the plane and this call's row codes, so the matrix is
+  /// bit-identical for every thread count. This is the once-per-iteration
+  /// matrix build of the verifier's batched re-ranking.
   void ExtractBatch(const PairId* pairs, size_t count, size_t num_threads,
                     double* matrix) const;
 
@@ -55,20 +59,32 @@ class PairFeatureExtractor {
  private:
   static constexpr size_t kEditPrefixLimit = 30;
 
+  // Appends the 3-gram slab of (side, row) to `out`: string_columns_.size()
+  // + 1 offsets, then every string column's sorted distinct codes
+  // (AppendQGramCodes) in string-column order; column s spans
+  // [offsets[s], offsets[s + 1]) past the offsets. Missing cells have no
+  // codes.
+  void CodeRow(size_t side, size_t row, std::vector<uint32_t>& out,
+               std::string& scratch) const;
+  // ExtractInto over the slabs of the pair's two rows (nullptr without a
+  // plane).
+  void ExtractWith(PairId pair, const uint32_t* slab_a,
+                   const uint32_t* slab_b, double* out) const;
+
   const Table* table_a_;
   const Table* table_b_;
   // Shared text plane of the pair, when attached: Extract reads per-cell
   // spans instead of re-tokenizing both cell strings per call, so the
-  // verifier's re-ranking iterations do zero tokenization. The 3-gram
-  // planes of the string columns are resolved once here (they are lazy in
-  // the TokenizedTable).
+  // verifier's re-ranking iterations do zero tokenization. 3-grams are not
+  // read from the plane's whole-column q-gram columns, which would stay
+  // pinned for the plane's life: each call codes the rows it scores
+  // (ExtractBatch each distinct row once) and frees the codes on return.
+  // The verifier caches features per pair, so no later call would read
+  // them again.
   const TokenizedTable* plane_ = nullptr;
-  size_t plane_side_a_ = 0;
-  size_t plane_side_b_ = 0;
-  std::vector<const TokenizedTable::QGramColumn*> grams3_;  // By column.
+  size_t plane_side_[2] = {0, 0};  // Plane side of table A, of table B.
   std::vector<std::string> feature_names_;
   std::vector<size_t> string_columns_;
-  std::vector<size_t> numeric_columns_;
 };
 
 }  // namespace mc

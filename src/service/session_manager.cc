@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/session_io.h"
+#include "table/profile.h"
 #include "table/tokenized_table.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -31,6 +32,27 @@ std::string CheckpointPath(const std::string& dir, uint64_t id) {
 // rebuilding from scratch instead. Content equality with a rebuild holds on
 // either path.
 constexpr double kDeadTokenCompactionThreshold = 0.5;
+
+// Approximate heap bytes of a table's cells: the string objects, their
+// characters and the missing bits.
+size_t TableCellBytes(const Table& table) {
+  size_t bytes = 0;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    for (size_t row = 0; row < table.num_rows(); ++row) {
+      bytes += sizeof(std::string) + table.Value(row, c).size() + 1;
+    }
+  }
+  return bytes;
+}
+
+// A pair's copy with the inferred schema, held with the budget charge for
+// its cells; the charge returns when the last reference to either table
+// drops.
+struct InferredPair {
+  MemoryReservation charge;
+  Table a;
+  Table b;
+};
 
 uint64_t MixFnv(uint64_t hash, uint64_t value) {
   for (size_t i = 0; i < 8; ++i) {
@@ -361,6 +383,8 @@ Status SessionManager::ApplyTableDelta(const std::string& key,
     // the last of them ends.
     entry->table_a = std::make_shared<const Table>(std::move(staged_a));
     entry->table_b = std::make_shared<const Table>(std::move(staged_b));
+    entry->inferred_a.reset();
+    entry->inferred_b.reset();
     entry->total_rows.store(
         static_cast<uint64_t>(entry->table_a->num_rows()) +
             static_cast<uint64_t>(entry->table_b->num_rows()),
@@ -478,10 +502,43 @@ void SessionManager::RunSession(uint64_t id) {
       TokenizedTable::BuildAndAttach(staged_a, staged_b, plane_options);
       entry->table_a = std::make_shared<const Table>(std::move(staged_a));
       entry->table_b = std::make_shared<const Table>(std::move(staged_b));
+      entry->inferred_a.reset();
+      entry->inferred_b.reset();
       built_plane = true;
     }
     table_a = entry->table_a;
     table_b = entry->table_b;
+    if (request.options.infer_types &&
+        AttachedTextPlane(*table_a) != nullptr &&
+        table_a->schema() == table_b->schema()) {
+      // Type inference rewrites the schema, so without this copy each
+      // infer_types session would copy both tables. One copy per
+      // generation, made single-flight like the plane, serves them all;
+      // Create finds its schema already inferred and shares it. A schema
+      // inference leaves as it is needs no copy. The copy is charged to the
+      // budget; while the budget refuses it, sessions copy privately in
+      // Create instead. (Mismatched schemas are left to Create to reject.)
+      if (entry->inferred_a == nullptr) {
+        Schema schema = InferAttributeTypes(*table_a);
+        MemoryReservation charge;
+        if (schema == table_a->schema()) {
+          entry->inferred_a = table_a;
+          entry->inferred_b = table_b;
+        } else if (charge.Acquire(&budget_, TableCellBytes(*table_a) +
+                                                TableCellBytes(*table_b))) {
+          auto copy = std::make_shared<InferredPair>(
+              InferredPair{std::move(charge), *table_a, *table_b});
+          copy->a.SetSchema(schema);
+          copy->b.SetSchema(std::move(schema));
+          entry->inferred_a = std::shared_ptr<const Table>(copy, &copy->a);
+          entry->inferred_b = std::shared_ptr<const Table>(copy, &copy->b);
+        }
+      }
+      if (entry->inferred_a != nullptr) {
+        table_a = entry->inferred_a;
+        table_b = entry->inferred_b;
+      }
+    }
     blocker_output = entry->blocker_output;
     shared_corpus = entry->corpus;
     shared_corpus_columns = entry->corpus_columns;
@@ -784,6 +841,8 @@ size_t SessionManager::EvictSharedPlanesLocked(size_t max_evictions) {
       stripped_b.DetachTextPlane();
       entry->table_a = std::make_shared<const Table>(std::move(stripped_a));
       entry->table_b = std::make_shared<const Table>(std::move(stripped_b));
+      entry->inferred_a.reset();
+      entry->inferred_b.reset();
     }
     entry->corpus.reset();
     entry->corpus_columns.clear();

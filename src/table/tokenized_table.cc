@@ -99,6 +99,12 @@ void TokenizedTable::BindVectorsToArena(mem::Arena* arena) {
   }
 }
 
+TokenizedTable::~TokenizedTable() {
+  if (memory_budget_ != nullptr && qgram_charged_ > 0) {
+    memory_budget_->Release(qgram_charged_);
+  }
+}
+
 std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
     const Table& table_a, const Table& table_b,
     const TextPlaneBuildOptions& options, TextPlaneBuildStats* stats) {
@@ -210,6 +216,7 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
   // exactly its reserved bytes. The metadata sizes follow from the
   // dimensions alone, so they are reserved before the fill; the cell
   // arenas are reserved once their exact size is known below.
+  plane.memory_budget_ = options.memory_budget;
   plane.arena_ = std::make_unique<mem::Arena>(mem::ArenaOptions{
       .budget = options.memory_budget, .tag = "text_plane"});
   size_t meta_bytes = 0;
@@ -395,6 +402,7 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
   // metadata sizes (offset tables, norm ids, missing bits, both sides) are
   // known up front; a refused reserve rejects the delta, mirroring Build's
   // admission.
+  out.memory_budget_ = options.memory_budget;
   out.arena_ = std::make_unique<mem::Arena>(mem::ArenaOptions{
       .budget = options.memory_budget, .tag = "text_plane"});
   {
@@ -650,6 +658,13 @@ const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
   std::unique_lock<std::shared_mutex> lock(qgram_mutex_);
   auto it = qgram_cache_.find(key);
   if (it != qgram_cache_.end()) return it->second.get();
+  // A column that cannot be had (fault, refused charge) is cached as null,
+  // so it is built and charged at most once per plane: per-pair predicates
+  // ask for it on every pair.
+  if (MC_FAULT_POINT("text_plane/qgram_build") != FaultKind::kNone) {
+    qgram_cache_.emplace(key, nullptr);
+    return nullptr;
+  }
 
   auto built = std::make_unique<QGramColumn>();
   StringIndex gram_ids;
@@ -681,6 +696,16 @@ const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
     }
   }
   built->dictionary_size = gram_ids.size();
+  // Charged like the plane's arenas; a refused charge drops the column and
+  // the caller takes its string path, as for a truncated plane.
+  const size_t bytes = built->MemoryBytes();
+  if (memory_budget_ != nullptr) {
+    if (!memory_budget_->TryCharge(bytes)) {
+      qgram_cache_.emplace(key, nullptr);
+      return nullptr;
+    }
+    qgram_charged_ += bytes;
+  }
   const QGramColumn* result = built.get();
   qgram_cache_.emplace(key, std::move(built));
   return result;

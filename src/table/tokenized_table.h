@@ -83,7 +83,10 @@ struct TextPlaneBuildStats {
 ///    merges and prefix filtering);
 ///  - the interned NormalizeForTokens value (untrimmed; shared pool across
 ///    both sides, so repeated values cost one string);
-///  - q-gram planes, built lazily per (q, column) on first use and cached.
+///  - q-gram columns, built lazily per (q, column) on first use and cached
+///    for the q-gram blockers and predicates, which need dense gram ids
+///    over whole columns (the feature extractor codes the 3-grams of the
+///    rows it scores itself; see learn/features.h).
 /// Missingness is not duplicated here: Table::IsMissing is already O(1).
 ///
 /// Build parallelism follows SsjCorpus::Build: fixed row blocks tokenized
@@ -95,15 +98,28 @@ struct TextPlaneBuildStats {
 /// one plane is safely shared by both tables and all threads.
 class TokenizedTable {
  public:
-  /// Lazily built per-(q, column) gram plane: the q-gram ids of every cell
-  /// in the column (both sides), sorted ascending per cell. Cells hold the
-  /// distinct grams, as QGrams() returns them: a gram occurring twice in
-  /// the value appears once. Gram ids are local to this plane; only
-  /// counts/overlaps are meaningful.
+  /// Lazily built per-(q, column) gram column: the q-gram ids of every
+  /// cell in the column (both sides), sorted ascending per cell. Cells hold
+  /// the distinct grams, as QGrams() returns them: a gram occurring twice
+  /// in the value appears once. Gram ids are dense and local to this
+  /// plane; only counts/overlaps are meaningful. Blocking-side only: a
+  /// column lives as long as the plane, so consumers that score a few rows
+  /// should code grams themselves (AppendQGramCodes).
   struct QGramColumn {
     std::vector<uint64_t> offsets[2];  // rows(side) + 1 entries.
     std::vector<uint32_t> grams[2];
     size_t dictionary_size = 0;
+
+    /// Heap bytes of the offset and gram vectors (what the plane's
+    /// memory budget is charged for this column).
+    size_t MemoryBytes() const {
+      size_t bytes = 0;
+      for (size_t side = 0; side < 2; ++side) {
+        bytes += offsets[side].capacity() * sizeof(uint64_t) +
+                 grams[side].capacity() * sizeof(uint32_t);
+      }
+      return bytes;
+    }
 
     CellSpan Row(size_t side, size_t row) const {
       return CellSpan{
@@ -112,6 +128,9 @@ class TokenizedTable {
                                 offsets[side][row])};
     }
   };
+
+  /// Returns the q-gram columns' charge to the memory budget.
+  ~TokenizedTable();
 
   /// Tokenizes every cell of both tables. Never fails: cancellation and
   /// injected faults drop blocks and mark the plane truncated().
@@ -216,9 +235,14 @@ class TokenizedTable {
   /// are finalized: RankOf is valid for every id in the streams.
   const TokenDictionary& word_dictionary() const { return dictionary_; }
 
-  /// The (q, column) gram plane, built on first use and cached (lazy:
-  /// q-gram consumers touch few columns). Returns nullptr for q == 0,
-  /// out-of-range columns, or a truncated plane. Thread-safe.
+  /// The (q, column) gram column, built on first use and cached until the
+  /// plane dies (lazy: q-gram consumers touch few columns). Each built
+  /// column is charged to the memory budget the plane was built or patched
+  /// with, and released with the plane. Returns nullptr for q == 0,
+  /// out-of-range columns or a truncated plane, and when the budget
+  /// refuses the charge or the "text_plane/qgram_build" fault point fires;
+  /// callers then take their string path. Such a refusal is cached too: a
+  /// column is built and charged at most once per plane. Thread-safe.
   const QGramColumn* QGramsForColumn(size_t q, size_t column) const;
 
   /// True when the build was cut short: some cells have empty token lists
@@ -266,7 +290,8 @@ class TokenizedTable {
   /// the arena charges the memory budget exactly this many bytes (charge ==
   /// reservation, the mem/ subsystem contract). The sizing signal for the
   /// service's shared-plane LRU cache. Excludes dictionary/pool string
-  /// storage and lazy q-gram planes, which stay on the heap.
+  /// storage and lazy q-gram columns, which stay on the heap (the columns
+  /// are charged to the budget on their own, see QGramsForColumn).
   size_t MemoryBytes() const {
     return arena_ != nullptr ? arena_->ReservedBytes() : 0;
   }
@@ -308,11 +333,17 @@ class TokenizedTable {
   size_t dead_tokens_ = 0;
   bool truncated_ = false;
   TextPlaneBuildStats build_stats_;
-  // Lazy (q, column) gram planes; unique_ptr keeps returned pointers
-  // stable across rehashes. Guarded for concurrent consumers.
+  // The budget the plane was built or patched with (may be nullptr); the
+  // lazy q-gram columns are charged to it.
+  MemoryBudget* memory_budget_ = nullptr;
+  // Lazy (q, column) gram columns, null for one that could not be had
+  // (fault or refused charge); unique_ptr keeps returned pointers
+  // stable across rehashes. Guarded for concurrent consumers, as is the
+  // bytes they charged to memory_budget_.
   mutable std::shared_mutex qgram_mutex_;
   mutable std::unordered_map<uint64_t, std::unique_ptr<QGramColumn>>
       qgram_cache_;
+  mutable size_t qgram_charged_ = 0;
 };
 
 /// The plane attached to `table`, or nullptr when there is none, it is

@@ -88,7 +88,27 @@ double WordJaccard(std::string_view a, std::string_view b) {
 }
 
 double QGramJaccard(std::string_view a, std::string_view b, size_t q) {
-  return JaccardSimilarity(QGrams(a, q), QGrams(b, q));
+  std::string scratch;
+  std::vector<uint32_t> codes_a;
+  std::vector<uint32_t> codes_b;
+  AppendQGramCodes(a, q, scratch, codes_a);
+  AppendQGramCodes(b, q, scratch, codes_b);
+  size_t overlap = 0;
+  auto it_a = codes_a.begin();
+  auto it_b = codes_b.begin();
+  while (it_a != codes_a.end() && it_b != codes_b.end()) {
+    if (*it_a < *it_b) {
+      ++it_a;
+    } else if (*it_b < *it_a) {
+      ++it_b;
+    } else {
+      ++overlap;
+      ++it_a;
+      ++it_b;
+    }
+  }
+  return SetSimilarityFromCounts(SetMeasure::kJaccard, codes_a.size(),
+                                 codes_b.size(), overlap);
 }
 
 double WordCosine(std::string_view a, std::string_view b) {

@@ -48,7 +48,10 @@ double OverlapCoefficient(const std::vector<std::string>& a,
 /// Convenience: Jaccard over distinct word tokens of two raw strings.
 double WordJaccard(std::string_view a, std::string_view b);
 
-/// Convenience: Jaccard over distinct q-grams of two raw strings.
+/// Convenience: Jaccard over distinct q-grams of two raw strings, for
+/// q <= kMaxCodedQGram. The sets are AppendQGramCodes codes, the coder
+/// whose codes the feature extractor's plane path memoizes, so both paths
+/// share one definition of a gram set.
 double QGramJaccard(std::string_view a, std::string_view b, size_t q);
 
 /// Convenience: cosine over distinct word tokens of two raw strings.

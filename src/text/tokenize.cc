@@ -1,6 +1,9 @@
 #include "text/tokenize.h"
 
+#include <algorithm>
 #include <unordered_set>
+
+#include "util/check.h"
 
 namespace mc {
 
@@ -31,6 +34,19 @@ std::vector<std::string> QGrams(std::string_view text, size_t q) {
     if (seen.insert(gram).second) grams.emplace_back(gram);
   });
   return grams;
+}
+
+void AppendQGramCodes(std::string_view text, size_t q, std::string& scratch,
+                      std::vector<uint32_t>& out) {
+  MC_CHECK_LE(q, kMaxCodedQGram);
+  const size_t begin = out.size();
+  ForEachQGram(text, q, scratch, [&](std::string_view gram) {
+    uint32_t code = 0;
+    for (char byte : gram) code = (code << 8) | static_cast<uint8_t>(byte);
+    out.push_back(code);
+  });
+  std::sort(out.begin() + begin, out.end());
+  out.erase(std::unique(out.begin() + begin, out.end()), out.end());
 }
 
 std::string LastWordToken(std::string_view text) {

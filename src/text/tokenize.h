@@ -1,6 +1,8 @@
 #ifndef MATCHCATCHER_TEXT_TOKENIZE_H_
 #define MATCHCATCHER_TEXT_TOKENIZE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,6 +90,17 @@ std::vector<std::string> DistinctWordTokens(std::string_view text);
 /// Distinct character q-grams of `text` in first-appearance order (the
 /// ForEachQGram sequence without repeats).
 std::vector<std::string> QGrams(std::string_view text, size_t q);
+
+/// Largest q AppendQGramCodes packs: q bytes must fit one uint32_t.
+inline constexpr size_t kMaxCodedQGram = 4;
+
+/// Appends the distinct q-grams of `text` (the QGrams set) to `out` as
+/// packed codes, sorted ascending: a gram's bytes, first byte highest, in
+/// one uint32_t. Packing is one-to-one for a fixed q, so the set sizes and
+/// overlaps of two cells' codes equal those of their string grams. Needs
+/// q <= kMaxCodedQGram; `scratch` is ForEachQGram's buffer.
+void AppendQGramCodes(std::string_view text, size_t q, std::string& scratch,
+                      std::vector<uint32_t>& out);
 
 /// Last word token of `text`, or "" if there is none. Used by hash blockers
 /// such as lastword(a.Name) = lastword(b.Name) in the paper's Example 1.1.

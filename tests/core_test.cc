@@ -6,6 +6,8 @@
 #include "blocking/standard_blockers.h"
 #include "core/match_catcher.h"
 #include "datagen/generator.h"
+#include "table/profile.h"
+#include "table/tokenized_table.h"
 
 namespace mc {
 namespace {
@@ -74,6 +76,47 @@ TEST(DebugSessionTest, FigureOneFindsKilledMatches) {
   VerifierResult result = session->RunVerification(oracle);
   EXPECT_TRUE(result.confirmed_matches.Contains(0, 0));
   EXPECT_TRUE(result.confirmed_matches.Contains(2, 1));
+}
+
+// Shared tables that already carry a plane and the inferred schema need no
+// edit for an infer_types session, so Create shares them instead of
+// copying both.
+TEST(DebugSessionTest, SharedTablesWithInferredSchemaAreNotCopied) {
+  Table a = FigureOneTableA();
+  Table b = FigureOneTableB();
+  TokenizedTable::BuildAndAttach(a, b);
+  a.SetSchema(InferAttributeTypes(a));
+  b.SetSchema(a.schema());
+  ASSERT_FALSE(a.schema() == FigureOneTableA().schema());
+  auto shared_a = std::make_shared<const Table>(std::move(a));
+  auto shared_b = std::make_shared<const Table>(std::move(b));
+  ASSERT_NE(SharedTextPlane(*shared_a, *shared_b), nullptr);
+  CandidateSet c1 =
+      HashBlocker::AttributeEquivalence(1)->Run(*shared_a, *shared_b);
+
+  MatchCatcherOptions options = SmallOptions();
+  ASSERT_TRUE(options.infer_types);
+  Result<DebugSession> shared =
+      DebugSession::Create(shared_a, shared_b, c1, options);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  EXPECT_EQ(&shared->table_a(), shared_a.get());
+  EXPECT_EQ(&shared->table_b(), shared_b.get());
+
+  // Same session as over private copies of the registered tables.
+  Result<DebugSession> copied = DebugSession::Create(
+      FigureOneTableA(), FigureOneTableB(), c1, options);
+  ASSERT_TRUE(copied.ok());
+  EXPECT_TRUE(copied->table_a().schema() == shared->table_a().schema());
+  EXPECT_EQ(copied->CandidatePairs(), shared->CandidatePairs());
+
+  // A shared pair still on the registered schema is copied and rewritten.
+  auto plain_a = std::make_shared<const Table>(FigureOneTableA());
+  auto plain_b = std::make_shared<const Table>(FigureOneTableB());
+  Result<DebugSession> rewritten =
+      DebugSession::Create(plain_a, plain_b, c1, options);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_NE(&rewritten->table_a(), plain_a.get());
+  EXPECT_TRUE(rewritten->table_a().schema() == shared_a->schema());
 }
 
 TEST(DebugSessionTest, FirstIterationSurfacesLikelyMatchesFirst) {

@@ -1,6 +1,8 @@
 // Tests for the arena memory subsystem (src/mem/): reserve/commit arenas
 // with exact MemoryBudget accounting, the `mem/arena_reserve` fault point,
-// and budget conservation across a corpus delta chain.
+// budget conservation across a corpus delta chain, the text plane's
+// charge for its lazy q-gram columns, and the service's charge for a
+// pair's inferred copy.
 
 #include <memory>
 #include <optional>
@@ -10,11 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include "blocking/standard_blockers.h"
+#include "datagen/generator.h"
 #include "mem/arena.h"
 #include "mem/arena_vector.h"
+#include "service/session_manager.h"
 #include "ssj/corpus.h"
+#include "table/profile.h"
 #include "table/table.h"
 #include "table/table_delta.h"
+#include "table/tokenized_table.h"
 #include "util/fault_injection.h"
 #include "util/memory_budget.h"
 #include "util/random.h"
@@ -237,6 +244,133 @@ TEST(BudgetConservationTest, RefusedDeltaLeavesBudgetAndBaseIntact) {
   }
   EXPECT_EQ(budget.used(), charged) << "failed patch unwinds its charges";
   EXPECT_EQ(base.MemoryBytes(), charged) << "base generation untouched";
+}
+
+TEST(BudgetConservationTest, QGramColumnsChargeThePlaneBudget) {
+  Rng rng(93);
+  Table table_a = ThreeColumnTable(rng, 40);
+  Table table_b = ThreeColumnTable(rng, 45);
+  MemoryBudget budget;
+  TextPlaneBuildOptions options;
+  options.memory_budget = &budget;
+  auto plane = TokenizedTable::Build(table_a, table_b, options);
+  ASSERT_FALSE(plane->truncated());
+  const size_t arena_bytes = plane->MemoryBytes();
+  ASSERT_EQ(budget.used(), arena_bytes);
+
+  const TokenizedTable::QGramColumn* grams3 = plane->QGramsForColumn(3, 0);
+  ASSERT_NE(grams3, nullptr);
+  EXPECT_GT(grams3->MemoryBytes(), 0u);
+  EXPECT_EQ(budget.used(), arena_bytes + grams3->MemoryBytes());
+  // A cached column is not charged twice; another (q, column) is.
+  EXPECT_EQ(plane->QGramsForColumn(3, 0), grams3);
+  const TokenizedTable::QGramColumn* grams2 = plane->QGramsForColumn(2, 2);
+  ASSERT_NE(grams2, nullptr);
+  EXPECT_EQ(budget.used(),
+            arena_bytes + grams3->MemoryBytes() + grams2->MemoryBytes());
+
+  plane.reset();
+  EXPECT_EQ(budget.used(), 0u) << "the columns are released with the plane";
+  EXPECT_EQ(budget.release_violations(), 0u);
+}
+
+TEST(BudgetConservationTest, RefusedQGramChargeFallsBackToStrings) {
+  Rng rng(94);
+  Table table_a = ThreeColumnTable(rng, 40);
+  Table table_b = ThreeColumnTable(rng, 45);
+  size_t arena_bytes = 0;
+  {
+    MemoryBudget probe;
+    TextPlaneBuildOptions options;
+    options.memory_budget = &probe;
+    arena_bytes = TokenizedTable::Build(table_a, table_b, options)
+                      ->MemoryBytes();
+  }
+  // Room for the plane's arena, not for a q-gram column.
+  MemoryBudget budget(arena_bytes + 64);
+  TextPlaneBuildOptions options;
+  options.memory_budget = &budget;
+  Table span_a = table_a;
+  Table span_b = table_b;
+  auto plane = TokenizedTable::BuildAndAttach(span_a, span_b, options);
+  ASSERT_EQ(SharedTextPlane(span_a, span_b), plane.get());
+  EXPECT_EQ(plane->QGramsForColumn(3, 0), nullptr);
+  EXPECT_EQ(budget.used(), arena_bytes) << "a refused column charges nothing";
+  EXPECT_GT(budget.rejected(), 0u);
+
+  SimilarityBlocker blocker(0, TokenizerSpec::QGram(3), SetMeasure::kJaccard,
+                            0.3);
+  EXPECT_EQ(blocker.Run(span_a, span_b).SortedPairs(),
+            blocker.Run(table_a, table_b).SortedPairs());
+  EXPECT_EQ(budget.used(), arena_bytes);
+
+  // The per-pair path asks for the column on every pair; the refusal is
+  // remembered, so the column is neither rebuilt nor charged again.
+  for (size_t r = 0; r < span_a.num_rows(); ++r) {
+    for (size_t s = 0; s < span_b.num_rows(); ++s) {
+      EXPECT_EQ(blocker.KeepsPair(span_a, r, span_b, s),
+                blocker.KeepsPair(table_a, r, table_b, s));
+    }
+  }
+  EXPECT_EQ(budget.rejected(), 1u);
+  EXPECT_EQ(budget.used(), arena_bytes);
+}
+
+// The pair's copy with the inferred schema is charged to the service
+// budget while the entry holds it, and the charge returns with it.
+TEST(BudgetConservationTest, InferredPairCopyIsChargedToTheServiceBudget) {
+  datagen::GeneratedDataset dataset = datagen::GenerateAmazonGoogle(
+      datagen::ScaleDims(datagen::kDimsAmazonGoogle, 0.05));
+  ASSERT_FALSE(InferAttributeTypes(dataset.table_a) ==
+               dataset.table_a.schema())
+      << "the test needs a pair whose schema inference rewrites";
+  // Runs one session per flag, in order, on a fresh manager, then drains
+  // its workers (Shutdown), so no finished session still holds a charge
+  // when the budget is read.
+  auto run = [&](SessionManager& manager, std::vector<bool> infer_types) {
+    ASSERT_TRUE(manager
+                    .RegisterTablePair("ag", dataset.table_a,
+                                       dataset.table_b, dataset.gold)
+                    .ok());
+    for (bool infer : infer_types) {
+      SessionRequest request;
+      request.pair_key = "ag";
+      request.options.joint.k = 20;
+      request.options.joint.num_threads = 2;
+      request.options.infer_types = infer;
+      Result<uint64_t> id = manager.Submit(request);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      Result<SessionOutcome> outcome = manager.Wait(*id);
+      ASSERT_TRUE(outcome.ok());
+      EXPECT_EQ(outcome->state, SessionState::kComplete)
+          << outcome->status.ToString();
+    }
+    manager.Shutdown();
+  };
+  SessionManager without_copy{ServiceLimits{}};
+  run(without_copy, {false});
+  SessionManager with_copy{ServiceLimits{}};
+  run(with_copy, {false, true});
+  SessionManager shared_copy{ServiceLimits{}};
+  run(shared_copy, {false, true, true});
+
+  // The copy is charged at least the characters of every cell.
+  size_t cell_chars = 0;
+  for (const Table* table : {&dataset.table_a, &dataset.table_b}) {
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      for (size_t row = 0; row < table->num_rows(); ++row) {
+        cell_chars += table->Value(row, c).size();
+      }
+    }
+  }
+  const size_t used = with_copy.stats().memory_used_bytes;
+  EXPECT_GE(used, without_copy.stats().memory_used_bytes + cell_chars);
+  // A second infer_types session shares the copy: no new charge.
+  EXPECT_EQ(shared_copy.stats().memory_used_bytes, used);
+  // Eviction drops the copy with the plane, and the charge returns.
+  EXPECT_EQ(shared_copy.EvictSharedPlanes(), 1u);
+  EXPECT_EQ(shared_copy.stats().memory_used_bytes, 0u);
+  EXPECT_EQ(shared_copy.stats().memory_release_violations, 0u);
 }
 
 }  // namespace

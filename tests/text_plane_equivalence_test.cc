@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "explain/repair.h"
 #include "table/tokenized_table.h"
 #include "util/fault_injection.h"
+#include "verifier/user_oracle.h"
 
 namespace mc {
 namespace {
@@ -207,6 +209,74 @@ TEST(TextPlaneEquivalenceTest, BlockerCandidateSetsIdentical) {
             << r << "," << s << ")";
       }
     }
+  }
+}
+
+// A q-gram column the plane cannot build (the text_plane/qgram_build
+// fault; a refused budget charge takes the same exit) sends the q-gram
+// blockers and predicates to their string path, with identical output.
+TEST(TextPlaneEquivalenceTest, QGramBuildFaultKeepsBlockerOutput) {
+  datagen::GeneratedDataset dataset = TestDataset();
+  Table plain_a = dataset.table_a;
+  Table plain_b = dataset.table_b;
+  size_t name = dataset.table_a.schema().RequireIndexOf("name");
+  std::vector<std::shared_ptr<const Blocker>> blockers = {
+      std::make_shared<SimilarityBlocker>(name, TokenizerSpec::QGram(3),
+                                          SetMeasure::kCosine, 0.5),
+      std::make_shared<SimilarityBlocker>(name, TokenizerSpec::QGram(2),
+                                          SetMeasure::kJaccard, 0.4),
+      std::make_shared<OverlapBlocker>(name, TokenizerSpec::QGram(3), 6),
+  };
+  for (const auto& blocker : blockers) {
+    SCOPED_TRACE(blocker->Description(dataset.table_a.schema()));
+    // A fresh plane per blocker, so its column is built under the fault.
+    Table span_a = dataset.table_a;
+    Table span_b = dataset.table_b;
+    TokenizedTable::BuildAndAttach(span_a, span_b);
+    ASSERT_NE(SharedTextPlane(span_a, span_b), nullptr);
+    ScopedFaultArm fault("text_plane/qgram_build", FaultKind::kError);
+    EXPECT_EQ(blocker->Run(plain_a, plain_b).SortedPairs(),
+              blocker->Run(span_a, span_b).SortedPairs());
+    EXPECT_GT(fault.HitCount(), 0u);
+    for (size_t r = 0; r < std::min<size_t>(plain_a.num_rows(), 15); ++r) {
+      for (size_t s = 0; s < std::min<size_t>(plain_b.num_rows(), 15); ++s) {
+        EXPECT_EQ(blocker->KeepsPair(plain_a, r, plain_b, s),
+                  blocker->KeepsPair(span_a, r, span_b, s))
+            << "pair (" << r << "," << s << ")";
+      }
+    }
+  }
+}
+
+// The verifier never reads the plane's q-gram columns: with their build
+// failing throughout, a session over a plane verifies exactly as before.
+TEST(TextPlaneEquivalenceTest, QGramBuildFaultKeepsVerification) {
+  datagen::GeneratedDataset dataset = TestDataset();
+  size_t city = dataset.table_a.schema().RequireIndexOf("city");
+  CandidateSet blocked = HashBlocker::AttributeEquivalence(city)->Run(
+      dataset.table_a, dataset.table_b);
+  auto verify = [&](bool armed) {
+    std::optional<ScopedFaultArm> fault;
+    if (armed) fault.emplace("text_plane/qgram_build", FaultKind::kError);
+    Result<DebugSession> session = MakeSession(dataset, blocked, 1);
+    EXPECT_TRUE(session.ok());
+    EXPECT_NE(SharedTextPlane(session->table_a(), session->table_b()),
+              nullptr);
+    GoldOracle oracle(&dataset.gold);
+    return session->RunVerification(oracle);
+  };
+  const VerifierResult want = verify(false);
+  const VerifierResult got = verify(true);
+  EXPECT_EQ(got.confirmed_matches.SortedPairs(),
+            want.confirmed_matches.SortedPairs());
+  EXPECT_EQ(got.pairs_shown, want.pairs_shown);
+  ASSERT_EQ(got.iterations.size(), want.iterations.size());
+  EXPECT_GT(want.confirmed_matches.size(), 0u);
+  for (size_t i = 0; i < got.iterations.size(); ++i) {
+    EXPECT_EQ(got.iterations[i].phase, want.iterations[i].phase) << i;
+    EXPECT_EQ(got.iterations[i].shown, want.iterations[i].shown) << i;
+    EXPECT_EQ(got.iterations[i].new_matches, want.iterations[i].new_matches)
+        << i;
   }
 }
 

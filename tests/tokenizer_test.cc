@@ -211,6 +211,32 @@ TEST(TokenizerReferenceTest, AdversarialCellsMatchReference) {
   }
 }
 
+// AppendQGramCodes packs each gram one-to-one, so unpacking its codes
+// must give back exactly the reference gram set, sorted.
+TEST(TokenizerReferenceTest, QGramCodesUnpackToReferenceGrams) {
+  std::string scratch;
+  for (const std::string& cell : AdversarialCells()) {
+    for (size_t q = 1; q <= kMaxCodedQGram; ++q) {
+      std::vector<uint32_t> codes = {7};  // Codes append after it.
+      AppendQGramCodes(cell, q, scratch, codes);
+      ASSERT_EQ(codes.front(), 7u);
+      EXPECT_TRUE(std::is_sorted(codes.begin() + 1, codes.end()));
+      std::vector<std::string> unpacked;
+      for (size_t i = 1; i < codes.size(); ++i) {
+        std::string gram(q, '\0');
+        for (size_t j = 0; j < q; ++j) {
+          gram[j] = static_cast<char>(codes[i] >> (8 * (q - 1 - j)));
+        }
+        unpacked.push_back(gram);
+      }
+      std::vector<std::string> reference = ReferenceQGrams(cell, q);
+      std::sort(reference.begin(), reference.end());
+      EXPECT_EQ(unpacked, reference)
+          << Numbered("cell of ", cell.size()) << " bytes, q=" << q;
+    }
+  }
+}
+
 TEST(TokenizerReferenceTest, CellsShorterThanQ) {
   for (const std::string cell : {"a", "ab", "abc", " a ", "!a!", "A B"}) {
     for (size_t q = 1; q <= 5; ++q) {

@@ -118,6 +118,21 @@ for config in asan ubsan; do
       -R 'ExecutorEquivalenceTest|CandidateSetTest|PrefixFilterSoundnessTest|PaperBlockerSoundnessTest|TokenizerReferenceTest|StringIndexTest'
 done
 
+# Features: the 3-gram coder and the feature extractor's per-call row codes
+# must keep every feature double of the string path — on hard cells
+# (empty, 1-2 characters, high bytes, embedded NUL, repeated grams, a
+# 64 KiB cell), at 1 and 4 threads, pair by pair and batched, and under
+# two concurrent batches on one extractor — and a failed q-gram column
+# build must change no blocker output or verifier result. ASan and UBSan
+# bounds-check the row slabs and their offset arithmetic; TSan checks a
+# batch's rows, coded by pool workers, then read by them after the wait.
+echo "==== [features] extractor/plane-equivalence/verifier suites under ASan + UBSan + TSan ===="
+for config in asan ubsan tsan; do
+  echo "---- [features] ${config} ----"
+  ctest --test-dir "${build_root}/${config}" --output-on-failure \
+      -R 'FeaturesTest|TextPlaneEquivalenceTest|MatchVerifierTest'
+done
+
 # Blocking identity: every paper blocker's output (size and sorted-pair
 # checksum, from strings and over the text plane, six datasets x 3 seeds)
 # must equal the committed record byte for byte. About 25 s on 4 cores.
