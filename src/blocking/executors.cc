@@ -6,6 +6,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -409,8 +410,9 @@ CandidateSet PrefixFilterJoin(const TokenizedColumn& a,
 
 // All padded 2-grams of `key`, *with duplicates* (the count-filter theorem
 // for edit distance is stated over gram multisets).
-std::vector<std::string> PaddedBigrams(const std::string& key) {
-  std::string padded = "#" + key + "#";
+std::vector<std::string> PaddedBigrams(std::string_view key) {
+  std::string padded = "#";
+  padded.append(key).push_back('#');
   std::vector<std::string> grams;
   grams.reserve(padded.size() - 1);
   for (size_t i = 0; i + 2 <= padded.size(); ++i) {
@@ -479,7 +481,7 @@ CandidateSet EnumerateEditDistanceKeys(
   std::unordered_map<std::string, std::vector<uint32_t>> gram_index;
   std::unordered_map<size_t, std::vector<uint32_t>> length_index_a;
   for (uint32_t i = 0; i < num_buckets_a; ++i) {
-    const std::string& key = keys.KeyOf(i);
+    std::string_view key = keys.KeyOf(i);
     length_index_a[key.size()].push_back(i);
     if (key.size() >= 2 * d) {
       std::vector<std::string> grams = PaddedBigrams(key);
@@ -497,7 +499,7 @@ CandidateSet EnumerateEditDistanceKeys(
   for (uint32_t id_b = 0; id_b < keys.size(); ++id_b) {
     const std::span<const RowId> rows_b = buckets_b.Rows(id_b);
     if (rows_b.empty()) continue;
-    const std::string& key_b = keys.KeyOf(id_b);
+    std::string_view key_b = keys.KeyOf(id_b);
     candidates.clear();
     if (key_b.size() >= 2 * d || d == 0) {
       // Gram-index path: any A key of length >= 2d within distance d shares
@@ -524,7 +526,7 @@ CandidateSet EnumerateEditDistanceKeys(
       }
     }
     for (uint32_t i : candidates) {
-      const std::string& key_a = keys.KeyOf(i);
+      std::string_view key_a = keys.KeyOf(i);
       size_t len_diff = key_a.size() > key_b.size()
                             ? key_a.size() - key_b.size()
                             : key_b.size() - key_a.size();

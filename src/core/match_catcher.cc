@@ -16,24 +16,16 @@ Result<DebugSession> DebugSession::Create(const Table& table_a,
                                           const Table& table_b,
                                           const CandidateSet& blocker_output,
                                           const MatchCatcherOptions& options) {
-  // Private copies up front: this overload's contract is that the caller's
-  // tables may be discarded, so every mutation below may edit in place.
-  return CreateShared(std::make_shared<Table>(table_a),
-                      std::make_shared<Table>(table_b), /*owned=*/true,
-                      blocker_output, options);
+  // Table copies share their cells, so these copy no cell.
+  return Create(std::make_shared<const Table>(table_a),
+                std::make_shared<const Table>(table_b), blocker_output,
+                options);
 }
 
-Result<DebugSession> DebugSession::Create(std::shared_ptr<const Table> table_a,
-                                          std::shared_ptr<const Table> table_b,
+Result<DebugSession> DebugSession::Create(std::shared_ptr<const Table> a,
+                                          std::shared_ptr<const Table> b,
                                           const CandidateSet& blocker_output,
                                           const MatchCatcherOptions& options) {
-  return CreateShared(std::move(table_a), std::move(table_b), /*owned=*/false,
-                      blocker_output, options);
-}
-
-Result<DebugSession> DebugSession::CreateShared(
-    std::shared_ptr<const Table> a, std::shared_ptr<const Table> b, bool owned,
-    const CandidateSet& blocker_output, const MatchCatcherOptions& options) {
   DebugSession session;
   session.options_ = options;
   if (options.infer_types && !(a->schema() == b->schema())) {
@@ -47,22 +39,12 @@ Result<DebugSession> DebugSession::CreateShared(
   if (options.infer_types && !build_plane) inferred = InferAttributeTypes(*a);
   const bool rewrite_schema =
       options.infer_types && (build_plane || !(*inferred == a->schema()));
-  const bool needs_mutation = build_plane || rewrite_schema;
-  if (needs_mutation && !owned) {
-    // The only table copies on the shared path: this session must edit its
-    // view of the tables (plane attach or a schema rewrite), so it takes
-    // private ones. The service's warm path — plane attached, and for
-    // infer_types sessions the generation's inferred copy of the pair —
-    // stays zero-copy.
-    a = std::make_shared<Table>(*a);
-    b = std::make_shared<Table>(*b);
-    owned = true;
-  }
-  if (needs_mutation) {
-    // Owned tables were allocated mutable (make_shared<Table>); the const
-    // view is this function's, not the objects'.
-    Table& mutable_a = const_cast<Table&>(*a);
-    Table& mutable_b = const_cast<Table&>(*b);
+  if (build_plane || rewrite_schema) {
+    // This session edits its own view of the tables (plane attach, schema
+    // rewrite), so it takes copies; they share the caller's cells, and
+    // neither edit writes a cell.
+    Table mutable_a = *a;
+    Table mutable_b = *b;
     if (build_plane) {
       // Tokenize once, before profiling: type inference, attribute
       // selection, corpus build, features, and repair all read this plane.
@@ -83,6 +65,8 @@ Result<DebugSession> DebugSession::CreateShared(
       mutable_a.SetSchema(*std::move(inferred));
       mutable_b.SetSchema(mutable_a.schema());
     }
+    a = std::make_shared<const Table>(std::move(mutable_a));
+    b = std::make_shared<const Table>(std::move(mutable_b));
   }
   session.table_a_ = std::move(a);
   session.table_b_ = std::move(b);

@@ -102,9 +102,10 @@ struct MatchCatcherOptions {
 /// to produce the candidate set E of plausible killed-off matches; the
 /// verifier API then drives the interactive identification loop.
 ///
-/// The session owns private copies of the tables, so the caller's tables may
-/// be discarded after Create(). The shared_ptr overload shares immutable
-/// tables instead — the zero-copy path the session service rides.
+/// The session keeps its own Table copies, so the caller's tables may be
+/// discarded or edited after Create(). Copies share cells (table/table.h),
+/// so neither overload copies a cell; the shared_ptr overload also shares
+/// the Table objects themselves when the session needs no edit of them.
 class DebugSession {
  public:
   static Result<DebugSession> Create(const Table& table_a,
@@ -113,13 +114,12 @@ class DebugSession {
                                      const MatchCatcherOptions& options = {});
 
   /// Zero-copy construction: the session shares `table_a`/`table_b` rather
-  /// than copying them, so N sessions over one pair pay zero per-session
-  /// table copies. The tables are only copied when this session must edit
-  /// its view of them — infer_types on tables whose schema is not already
-  /// the inferred one (rewrites the schema) or a missing text plane (built
-  /// and attached here). The caller must not mutate the tables
-  /// afterwards; replace-and-republish (the service's delta pattern) is fine
-  /// because the session keeps its own references.
+  /// than copying them. It copies the Table objects (sharing their cells)
+  /// only when it must edit its view of them — infer_types on tables whose
+  /// schema is not already the inferred one (rewrites the schema) or a
+  /// missing text plane (built and attached here). The caller must not
+  /// mutate the tables afterwards; replace-and-republish (the service's
+  /// delta pattern) is fine because the session keeps its own references.
   static Result<DebugSession> Create(std::shared_ptr<const Table> table_a,
                                      std::shared_ptr<const Table> table_b,
                                      const CandidateSet& blocker_output,
@@ -181,15 +181,6 @@ class DebugSession {
 
  private:
   DebugSession() = default;
-
-  /// `owned` marks tables the implementation may mutate in place (private
-  /// copies made by the copying overload); shared tables are copied on the
-  /// first mutation instead.
-  static Result<DebugSession> CreateShared(std::shared_ptr<const Table> a,
-                                           std::shared_ptr<const Table> b,
-                                           bool owned,
-                                           const CandidateSet& blocker_output,
-                                           const MatchCatcherOptions& options);
 
   std::shared_ptr<const Table> table_a_;
   std::shared_ptr<const Table> table_b_;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/session_io.h"
-#include "table/profile.h"
 #include "table/tokenized_table.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -32,27 +31,6 @@ std::string CheckpointPath(const std::string& dir, uint64_t id) {
 // rebuilding from scratch instead. Content equality with a rebuild holds on
 // either path.
 constexpr double kDeadTokenCompactionThreshold = 0.5;
-
-// Approximate heap bytes of a table's cells: the string objects, their
-// characters and the missing bits.
-size_t TableCellBytes(const Table& table) {
-  size_t bytes = 0;
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    for (size_t row = 0; row < table.num_rows(); ++row) {
-      bytes += sizeof(std::string) + table.Value(row, c).size() + 1;
-    }
-  }
-  return bytes;
-}
-
-// A pair's copy with the inferred schema, held with the budget charge for
-// its cells; the charge returns when the last reference to either table
-// drops.
-struct InferredPair {
-  MemoryReservation charge;
-  Table a;
-  Table b;
-};
 
 uint64_t MixFnv(uint64_t hash, uint64_t value) {
   for (size_t i = 0; i < 8; ++i) {
@@ -314,7 +292,8 @@ Status SessionManager::ApplyTableDelta(const std::string& key,
 
     // Every artifact is staged on copies; the entry flips to the new
     // generation only after the whole batch succeeded, so any failure
-    // below leaves the prior generation intact and visible.
+    // below leaves the prior generation intact and visible. Table copies
+    // share cells: only the side the delta edits clones its own.
     Table staged_a = *entry->table_a;
     Table staged_b = *entry->table_b;
     Table& target = delta.side == 0 ? staged_a : staged_b;
@@ -383,8 +362,6 @@ Status SessionManager::ApplyTableDelta(const std::string& key,
     // the last of them ends.
     entry->table_a = std::make_shared<const Table>(std::move(staged_a));
     entry->table_b = std::make_shared<const Table>(std::move(staged_b));
-    entry->inferred_a.reset();
-    entry->inferred_b.reset();
     entry->total_rows.store(
         static_cast<uint64_t>(entry->table_a->num_rows()) +
             static_cast<uint64_t>(entry->table_b->num_rows()),
@@ -424,6 +401,16 @@ Result<uint64_t> SessionManager::PairGeneration(const std::string& key) const {
 }
 
 void SessionManager::RunSession(uint64_t id) {
+  // Everything the build holds — the DebugSession with any private corpus,
+  // the table, corpus and blocker-output references, the options holding
+  // the shared corpus — dies when BuildSession returns, before
+  // FinishSession wakes a waiter: memory_used_bytes read right after Wait
+  // holds none of this session's charges.
+  std::optional<SessionOutcome> outcome = BuildSession(id);
+  if (outcome.has_value()) FinishSession(id, *std::move(outcome));
+}
+
+std::optional<SessionOutcome> SessionManager::BuildSession(uint64_t id) {
   // Claim the record and snapshot what the build needs.
   SessionRequest request;
   RunContext context;
@@ -431,7 +418,9 @@ void SessionManager::RunSession(uint64_t id) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = sessions_.find(id);
-    if (it == sessions_.end() || IsTerminalState(it->second.state)) return;
+    if (it == sessions_.end() || IsTerminalState(it->second.state)) {
+      return std::nullopt;
+    }
     SessionRecord& record = it->second;
     record.state = SessionState::kBuilding;
     record.outcome.admission_wait_seconds = SecondsSince(record.submit_time);
@@ -453,8 +442,7 @@ void SessionManager::RunSession(uint64_t id) {
     outcome.state = SessionState::kFailed;
     outcome.status =
         Status::NotFound("table pair vanished: " + request.pair_key);
-    FinishSession(id, std::move(outcome));
-    return;
+    return outcome;
   }
   if (context.Cancelled()) {
     // Cancelled (or shut down, or past deadline) while queued: end without
@@ -464,8 +452,7 @@ void SessionManager::RunSession(uint64_t id) {
     outcome.state = SessionState::kCancelled;
     outcome.status =
         Status::DeadlineExceeded("session cancelled while queued");
-    FinishSession(id, std::move(outcome));
-    return;
+    return outcome;
   }
 
   // Pair setup, single-flight under the pair's lock: the first session on
@@ -490,9 +477,9 @@ void SessionManager::RunSession(uint64_t id) {
       // this session, so one session's deadline must not truncate it. A
       // truncated build (shutdown mid-flight, budget refusal) is simply not
       // attached; this and later sessions fall back to the string path.
-      // Staged on copies and republished (one-time cost per pair): the
-      // entry's tables are shared with live sessions and must never mutate
-      // in place.
+      // Attached to copies (which share the cells) and republished: the
+      // entry's Table objects are shared with live sessions and must never
+      // mutate in place.
       TextPlaneBuildOptions plane_options;
       plane_options.num_threads = request.options.joint.num_threads;
       plane_options.run_context = root_context_;
@@ -502,43 +489,12 @@ void SessionManager::RunSession(uint64_t id) {
       TokenizedTable::BuildAndAttach(staged_a, staged_b, plane_options);
       entry->table_a = std::make_shared<const Table>(std::move(staged_a));
       entry->table_b = std::make_shared<const Table>(std::move(staged_b));
-      entry->inferred_a.reset();
-      entry->inferred_b.reset();
       built_plane = true;
     }
+    // infer_types sessions get these too: Create rewrites the schema on
+    // its own copies, which share the cells.
     table_a = entry->table_a;
     table_b = entry->table_b;
-    if (request.options.infer_types &&
-        AttachedTextPlane(*table_a) != nullptr &&
-        table_a->schema() == table_b->schema()) {
-      // Type inference rewrites the schema, so without this copy each
-      // infer_types session would copy both tables. One copy per
-      // generation, made single-flight like the plane, serves them all;
-      // Create finds its schema already inferred and shares it. A schema
-      // inference leaves as it is needs no copy. The copy is charged to the
-      // budget; while the budget refuses it, sessions copy privately in
-      // Create instead. (Mismatched schemas are left to Create to reject.)
-      if (entry->inferred_a == nullptr) {
-        Schema schema = InferAttributeTypes(*table_a);
-        MemoryReservation charge;
-        if (schema == table_a->schema()) {
-          entry->inferred_a = table_a;
-          entry->inferred_b = table_b;
-        } else if (charge.Acquire(&budget_, TableCellBytes(*table_a) +
-                                                TableCellBytes(*table_b))) {
-          auto copy = std::make_shared<InferredPair>(
-              InferredPair{std::move(charge), *table_a, *table_b});
-          copy->a.SetSchema(schema);
-          copy->b.SetSchema(std::move(schema));
-          entry->inferred_a = std::shared_ptr<const Table>(copy, &copy->a);
-          entry->inferred_b = std::shared_ptr<const Table>(copy, &copy->b);
-        }
-      }
-      if (entry->inferred_a != nullptr) {
-        table_a = entry->inferred_a;
-        table_b = entry->inferred_b;
-      }
-    }
     blocker_output = entry->blocker_output;
     shared_corpus = entry->corpus;
     shared_corpus_columns = entry->corpus_columns;
@@ -668,8 +624,7 @@ void SessionManager::RunSession(uint64_t id) {
          context.Cancelled())
             ? SessionState::kCancelled
             : SessionState::kFailed;
-    FinishSession(id, std::move(outcome));
-    return;
+    return outcome;
   }
 
   outcome.lists = session->TopKLists();
@@ -699,7 +654,7 @@ void SessionManager::RunSession(uint64_t id) {
     outcome.checkpoint_status = retrier.Run(
         [&] { return SaveTopKLists(outcome.lists, path); }, context);
   }
-  FinishSession(id, std::move(outcome));
+  return outcome;
 }
 
 void SessionManager::FinishSession(uint64_t id, SessionOutcome outcome) {
@@ -831,18 +786,16 @@ size_t SessionManager::EvictSharedPlanesLocked(size_t max_evictions) {
     entry->plan_cache.clear();
     if (!had_plane && !had_corpus) continue;  // Plans-only reclaim.
     if (had_plane) {
-      // The tables are shared with sessions, so the plane is dropped by
-      // republishing plane-free staged copies — a transient table copy,
-      // after which the entry stops pinning the plane and the old table
-      // objects free as their last session completes.
+      // The Table objects are shared with sessions, so the plane is dropped
+      // by republishing plane-free copies (sharing the cells), after which
+      // the entry stops pinning the plane and the old table objects free as
+      // their last session completes.
       Table stripped_a = *entry->table_a;
       Table stripped_b = *entry->table_b;
       stripped_a.DetachTextPlane();
       stripped_b.DetachTextPlane();
       entry->table_a = std::make_shared<const Table>(std::move(stripped_a));
       entry->table_b = std::make_shared<const Table>(std::move(stripped_b));
-      entry->inferred_a.reset();
-      entry->inferred_b.reset();
     }
     entry->corpus.reset();
     entry->corpus_columns.clear();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -307,14 +308,6 @@ class SessionManager {
     std::shared_ptr<const Table> table_a;
     std::shared_ptr<const Table> table_b;
     std::shared_ptr<const CandidateSet> blocker_output;
-    /// The pair with the inferred schema (MatchCatcherOptions::infer_types),
-    /// copied once per generation by its first infer_types session, next to
-    /// the plane it shares, so later infer_types sessions start zero-copy.
-    /// Its cells are charged to budget_ until the last reference drops.
-    /// Null until then or while the budget refuses, and reset whenever
-    /// table_a/table_b are republished. Guarded by pair_mutex.
-    std::shared_ptr<const Table> inferred_a;
-    std::shared_ptr<const Table> inferred_b;
     /// Sum of both tables' row counts, set at registration and refreshed on
     /// each committed delta. EstimateCost reads it at admission time under
     /// the manager mutex, where dereferencing the pair_mutex-guarded table
@@ -372,6 +365,8 @@ class SessionManager {
   uint64_t EstimateCost(const PairEntry& entry,
                         const MatchCatcherOptions& options) const;
   void RunSession(uint64_t id);
+  /// Runs session `id`'s build; nullopt when it was already terminal.
+  std::optional<SessionOutcome> BuildSession(uint64_t id);
   void FinishSession(uint64_t id, SessionOutcome outcome);
   void WatchdogLoop();
   size_t EvictSharedPlanesLocked(size_t max_evictions);

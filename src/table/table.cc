@@ -1,6 +1,7 @@
 #include "table/table.h"
 
 #include <cstdlib>
+#include <utility>
 
 #include "text/normalize.h"
 
@@ -21,6 +22,52 @@ void Table::SetMaxCellBytesForTest(size_t bytes) {
   g_max_cell_bytes = bytes == 0 ? kDefaultMaxCellBytes : bytes;
 }
 
+Table::Table(const Table& other)
+    : schema_(other.schema_),
+      cells_(other.cells_),
+      num_rows_(other.num_rows_),
+      text_plane_(other.text_plane_),
+      text_plane_side_(other.text_plane_side_) {
+  other.cells_shared_.store(true, std::memory_order_relaxed);
+  cells_shared_.store(true, std::memory_order_relaxed);
+}
+
+Table& Table::operator=(const Table& other) {
+  if (this != &other) *this = Table(other);
+  return *this;
+}
+
+Table::Table(Table&& other) noexcept
+    : schema_(std::exchange(other.schema_, Schema())),
+      cells_(std::move(other.cells_)),
+      cells_shared_(other.cells_shared_.load(std::memory_order_relaxed)),
+      num_rows_(std::exchange(other.num_rows_, 0)),
+      text_plane_(std::move(other.text_plane_)),
+      text_plane_side_(std::exchange(other.text_plane_side_, 0)) {}
+
+Table& Table::operator=(Table&& other) noexcept {
+  if (this != &other) {
+    schema_ = std::exchange(other.schema_, Schema());
+    cells_ = std::move(other.cells_);
+    cells_shared_.store(other.cells_shared_.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    num_rows_ = std::exchange(other.num_rows_, 0);
+    text_plane_ = std::move(other.text_plane_);
+    text_plane_side_ = std::exchange(other.text_plane_side_, 0);
+  }
+  return *this;
+}
+
+Table::Cells& Table::MutableCells() {
+  if (cells_ == nullptr) {
+    cells_ = std::make_shared<Cells>(schema_.size());
+  } else if (cells_shared_.load(std::memory_order_relaxed)) {
+    cells_ = std::make_shared<Cells>(*cells_);
+  }
+  cells_shared_.store(false, std::memory_order_relaxed);
+  return *cells_;
+}
+
 void Table::AddRow(std::vector<std::string> values) {
   Status status = TryAddRow(std::move(values));
   MC_CHECK(status.ok()) << status.ToString();
@@ -28,9 +75,10 @@ void Table::AddRow(std::vector<std::string> values) {
 
 Status Table::TryAddRow(std::vector<std::string> values) {
   MC_RETURN_IF_ERROR(ValidateRow(values));
+  Cells& cells = MutableCells();
   for (size_t i = 0; i < values.size(); ++i) {
-    missing_[i].push_back(TrimWhitespace(values[i]).empty() ? 1 : 0);
-    columns_[i].push_back(std::move(values[i]));
+    cells.missing[i].push_back(TrimWhitespace(values[i]).empty() ? 1 : 0);
+    cells.columns[i].push_back(std::move(values[i]));
   }
   ++num_rows_;
   // Any attached text plane no longer matches the cell contents.
@@ -45,9 +93,10 @@ Status Table::SetRow(size_t row, std::vector<std::string> values) {
                                    std::to_string(num_rows_) + " rows)");
   }
   MC_RETURN_IF_ERROR(ValidateRow(values));
+  Cells& cells = MutableCells();
   for (size_t i = 0; i < values.size(); ++i) {
-    missing_[i][row] = TrimWhitespace(values[i]).empty() ? 1 : 0;
-    columns_[i][row] = std::move(values[i]);
+    cells.missing[i][row] = TrimWhitespace(values[i]).empty() ? 1 : 0;
+    cells.columns[i][row] = std::move(values[i]);
   }
   text_plane_.reset();
   return Status::Ok();

@@ -1,6 +1,7 @@
 #ifndef MATCHCATCHER_TABLE_TABLE_H_
 #define MATCHCATCHER_TABLE_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -21,13 +22,27 @@ class TokenizedTable;
 /// whitespace trimming is treated as a missing value (the missing bit is
 /// precomputed at AddRow time, so IsMissing is O(1)). Numeric access parses
 /// on demand.
+///
+/// Copies share their cells: copying a Table copies the schema and a
+/// pointer, never a cell. The first AddRow/TryAddRow/SetRow through a
+/// copy that shares its cells clones them (copy-on-write), so no copy ever
+/// sees another's edits. The schema and the attached text plane stay per
+/// object. Thread safety is that of a value: distinct Table objects —
+/// copies of one another included — may be read and written concurrently
+/// from different threads; one object may be read concurrently but not
+/// written while anything else touches it (copying it included).
+/// A moved-from table is empty (no schema, no rows) and may be reused.
 class Table {
  public:
   Table() = default;
   explicit Table(Schema schema)
       : schema_(std::move(schema)),
-        columns_(schema_.size()),
-        missing_(schema_.size()) {}
+        cells_(std::make_shared<Cells>(schema_.size())) {}
+
+  Table(const Table& other);
+  Table& operator=(const Table& other);
+  Table(Table&& other) noexcept;
+  Table& operator=(Table&& other) noexcept;
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
@@ -60,25 +75,26 @@ class Table {
   /// Raw cell value ("" when missing).
   std::string_view Value(size_t row, size_t column) const {
     MC_CHECK_LT(row, num_rows_);
-    MC_CHECK_LT(column, columns_.size());
-    return columns_[column][row];
+    MC_CHECK_LT(column, num_columns());
+    return cells_->columns[column][row];
   }
 
   /// True when the cell is empty / whitespace-only. O(1): the bit is
   /// precomputed by AddRow (this is called in hot profiling loops).
   bool IsMissing(size_t row, size_t column) const {
     MC_CHECK_LT(row, num_rows_);
-    MC_CHECK_LT(column, missing_.size());
-    return missing_[column][row] != 0;
+    MC_CHECK_LT(column, num_columns());
+    return cells_->missing[column][row] != 0;
   }
 
   /// Cell parsed as double, if present and parseable.
   std::optional<double> NumericValue(size_t row, size_t column) const;
 
-  /// Whole column (reference valid until the next AddRow).
+  /// Whole column (reference valid until the next write to this table).
+  /// Copies return the same vector until one of them is written.
   const std::vector<std::string>& Column(size_t column) const {
-    MC_CHECK_LT(column, columns_.size());
-    return columns_[column];
+    MC_CHECK_LT(column, num_columns());
+    return cells_->columns[column];
   }
 
   /// Replaces the schema's attribute types (used after type inference).
@@ -109,12 +125,29 @@ class Table {
   uint8_t text_plane_side() const { return text_plane_side_; }
 
  private:
+  // Cell storage, shared by copies until one of them writes.
+  struct Cells {
+    explicit Cells(size_t num_columns)
+        : columns(num_columns), missing(num_columns) {}
+    std::vector<std::vector<std::string>> columns;
+    // Per-column missing bitmap, parallel to columns (1 = whitespace-only).
+    std::vector<std::vector<uint8_t>> missing;
+  };
+
   Status ValidateRow(const std::vector<std::string>& values) const;
+  // The cells, cloned first when another table may share them.
+  Cells& MutableCells();
 
   Schema schema_;
-  std::vector<std::vector<std::string>> columns_;
-  // Per-column missing bitmap, parallel to columns_ (1 = whitespace-only).
-  std::vector<std::vector<uint8_t>> missing_;
+  // Null only in a default-constructed or moved-from table (no columns).
+  std::shared_ptr<Cells> cells_;
+  // Set on both sides of a copy, cleared by the clone MutableCells makes
+  // (so a table whose copies all died still clones once). Not
+  // cells_.use_count() == 1: that read is relaxed, so it would not order an
+  // in-place write after another thread's reads through a copy it just
+  // destroyed. Atomic because copying a const table from several threads
+  // sets it.
+  mutable std::atomic<bool> cells_shared_{false};
   size_t num_rows_ = 0;
   std::shared_ptr<const TokenizedTable> text_plane_;
   uint8_t text_plane_side_ = 0;

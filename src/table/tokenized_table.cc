@@ -607,7 +607,7 @@ uint32_t TokenizedTable::ContentCrc() const {
     const size_t cells = rows_[side] * num_columns_;
     for (size_t cell = 0; cell < cells; ++cell) {
       crc = Crc32(&missing_[side][cell], 1, crc);
-      const std::string& norm = norm_values_.KeyOf(norm_ids_[side][cell]);
+      std::string_view norm = norm_values_.KeyOf(norm_ids_[side][cell]);
       hash_u64(norm.size());
       crc = Crc32(norm.data(), norm.size(), crc);
       // Streams hash as ranks (repeat bit preserved): token ids are

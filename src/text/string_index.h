@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -20,7 +19,11 @@ namespace mc {
 /// linearly, load factor <= 0.7, with each key's 64-bit hash cached by id
 /// so a probe compares bytes only on a full hash match and a rehash never
 /// re-hashes a key. Lookups take a string_view and allocate nothing; only
-/// inserting a new key allocates (its copy, and the occasional growth).
+/// inserting a new key allocates, and then only when a vector grows.
+///
+/// Keys are stored flat: their bytes concatenated by id in one char vector,
+/// with each id's end offset beside its hash — no per-key string header or
+/// heap block, and copying the index copies four vectors.
 ///
 /// `Hasher` maps a string_view to a 64-bit hash; tests substitute a
 /// colliding one.
@@ -38,13 +41,14 @@ class BasicStringIndex {
       slot = Probe(key, hash);
       if (slots_[slot] != kAbsent) return {slots_[slot], false};
     }
-    if ((keys_.size() + 1) * 10 > slots_.size() * 7) {
+    if ((size() + 1) * 10 > slots_.size() * 7) {
       Rehash(slots_.empty() ? 16 : 2 * slots_.size());
       slot = EmptySlot(hash);
     }
-    MC_CHECK_LT(keys_.size(), size_t{kAbsent}) << "string index is full";
-    const uint32_t id = static_cast<uint32_t>(keys_.size());
-    keys_.emplace_back(key);
+    MC_CHECK_LT(size(), size_t{kAbsent}) << "string index is full";
+    const uint32_t id = static_cast<uint32_t>(size());
+    bytes_.insert(bytes_.end(), key.begin(), key.end());
+    ends_.push_back(bytes_.size());
     hashes_.push_back(hash);
     slots_[slot] = id;
     return {id, true};
@@ -56,17 +60,23 @@ class BasicStringIndex {
     return slots_[Probe(key, Hash(key))];
   }
 
-  /// The key with id `id`.
-  const std::string& KeyOf(uint32_t id) const {
-    MC_CHECK_LT(id, keys_.size());
-    return keys_[id];
+  /// The key with id `id`. The view is valid until the next Insert (the
+  /// byte pool may move when it grows).
+  std::string_view KeyOf(uint32_t id) const {
+    MC_CHECK_LT(id, size());
+    return KeyAt(id);
   }
 
-  size_t size() const { return keys_.size(); }
+  size_t size() const { return ends_.size(); }
 
  private:
   static uint64_t Hash(std::string_view key) {
     return static_cast<uint64_t>(Hasher{}(key));
+  }
+
+  std::string_view KeyAt(uint32_t id) const {
+    const size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return std::string_view(bytes_.data() + begin, ends_[id] - begin);
   }
 
   // The slot holding `key`, or the empty slot where it would go.
@@ -74,7 +84,7 @@ class BasicStringIndex {
     const size_t mask = slots_.size() - 1;
     for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
       const uint32_t id = slots_[slot];
-      if (id == kAbsent || (hashes_[id] == hash && keys_[id] == key)) {
+      if (id == kAbsent || (hashes_[id] == hash && KeyAt(id) == key)) {
         return slot;
       }
     }
@@ -89,14 +99,15 @@ class BasicStringIndex {
 
   void Rehash(size_t capacity) {
     slots_.assign(capacity, kAbsent);
-    for (uint32_t id = 0; id < keys_.size(); ++id) {
+    for (uint32_t id = 0; id < size(); ++id) {
       slots_[EmptySlot(hashes_[id])] = id;
     }
   }
 
-  std::vector<uint32_t> slots_;   // Power-of-two; kAbsent marks empty.
-  std::vector<std::string> keys_;  // By id.
-  std::vector<uint64_t> hashes_;   // By id.
+  std::vector<uint32_t> slots_;  // Power-of-two; kAbsent marks empty.
+  std::vector<char> bytes_;      // Every key's bytes, in id order.
+  std::vector<size_t> ends_;     // By id: end of the key in bytes_.
+  std::vector<uint64_t> hashes_;  // By id.
 };
 
 using StringIndex = BasicStringIndex<>;

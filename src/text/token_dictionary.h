@@ -41,7 +41,8 @@ class TokenDictionary {
     return id;
   }
 
-  const std::string& TokenOf(TokenId id) const { return index_.KeyOf(id); }
+  /// The token's bytes; valid until the next Intern of a new token.
+  std::string_view TokenOf(TokenId id) const { return index_.KeyOf(id); }
 
   /// Records one document occurrence for each id in `distinct_ids`; the
   /// caller must have deduplicated ids within the document.

@@ -109,7 +109,9 @@ TEST(DebugSessionTest, SharedTablesWithInferredSchemaAreNotCopied) {
   EXPECT_TRUE(copied->table_a().schema() == shared->table_a().schema());
   EXPECT_EQ(copied->CandidatePairs(), shared->CandidatePairs());
 
-  // A shared pair still on the registered schema is copied and rewritten.
+  // A shared pair still on the registered schema gets its own Table
+  // objects with the rewritten schema, over the same cells (the service
+  // hands infer_types sessions its stored tables this way).
   auto plain_a = std::make_shared<const Table>(FigureOneTableA());
   auto plain_b = std::make_shared<const Table>(FigureOneTableB());
   Result<DebugSession> rewritten =
@@ -117,6 +119,13 @@ TEST(DebugSessionTest, SharedTablesWithInferredSchemaAreNotCopied) {
   ASSERT_TRUE(rewritten.ok());
   EXPECT_NE(&rewritten->table_a(), plain_a.get());
   EXPECT_TRUE(rewritten->table_a().schema() == shared_a->schema());
+  EXPECT_FALSE(plain_a->schema() == shared_a->schema());
+  for (size_t c = 0; c < plain_a->num_columns(); ++c) {
+    EXPECT_EQ(rewritten->table_a().Column(c).data(),
+              plain_a->Column(c).data());
+    EXPECT_EQ(rewritten->table_b().Column(c).data(),
+              plain_b->Column(c).data());
+  }
 }
 
 TEST(DebugSessionTest, FirstIterationSurfacesLikelyMatchesFirst) {

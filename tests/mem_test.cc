@@ -1,8 +1,7 @@
 // Tests for the arena memory subsystem (src/mem/): reserve/commit arenas
 // with exact MemoryBudget accounting, the `mem/arena_reserve` fault point,
-// budget conservation across a corpus delta chain, the text plane's
-// charge for its lazy q-gram columns, and the service's charge for a
-// pair's inferred copy.
+// budget conservation across a corpus delta chain, and the text plane's
+// charge for its lazy q-gram columns.
 
 #include <memory>
 #include <optional>
@@ -13,12 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "blocking/standard_blockers.h"
-#include "datagen/generator.h"
 #include "mem/arena.h"
 #include "mem/arena_vector.h"
-#include "service/session_manager.h"
 #include "ssj/corpus.h"
-#include "table/profile.h"
 #include "table/table.h"
 #include "table/table_delta.h"
 #include "table/tokenized_table.h"
@@ -314,63 +310,6 @@ TEST(BudgetConservationTest, RefusedQGramChargeFallsBackToStrings) {
   }
   EXPECT_EQ(budget.rejected(), 1u);
   EXPECT_EQ(budget.used(), arena_bytes);
-}
-
-// The pair's copy with the inferred schema is charged to the service
-// budget while the entry holds it, and the charge returns with it.
-TEST(BudgetConservationTest, InferredPairCopyIsChargedToTheServiceBudget) {
-  datagen::GeneratedDataset dataset = datagen::GenerateAmazonGoogle(
-      datagen::ScaleDims(datagen::kDimsAmazonGoogle, 0.05));
-  ASSERT_FALSE(InferAttributeTypes(dataset.table_a) ==
-               dataset.table_a.schema())
-      << "the test needs a pair whose schema inference rewrites";
-  // Runs one session per flag, in order, on a fresh manager, then drains
-  // its workers (Shutdown), so no finished session still holds a charge
-  // when the budget is read.
-  auto run = [&](SessionManager& manager, std::vector<bool> infer_types) {
-    ASSERT_TRUE(manager
-                    .RegisterTablePair("ag", dataset.table_a,
-                                       dataset.table_b, dataset.gold)
-                    .ok());
-    for (bool infer : infer_types) {
-      SessionRequest request;
-      request.pair_key = "ag";
-      request.options.joint.k = 20;
-      request.options.joint.num_threads = 2;
-      request.options.infer_types = infer;
-      Result<uint64_t> id = manager.Submit(request);
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      Result<SessionOutcome> outcome = manager.Wait(*id);
-      ASSERT_TRUE(outcome.ok());
-      EXPECT_EQ(outcome->state, SessionState::kComplete)
-          << outcome->status.ToString();
-    }
-    manager.Shutdown();
-  };
-  SessionManager without_copy{ServiceLimits{}};
-  run(without_copy, {false});
-  SessionManager with_copy{ServiceLimits{}};
-  run(with_copy, {false, true});
-  SessionManager shared_copy{ServiceLimits{}};
-  run(shared_copy, {false, true, true});
-
-  // The copy is charged at least the characters of every cell.
-  size_t cell_chars = 0;
-  for (const Table* table : {&dataset.table_a, &dataset.table_b}) {
-    for (size_t c = 0; c < table->num_columns(); ++c) {
-      for (size_t row = 0; row < table->num_rows(); ++row) {
-        cell_chars += table->Value(row, c).size();
-      }
-    }
-  }
-  const size_t used = with_copy.stats().memory_used_bytes;
-  EXPECT_GE(used, without_copy.stats().memory_used_bytes + cell_chars);
-  // A second infer_types session shares the copy: no new charge.
-  EXPECT_EQ(shared_copy.stats().memory_used_bytes, used);
-  // Eviction drops the copy with the plane, and the charge returns.
-  EXPECT_EQ(shared_copy.EvictSharedPlanes(), 1u);
-  EXPECT_EQ(shared_copy.stats().memory_used_bytes, 0u);
-  EXPECT_EQ(shared_copy.stats().memory_release_violations, 0u);
 }
 
 }  // namespace

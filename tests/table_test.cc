@@ -1,4 +1,6 @@
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +9,7 @@
 #include "table/profile.h"
 #include "table/schema.h"
 #include "table/table.h"
+#include "table/tokenized_table.h"
 
 namespace mc {
 namespace {
@@ -102,6 +105,155 @@ TEST(TableTest, ParseDouble) {
   EXPECT_EQ(ParseDouble("-7e2").value(), -700.0);
   EXPECT_FALSE(ParseDouble("12 apples").has_value());
   EXPECT_FALSE(ParseDouble("").has_value());
+}
+
+// Every cell and missing bit of `table`, for byte-for-byte comparison.
+std::vector<std::pair<std::string, bool>> Cells(const Table& table) {
+  std::vector<std::pair<std::string, bool>> cells;
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      cells.emplace_back(table.Value(row, c), table.IsMissing(row, c));
+    }
+  }
+  return cells;
+}
+
+bool SharesCells(const Table& a, const Table& b) {
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    if (a.Column(c).data() != b.Column(c).data()) return false;
+  }
+  return a.num_columns() > 0;
+}
+
+TEST(TableTest, CopiesShareCells) {
+  const Table table = MakePeopleTable();
+  const Table copy = table;
+  EXPECT_TRUE(SharesCells(copy, table));
+  Table assigned;
+  assigned = copy;
+  EXPECT_TRUE(SharesCells(assigned, table));
+  EXPECT_EQ(Cells(assigned), Cells(table));
+}
+
+// A write through either copy clones the cells first, so the other copy
+// keeps every byte; the writer keeps writing in place afterwards.
+TEST(TableTest, WritesThroughEitherCopyLeaveTheOtherIntact) {
+  using Write = void (*)(Table&);
+  const std::vector<std::pair<const char*, Write>> writes = {
+      {"SetRow",
+       [](Table& t) {
+         ASSERT_TRUE(t.SetRow(2, {"Jo Wilson", " ", "26"}).ok());
+       }},
+      {"AddRow", [](Table& t) { t.AddRow({"Ann Lee", "Boston", "30"}); }},
+      {"TryAddRow",
+       [](Table& t) {
+         ASSERT_TRUE(t.TryAddRow({"Bo Li", "", "41"}).ok());
+       }},
+  };
+  for (const auto& [name, write] : writes) {
+    for (bool write_original : {true, false}) {
+      SCOPED_TRACE(std::string(name) +
+                   (write_original ? " on the original" : " on the copy"));
+      Table original = MakePeopleTable();
+      Table copy = original;
+      Table& writer = write_original ? original : copy;
+      const Table& reader = write_original ? copy : original;
+      const auto before = Cells(reader);
+      write(writer);
+      EXPECT_EQ(Cells(reader), before);
+      EXPECT_NE(Cells(writer), before);
+      EXPECT_FALSE(SharesCells(writer, reader));
+      // Unshared now: a second write edits the writer's own cells.
+      const std::string* cells = writer.Column(0).data();
+      ASSERT_TRUE(writer.SetRow(0, {"Dave Smyth", "Atlanta", "18"}).ok());
+      EXPECT_EQ(writer.Column(0).data(), cells);
+      EXPECT_EQ(Cells(reader), before);
+    }
+  }
+}
+
+TEST(TableTest, RejectedRowClonesNothing) {
+  const Table original = MakePeopleTable();
+  Table copy = original;
+  EXPECT_FALSE(copy.TryAddRow({"too", "short"}).ok());
+  EXPECT_FALSE(copy.SetRow(9, {"x", "y", "z"}).ok());
+  EXPECT_FALSE(copy.SetRow(0, {"just one"}).ok());
+  Table::SetMaxCellBytesForTest(4);
+  EXPECT_FALSE(copy.TryAddRow({"longer than four", "x", "1"}).ok());
+  EXPECT_FALSE(copy.SetRow(0, {"longer than four", "x", "1"}).ok());
+  Table::SetMaxCellBytesForTest(0);
+  EXPECT_TRUE(SharesCells(copy, original));
+  EXPECT_EQ(copy.num_rows(), original.num_rows());
+}
+
+TEST(TableTest, MovedFromTableIsEmptyAndReusable) {
+  Table table = MakePeopleTable();
+  Table other = MakePeopleTable();
+  TokenizedTable::BuildAndAttach(table, other);
+  ASSERT_NE(table.text_plane(), nullptr);
+  const auto cells = Cells(table);
+
+  Table moved = std::move(table);
+  EXPECT_EQ(Cells(moved), cells);
+  EXPECT_NE(moved.text_plane(), nullptr);
+  // The moved-from state is the subject here.
+  // NOLINTBEGIN(bugprone-use-after-move)
+  EXPECT_EQ(table.num_rows(), 0u);
+  EXPECT_EQ(table.num_columns(), 0u);
+  EXPECT_EQ(table.text_plane(), nullptr);
+  const Table copy_of_empty = table;
+  EXPECT_EQ(copy_of_empty.num_rows(), 0u);
+
+  Table assigned = MakePeopleTable();
+  assigned = std::move(moved);
+  EXPECT_EQ(Cells(assigned), cells);
+  EXPECT_EQ(moved.num_rows(), 0u);
+  EXPECT_EQ(moved.num_columns(), 0u);
+
+  // Reusable: it takes a new value and accepts rows again.
+  table = Table(MakePeopleTable().schema());
+  table.AddRow({"Ann Lee", "Boston", "30"});
+  EXPECT_EQ(table.num_rows(), 1u);
+  EXPECT_EQ(table.Value(0, 1), "Boston");
+  moved = assigned;
+  EXPECT_TRUE(SharesCells(moved, assigned));
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(Cells(assigned), cells);
+}
+
+// Distinct copies need no coordination: readers of shared cells run while
+// another copy is written (the writer clones first) and while more copies
+// of the shared table are taken. Meant for the TSan tree.
+TEST(TableTest, ReadersOfOneCopyRunWhileAnotherIsWritten) {
+  Table base(MakePeopleTable().schema());
+  for (int i = 0; i < 400; ++i) {
+    base.AddRow({"name " + std::to_string(i), i % 7 ? "city" : " ",
+                 std::to_string(i)});
+  }
+  const auto cells = Cells(base);
+  const Table shared = base;
+  std::vector<Table> readers(3, shared);
+  Table writer = shared;
+  std::vector<std::thread> threads;
+  for (const Table& reader : readers) {
+    threads.emplace_back([&reader, &shared, &cells] {
+      for (int pass = 0; pass < 20; ++pass) {
+        EXPECT_EQ(Cells(reader), cells);
+        const Table copy = shared;
+        EXPECT_EQ(copy.num_rows(), cells.size() / 3);
+      }
+    });
+  }
+  threads.emplace_back([&writer] {
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(writer.SetRow(i, {"edited", "", "0"}).ok());
+      writer.AddRow({"added", "town", "1"});
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(Cells(base), cells);
+  EXPECT_EQ(writer.num_rows(), 600u);
+  EXPECT_EQ(writer.Value(0, 0), "edited");
 }
 
 TEST(CsvTest, RoundTrip) {

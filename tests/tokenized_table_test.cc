@@ -31,7 +31,8 @@ std::vector<std::string> StreamTokens(const TokenizedTable& plane,
                                       size_t column) {
   std::vector<std::string> tokens;
   for (uint32_t entry : plane.TokenStream(side, row, column)) {
-    tokens.push_back(plane.word_dictionary().TokenOf(entry & kTextTokenIdMask));
+    tokens.emplace_back(
+        plane.word_dictionary().TokenOf(entry & kTextTokenIdMask));
   }
   return tokens;
 }
@@ -44,7 +45,7 @@ std::vector<std::string> DistinctStreamTokens(const TokenizedTable& plane,
   std::vector<std::string> tokens;
   for (uint32_t entry : plane.TokenStream(side, row, column)) {
     if (entry & kTextRepeatBit) continue;
-    tokens.push_back(plane.word_dictionary().TokenOf(entry));
+    tokens.emplace_back(plane.word_dictionary().TokenOf(entry));
   }
   return tokens;
 }

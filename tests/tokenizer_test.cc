@@ -456,5 +456,73 @@ TEST(StringIndexTest, CopiesAreIndependent) {
   EXPECT_EQ(copy.Find("y"), 1u);
 }
 
+// KeyOf's view is valid until the next Insert: after any number of pool
+// growths and slot rehashes, every id still reads its own bytes.
+TEST(StringIndexTest, KeysReadBackThroughGrowthAndRehash) {
+  StringIndex index;
+  std::vector<std::string> keys;
+  size_t checked_at = 16;
+  for (size_t i = 0; i < 5000; ++i) {
+    keys.push_back(std::string(i % 61, 'x') + Numbered("k", i));
+    ASSERT_EQ(index.Insert(keys.back()), std::make_pair(uint32_t(i), true));
+    if (index.size() * 10 > checked_at * 7) {  // Just past a rehash.
+      checked_at *= 2;
+      for (uint32_t id = 0; id < index.size(); ++id) {
+        ASSERT_EQ(index.KeyOf(id), keys[id]) << "after " << i << " inserts";
+      }
+    }
+  }
+  // Lookups never move the pool: views taken now stay valid through them.
+  std::vector<std::string_view> views;
+  for (uint32_t id = 0; id < index.size(); ++id) {
+    views.push_back(index.KeyOf(id));
+  }
+  for (uint32_t id = 0; id < index.size(); ++id) {
+    ASSERT_EQ(index.Find(keys[id]), id);
+    ASSERT_FALSE(index.Insert(keys[id]).second);
+  }
+  for (uint32_t id = 0; id < index.size(); ++id) {
+    ASSERT_EQ(views[id].data(), index.KeyOf(id).data());
+    ASSERT_EQ(views[id], keys[id]);
+  }
+}
+
+TEST(StringIndexTest, EmptyNulAndHighByteKeysRoundTrip) {
+  using namespace std::string_literals;
+  std::vector<std::string> keys = {
+      ""s,     "\0"s,   "\0\0"s,   "a\0b"s,       "a\0c"s,
+      "a"s,    "\xff"s, "\x80"s, "\x80\xff"s, "caf\xc3\xa9"s};
+  for (int byte = 0x80; byte <= 0xff; ++byte) {
+    keys.push_back("hi" + std::string(1, static_cast<char>(byte)) + '\0');
+  }
+  StringIndex index;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(index.Insert(keys[i]), std::make_pair(uint32_t(i), true)) << i;
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(index.Find(keys[i]), i);
+    EXPECT_EQ(index.KeyOf(i).size(), keys[i].size());
+    EXPECT_EQ(index.KeyOf(i), keys[i]);
+  }
+  EXPECT_EQ(index.Find("\0\0\0"s), StringIndex::kAbsent);
+  EXPECT_EQ(index.Find("a\0"s), StringIndex::kAbsent);
+}
+
+// A copy owns its bytes: it reads the same after the original grows far
+// past it, and the original after the copy is destroyed.
+TEST(StringIndexTest, CopiesKeepTheirBytesWhileTheOtherGrows) {
+  StringIndex base;
+  for (size_t i = 0; i < 100; ++i) base.Insert(Numbered("base", i));
+  auto copy = std::make_unique<StringIndex>(base);
+  const std::string_view copied = copy->KeyOf(42);
+  for (size_t i = 0; i < 20000; ++i) base.Insert(Numbered("more", i));
+  EXPECT_EQ(copied, Numbered("base", 42));
+  EXPECT_EQ(copy->size(), 100u);
+  EXPECT_EQ(copy->Find(Numbered("more", 7)), StringIndex::kAbsent);
+  copy.reset();
+  EXPECT_EQ(base.KeyOf(42), Numbered("base", 42));
+  EXPECT_EQ(base.Find(Numbered("more", 7)), 107u);
+}
+
 }  // namespace
 }  // namespace mc

@@ -133,6 +133,19 @@ for config in asan ubsan tsan; do
       -R 'FeaturesTest|TextPlaneEquivalenceTest|MatchVerifierTest'
 done
 
+# Table: copies share their cells until one is written (copy-on-write),
+# interned-string pools keep every key in one flat byte vector, and the
+# service's infer_types sessions charge nothing beyond a plain session's
+# budget. ASan catches a view or a column reference that outlives its
+# storage, UBSan the pool's offset arithmetic, and TSan a clone that
+# races the readers of the cells it copies.
+echo "==== [table] copy-on-write table/string pool/service budget suites under ASan + UBSan + TSan ===="
+for config in asan ubsan tsan; do
+  echo "---- [table] ${config} ----"
+  ctest --test-dir "${build_root}/${config}" --output-on-failure \
+      -R 'TableTest|StringIndexTest|BudgetConservationTest|ServiceTableSharingTest'
+done
+
 # Blocking identity: every paper blocker's output (size and sorted-pair
 # checksum, from strings and over the text plane, six datasets x 3 seeds)
 # must equal the committed record byte for byte. About 25 s on 4 cores.
