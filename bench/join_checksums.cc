@@ -1,16 +1,15 @@
 // Output and counter identity of the top-k join engine: prints one line per
 // joint run (dataset, scale, seed, blocker, k, requested q, shards per
 // config) with the q actually used, whether the root ran as the planner's
-// whole-table probe or under the hybrid prefilter, a CRC-32 over every
-// config's sorted list (pair ids plus raw score bits), and every config's
-// TopKJoinStats (events popped, pairs discovered, scored and pruned, tokens
-// indexed, prefilter restarts). The inputs are built the way a debugging
+// whole-table probe, a CRC-32 over every config's sorted list (pair ids
+// plus raw score bits), and every config's TopKJoinStats (events popped,
+// pairs discovered, scored and pruned, tokens indexed). The inputs are built the way a debugging
 // session builds them (text plane, type inference, attribute selection,
 // config tree, corpus, a paper blocker's output as the exclusion set).
 //
 // The cells cover q = 1, 2, 3 and 4 (forced, or picked by the planner with
 // q = 0), k = 100, 300 and 1000, planner roots reused from the whole-table
-// probe, hybrid-prefilter roots, and forced four-shard runs. Every run uses
+// probe, planned roots joined afresh, and forced four-shard runs. Every run uses
 // four worker threads and a fixed shard count, so the counters do not
 // depend on the machine's core count.
 //
@@ -47,7 +46,7 @@ namespace {
 // blocker of the dataset; otherwise only the first one is used.
 struct Run {
   size_t k;
-  size_t q;  // 0 = the planner picks q (and the hybrid prefilter).
+  size_t q;  // 0 = the planner picks q.
   size_t shards_per_config;
   bool all_blockers;
 };
@@ -65,10 +64,10 @@ std::string StatsField(const JointResult& result) {
   char buffer[160];
   for (const ConfigJoinResult& config : result.per_config) {
     const TopKJoinStats& s = config.stats;
-    std::snprintf(buffer, sizeof(buffer), "%s%zu/%zu/%zu/%zu/%zu/%zu",
+    std::snprintf(buffer, sizeof(buffer), "%s%zu/%zu/%zu/%zu/%zu",
                   field.empty() ? "" : ",", s.events_popped,
                   s.pairs_discovered, s.pairs_scored, s.pairs_pruned,
-                  s.tokens_indexed, s.prefilter_restarts);
+                  s.tokens_indexed);
     field += buffer;
   }
   return field;
@@ -116,12 +115,12 @@ void PrintRuns(const DatasetRuns& cell) {
       MC_CHECK(!result.truncated);
       std::printf(
           "%s scale=%g seed=%llu %s k=%zu q=%zu shards=%zu q_used=%zu "
-          "probe_root=%d hybrid_root=%d configs=%zu crc=%08x stats=%s\n",
+          "probe_root=%d configs=%zu crc=%08x stats=%s\n",
           cell.name, cell.scale, static_cast<unsigned long long>(cell.seed),
           blockers[b].label.c_str(), run.k, run.q, run.shards_per_config,
           result.q_used, result.per_config[0].from_planner_probe ? 1 : 0,
-          result.plan_decisions[0].hybrid ? 1 : 0, result.per_config.size(),
-          JointChecksum(result), StatsField(result).c_str());
+          result.per_config.size(), JointChecksum(result),
+          StatsField(result).c_str());
     }
   }
   std::fprintf(stderr, "%s scale=%g seed=%llu joint %.3fs\n", cell.name,

@@ -1,8 +1,8 @@
 // Decision identity of the cost-based join planner: prints one line per
 // (dataset, scale, k, seed, blocker) cell with every JoinPlan decision
-// field — q, shard hint, hybrid switch, threshold, the extrapolated
-// volumes, both k-th estimates and the chosen q's modeled cost — with the
-// doubles in hex-float so equal lines mean equal bits. The root view and
+// field — q, shard hint, the extrapolated volumes and the chosen q's
+// modeled cost — with the cost in hex-float so equal lines mean equal
+// bits. The root view and
 // the exclusion set are built the way a debugging session builds them
 // (text plane, type inference, attribute selection, config tree, corpus).
 //
@@ -80,14 +80,12 @@ void PrintDecisions(const Cell& cell, uint64_t seed) {
       MC_CHECK(!plan.truncated);
       std::printf(
           "%s scale=%g k=%zu seed=%llu %s rate=%zu q=%zu shards=%zu "
-          "hybrid=%d tau=%a est_events=%llu est_scored=%llu "
-          "kth=%a half_kth=%a cost=%a\n",
+          "est_events=%llu est_scored=%llu cost=%a\n",
           cell.name, cell.scale, k, static_cast<unsigned long long>(seed),
           blockers[b].label.c_str(), plan.sample_rate, plan.q, plan.shards,
-          plan.hybrid ? 1 : 0, plan.prefilter_threshold,
           static_cast<unsigned long long>(plan.est_events),
-          static_cast<unsigned long long>(plan.est_scored), plan.sampled_kth,
-          plan.half_sample_kth, plan.cost_per_q[plan.q - 1]);
+          static_cast<unsigned long long>(plan.est_scored),
+          plan.cost_per_q[plan.q - 1]);
     }
   }
   std::fprintf(stderr, "%s scale=%g seed=%llu planner %.3fs\n", cell.name,

@@ -47,9 +47,6 @@ struct JointContext {
   // Resolved shard count per config: options.shards_per_config, else the
   // planner's hint, else 0 (auto: min(num_threads, hardware)).
   size_t shards_per_config = 0;
-  // Hybrid prefilter threshold for the root config (< 0 = off). Set only
-  // when the planner ran and decided for the hybrid mode.
-  double root_prefilter = -1.0;
   // The planner's winning whole-table probe, when it ran the root join
   // already (fresh plan at sample rate 1): the root node hands it to
   // FinishNode instead of joining again. Null otherwise.
@@ -252,16 +249,8 @@ class TwoLevelExecutor {
       }
       PairScorer* scorer =
           node.scorers.empty() ? nullptr : node.scorers[s].get();
-      TopKJoinOptions join_options = ctx_.JoinOptions(node.context);
-      // Hybrid prefilter, planned for the root config only (the planner
-      // sampled the root view) and only in single-shard form: a shard
-      // sub-space's k-th score can sit below the full-space bound the
-      // sample provides, which would force per-shard restarts.
-      if (index == 0 && node.shard_lists.size() == 1 && !node.use_seed) {
-        join_options.prefilter_threshold = ctx_.root_prefilter;
-      }
       node.shard_lists[s] = RunTopKJoinShard(
-          node.view, join_options, s, shard_count_, scorer,
+          node.view, ctx_.JoinOptions(node.context), s, shard_count_, scorer,
           node.use_seed ? &node.seed : nullptr, &node.shard_stats[s]);
     } catch (const std::exception& e) {
       ctx_.RecordTaskError(
@@ -304,7 +293,6 @@ class TwoLevelExecutor {
       out.stats.pairs_scored += stats.pairs_scored;
       out.stats.pairs_pruned += stats.pairs_pruned;
       out.stats.tokens_indexed += stats.tokens_indexed;
-      out.stats.prefilter_restarts += stats.prefilter_restarts;
       out.stats.truncated = out.stats.truncated || stats.truncated;
     }
     for (const std::unique_ptr<CachingPairScorer>& scorer : node.scorers) {
@@ -365,9 +353,9 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   JointResult result;
   result.per_config.resize(tree.size());
 
-  // Decide the plan (q, shard hint, hybrid prefilter) on the root config
-  // with the cost-based planner. It respects the run context, so a deadline
-  // also bounds this warm-up phase.
+  // Decide the plan (q, shard hint) on the root config with the cost-based
+  // planner. It respects the run context, so a deadline also bounds this
+  // warm-up phase.
   size_t q = options.q;
   ConfigView root_view = corpus.MakeConfigView(tree.nodes[0].mask);
   std::optional<PlannerProbe> root_probe;
@@ -389,7 +377,6 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
       planner_options.seed = options.planner_seed;
       planner_options.max_shards =
           options.num_threads != 0 ? options.num_threads : hardware;
-      planner_options.enable_hybrid = options.planner_hybrid;
       planner_options.run_context = options.run_context;
       result.plan =
           PlanTopKJoin(corpus, root_view, planner_options, &root_probe);
@@ -405,16 +392,10 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
       root_view.average_tokens() >= options.reuse_min_avg_tokens;
   result.overlap_reuse_active = overlap_reuse;
 
-  const size_t cache_shards =
-      options.overlap_cache_shards != 0
-          ? options.overlap_cache_shards
-          : OverlapCache::RecommendShards(
-                corpus.rows_a(), corpus.rows_b(), options.k, tree.size(),
-                result.planner_used && !result.plan.truncated
-                    ? result.plan.est_scored
-                    : 0);
-  result.overlap_cache_shards_used = cache_shards;
-  OverlapCache cache(cache_shards);
+  OverlapCache cache(OverlapCache::RecommendShards(
+      corpus.rows_a(), corpus.rows_b(), options.k, tree.size(),
+      result.planner_used && !result.plan.truncated ? result.plan.est_scored
+                                                    : 0));
 
   const size_t num_threads =
       options.num_threads != 0 ? options.num_threads : hardware;
@@ -426,26 +407,17 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
       !result.plan.truncated) {
     ctx.shards_per_config = result.plan.shards;
   }
-  if (result.planner_used && result.plan.hybrid) {
-    ctx.root_prefilter = result.plan.prefilter_threshold;
-  }
   if (root_probe.has_value()) ctx.root_probe = &*root_probe;
 
   TwoLevelExecutor(ctx).Run();
 
   result.plan_decisions.reserve(tree.size());
-  for (size_t i = 0; i < tree.size(); ++i) {
-    const ConfigJoinResult& config = result.per_config[i];
+  for (const ConfigJoinResult& config : result.per_config) {
     ConfigPlanDecision decision;
     decision.config = config.config;
     decision.q = q;
     decision.shards = config.shards_used;
     decision.seeded_from_parent = config.seeded_from_parent;
-    decision.hybrid = i == 0 && ctx.root_prefilter >= 0.0 &&
-                      config.shards_used == 1 && !config.seeded_from_parent &&
-                      !config.from_planner_probe;
-    decision.prefilter_threshold =
-        decision.hybrid ? ctx.root_prefilter : -1.0;
     result.plan_decisions.push_back(decision);
   }
 

@@ -22,18 +22,15 @@ struct JointOptions {
   SetMeasure measure = SetMeasure::kJaccard;
   /// QJoin deferred-scoring parameter; 0 lets the cost-based planner
   /// (src/ssj/join_planner.h) pick q per corpus — once, on the root config
-  /// — along with a shard hint and the hybrid threshold/top-k prefilter.
+  /// — along with a shard hint.
   size_t q = 1;
   /// Planner sample seed; 0 = MC_PLANNER_SEED (fixed default when unset).
   /// Plans are deterministic for a fixed seed on a fixed corpus generation.
   uint64_t planner_seed = 0;
-  /// Allow the planner's hybrid threshold/top-k prefilter on the root
-  /// config (ablation switch; per-config output is bit-identical either
-  /// way).
+  /// Have no effect. Kept only because the session benchmark's staged twin
+  /// still assigns them; deleted along with that twin (ROADMAP: "Trace the
+  /// real code path, then delete the staged twin").
   bool planner_hybrid = true;
-  /// Has no effect. Kept only because the session benchmark's staged twin
-  /// still reads it; deleted along with that twin (ROADMAP: "Trace the real
-  /// code path, then delete the staged twin").
   bool planner_threshold = true;
   /// Skip planning entirely and execute this plan (the service's
   /// cross-session plan cache). Only consulted when q == 0; the plan must
@@ -60,12 +57,6 @@ struct JointOptions {
   /// the core count only add overhead). The join output is independent of
   /// this value (canonical shard merge).
   size_t shards_per_config = 0;
-  /// Stripe count for the shared OverlapCache. 0 = auto-sized from the
-  /// expected pair volume via OverlapCache::RecommendShards(rows_a, rows_b,
-  /// k, config count); the value actually used is reported in
-  /// JointResult::overlap_cache_shards_used (bench sweeps set it
-  /// explicitly).
-  size_t overlap_cache_shards = 0;
   /// Reuse similarity-score computations through the shared overlap cache.
   bool reuse_overlaps = true;
   /// Seed each config's top-k list from its parent's re-adjusted list.
@@ -119,11 +110,6 @@ struct ConfigPlanDecision {
   size_t q = 1;
   /// Table-A shard tasks the config was decomposed into.
   size_t shards = 1;
-  /// Whether the hybrid threshold/top-k prefilter was applied (only ever
-  /// on the root config, when the hybrid gate held).
-  bool hybrid = false;
-  /// The prefilter threshold used (< 0 when hybrid is off).
-  double prefilter_threshold = -1.0;
   bool seeded_from_parent = false;
 };
 
@@ -131,8 +117,6 @@ struct ConfigPlanDecision {
 struct JointResult {
   std::vector<ConfigJoinResult> per_config;
   double total_seconds = 0.0;
-  /// OverlapCache stripe count actually used (auto-sized or explicit).
-  size_t overlap_cache_shards_used = 0;
   /// The q value actually used (after the optional planner).
   size_t q_used = 1;
   /// The cost-based plan, when the planner ran (q == 0);

@@ -5,12 +5,6 @@
 namespace mc {
 
 size_t OverlapCache::RecommendShards(size_t rows_a, size_t rows_b, size_t k,
-                                     size_t num_configs) {
-  return RecommendShards(rows_a, rows_b, k, num_configs,
-                         /*estimated_scored_pairs=*/0);
-}
-
-size_t OverlapCache::RecommendShards(size_t rows_a, size_t rows_b, size_t k,
                                      size_t num_configs,
                                      uint64_t estimated_scored_pairs) {
   // Expected entries: one per kept pair, ~k per config, never more than

@@ -41,17 +41,13 @@ class OverlapCache {
   /// entries per stripe so concurrent inserts rarely contend on a mutex,
   /// clamped to [64, 8192] and rounded up to a power of two (so the
   /// returned value is exactly the stripe count the map will use).
-  /// Exposed through JointOptions::overlap_cache_shards for bench sweeps.
-  static size_t RecommendShards(size_t rows_a, size_t rows_b, size_t k,
-                                size_t num_configs);
-
-  /// Planner-informed variant: when the cost planner ran, its extrapolated
-  /// scored-pair volume (JoinPlan::est_scored) bounds the kept-pair entries
-  /// tighter than the k-per-config worst case — a join whose pruning keeps
-  /// most pairs out never inserts them. `estimated_scored_pairs` == 0 falls
-  /// back to the heuristic above; the estimate only refines the stripe
-  /// count downward (contention is governed by actual entries, and the k *
-  /// configs bound still caps the volume).
+  /// When the cost planner ran, its extrapolated scored-pair volume
+  /// (JoinPlan::est_scored) bounds the kept-pair entries tighter than the
+  /// k-per-config worst case — a join whose pruning keeps most pairs out
+  /// never inserts them. `estimated_scored_pairs` == 0 uses the worst case
+  /// alone; the estimate only refines the stripe count downward (contention
+  /// is governed by actual entries, and the k * configs bound still caps
+  /// the volume).
   static size_t RecommendShards(size_t rows_a, size_t rows_b, size_t k,
                                 size_t num_configs,
                                 uint64_t estimated_scored_pairs);

@@ -58,7 +58,6 @@ uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   hash = MixFnv(hash, static_cast<uint64_t>(joint.measure));
   hash = MixFnv(hash, joint.planner_seed != 0 ? joint.planner_seed
                                               : PlannerSeedFromEnv());
-  hash = MixFnv(hash, joint.planner_hybrid ? 1 : 0);
   hash = MixFnv(hash, joint.num_threads);
   hash = MixFnv(hash, joint.shards_per_config);
   // Config generation picks the attributes, and with them the root view the
@@ -635,14 +634,10 @@ std::optional<SessionOutcome> SessionManager::BuildSession(uint64_t id) {
   outcome.plan = joint.plan;
   outcome.plan_cache_hit = joint.plan_from_cache;
   outcome.plan_decisions = joint.plan_decisions;
-  if (joint.planner_used) {
+  // A cache hit skipped the probes, so it is not a computed plan.
+  if (joint.planner_used && !joint.plan_from_cache) {
     std::lock_guard<std::mutex> lock(mutex_);
-    // A cache hit skipped the probes, so it is not a computed plan.
-    if (!joint.plan_from_cache) ++stats_.plans_computed;
-    if (joint.plan.hybrid) ++stats_.hybrid_plans;
-    for (const ConfigJoinResult& config : joint.per_config) {
-      stats_.hybrid_restarts += config.stats.prefilter_restarts;
-    }
+    ++stats_.plans_computed;
   }
   outcome.state = session->truncated() ? SessionState::kTruncated
                                        : SessionState::kComplete;

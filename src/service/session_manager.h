@@ -163,11 +163,6 @@ struct ServiceStats {
                                  // option signature, or injected fault).
   size_t plans_evicted = 0;  // Cached plans reclaimed by LRU plane eviction
                              // (delta invalidations are not counted here).
-  size_t hybrid_plans = 0;    // Plans that enabled the hybrid prefilter.
-  size_t hybrid_restarts = 0;  // Prefilter phase-1 lists that fell short of
-                               // tau and re-ran without the bound (output
-                               // still bit-identical; a restart just means
-                               // the sampled threshold overshot).
 };
 
 /// Long-lived multiplexer of concurrent DebugSessions over shared immutable

@@ -1,7 +1,6 @@
 #include "ssj/join_planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -52,13 +51,6 @@ constexpr double kMinQCoverage = 0.5;
 // whole table-B event stream in the heap, and with the weak bound of a
 // thinned pair space every probe drains it.
 size_t ProbeK(size_t k, size_t rate) { return (k + rate - 1) / rate; }
-
-// Hybrid switch: the sampled k-th score counts as stabilized when the full
-// sample's k-th exceeds the nested half sample's by at most this relative
-// tolerance. A stable k-th means doubling the sample barely moved the
-// boundary, so the full run's k-th is unlikely to sit far above it — and
-// the threshold it seeds will be reached (no restart).
-constexpr double kKthStabilityTolerance = 0.05;
 
 // Shard-count hint: one shard per this many extrapolated events, so small
 // joins are not decomposed into shards that mostly re-walk table B.
@@ -203,47 +195,6 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   plan.shards = std::max<size_t>(
       1, std::min<size_t>(max_shards, plan.est_events / kMinEventsPerShard));
 
-  // Hybrid decision: seed the threshold pass with the sampled k-th estimate
-  // when it stabilized across nested samples. The full sample's rank-scaled
-  // k-th (ceil(k/N)-th of a 1-in-N sample) estimates the true k-th; the
-  // nested half sample (same offset, doubled rate, rank rescaled) estimates
-  // the same quantile from half the rows. When the two agree the estimate
-  // is trustworthy and the threshold phase ends with k-th >= threshold; when
-  // the estimate still overshoots the true k-th, the engine's restart path
-  // re-runs unbounded and the output stays bit-identical — the hybrid seed
-  // is a pure performance hint. Taking the min of the two estimates biases
-  // the seed low, trading a little pruning for restart headroom. Only
-  // planned for single-shard execution — a shard's sub-space k-th can sit
-  // below the full-space estimate, which would force per-shard restarts.
-  if (options.enable_hybrid && plan.shards == 1 && rate * 2 <= rows_a) {
-    const TopKList& full_sample = *best_list;
-    if (full_sample.full()) {
-      plan.sampled_kth = full_sample.KthScore();
-      TopKJoinOptions probe;
-      probe.k = ProbeK(options.k, rate * 2);
-      probe.measure = options.measure;
-      probe.q = best_q;
-      probe.exclude = options.exclude;
-      probe.run_context = options.run_context;
-      TopKJoinStats half_stats;
-      const size_t half_b_rate = std::min<size_t>(rate * 2, view.rows_b());
-      TopKList half_sample =
-          RunTopKJoinShard(view, probe, offset, rate * 2, /*scorer=*/nullptr,
-                           /*seed=*/nullptr, &half_stats,
-                           offset % half_b_rate, half_b_rate);
-      if (!half_stats.truncated && half_sample.full()) {
-        plan.half_sample_kth = half_sample.KthScore();
-        const double drift =
-            std::abs(plan.sampled_kth - plan.half_sample_kth);
-        if (drift <=
-            kKthStabilityTolerance * std::max(plan.sampled_kth, 1e-12)) {
-          plan.hybrid = true;
-          plan.prefilter_threshold =
-              std::min(plan.sampled_kth, plan.half_sample_kth);
-        }
-      }
-    }
-  }
   if (whole_table_probe != nullptr && rate == 1) {
     whole_table_probe->emplace(PlannerProbe{std::move(*best_list), best});
   }

@@ -15,8 +15,8 @@
 
 namespace mc {
 
-/// Inputs to the cost-based join planner (ShallowBlocker-style: sampled
-/// cost model + hybrid threshold/top-k execution).
+/// Inputs to the cost-based join planner (ShallowBlocker-style sampled
+/// cost model).
 struct PlannerOptions {
   /// Top-k size of the join being planned.
   size_t k = 1000;
@@ -40,24 +40,20 @@ struct PlannerOptions {
   uint64_t seed = 0;
   /// Upper bound for the shard-count hint; 0 = hardware concurrency.
   size_t max_shards = 0;
-  /// Allow the hybrid threshold/top-k prefilter decision. Off forces
-  /// JoinPlan::prefilter_threshold < 0 (classic execution); the join output
-  /// is identical either way.
-  bool enable_hybrid = true;
-  /// Has no effect. Kept only because the session benchmark's staged twin
-  /// still assigns it; deleted along with that twin (ROADMAP: "Trace the
+  /// Have no effect. Kept only because the session benchmark's staged twin
+  /// still assigns them; deleted along with that twin (ROADMAP: "Trace the
   /// real code path, then delete the staged twin").
+  bool enable_hybrid = true;
   bool enable_threshold = true;
   /// Cooperative cancellation for the sampling probes. A cancelled planner
-  /// returns the conservative plan (q = 1, one shard, no hybrid) with
+  /// returns the conservative plan (q = 1, one shard) with
   /// JoinPlan::truncated set.
   RunContext run_context;
 };
 
-/// The planner's decision plus the evidence behind it. Only q,
-/// prefilter_threshold, and shards change *how* the join runs; none of them
-/// change what any given plan returns (bit-identity contract of
-/// TopKJoinOptions::prefilter_threshold and the canonical shard merge).
+/// The planner's decision plus the evidence behind it. Only q and shards
+/// change *how* the join runs; shards never change what it returns (the
+/// canonical shard merge).
 struct JoinPlan {
   /// Chosen QJoin deferred-scoring parameter (argmin of the cost model).
   size_t q = 1;
@@ -65,26 +61,11 @@ struct JoinPlan {
   /// event volume (more shards than events can fill only add B-side
   /// re-walk overhead).
   size_t shards = 1;
-  /// Hybrid prefilter threshold for TopKJoinOptions::prefilter_threshold;
-  /// < 0 when the hybrid mode is off for this plan.
-  double prefilter_threshold = -1.0;
-  /// True when the sampled k-th estimate stabilized across nested samples
-  /// and seeds the hybrid threshold pass (prefilter_threshold then holds
-  /// min(sampled_kth, half_sample_kth); an overshoot of the true k-th is
-  /// absorbed by the engine's restart path, never the output). Either way
-  /// the join returns a bit-identical list: the prefilter moves work, never
-  /// results (TopKJoinOptions::prefilter_threshold contract).
-  bool hybrid = false;
 
   // --- evidence / diagnostics ---
   /// Systematic sample rate actually used and the rows it selected.
   size_t sample_rate = 0;
   size_t sample_rows = 0;
-  /// Rank-scaled k-th estimates at the chosen q: the ceil(k/N)-th score of
-  /// the 1-in-N sample probe and of the nested half sample (-1 when the
-  /// probe could not fill that many pairs).
-  double sampled_kth = -1.0;
-  double half_sample_kth = -1.0;
   /// Generation of the corpus statistics the plan was computed from.
   uint64_t stats_generation = 0;
   /// Resolved seed (options, environment, or default).

@@ -126,31 +126,16 @@ bool SpanScoreAbove(const ConfigView& view, RowId row_a, RowId row_b,
 // table B). shard = 0, shard_count = 1 is the full join; the engine is
 // bit-identical to the pre-CSR implementation in that case.
 //
-// `prefilter` < 0 runs the classic engine. >= 0 tightens every pruning
-// bound to max(k-th score, prefilter): termination, the positional
-// required-overlap bound, extension scheduling, and early-abandon scoring
-// all use the tightened bound, so pairs provably below the prefilter are
-// skipped even while the list is still filling. The caller (RunShardImpl)
-// owns the correctness argument: it accepts this pass's list only when its
-// final k-th score reaches the prefilter, and restarts without it
-// otherwise.
-//
 // Templated on the measure (folds the similarity switch out of the bound
 // computations, which run once or twice per probe) and on the concrete
 // scorer type (Scorer = DirectPairScorer scores inline with the same folded
 // measure; Scorer = PairScorer keeps the virtual call for custom scorers).
 template <SetMeasure kMeasure, typename Scorer>
 TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
-                      double prefilter, Scorer* scorer,
-                      const std::vector<ScoredPair>* seed,
+                      Scorer* scorer, const std::vector<ScoredPair>* seed,
                       TopKJoinStats* stats, size_t shard, size_t shard_count,
                       size_t b_shard, size_t b_shard_count) {
   TopKList topk(options.k);
-
-  // Effective pruning bound. With the prefilter off this is exactly the
-  // k-th score (max with -1 is the identity on KthScore's range), so the
-  // classic engine's behavior is untouched byte for byte.
-  auto bound = [&] { return std::max(topk.KthScore(), prefilter); };
 
   // Seeds initialize the list (raising the pruning threshold early). The
   // engine may later re-derive a seeded pair at its q-th shared token and
@@ -223,10 +208,10 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
                                        mem::ArenaAllocator<uint64_t>(&scratch));
   uint64_t req_epoch = 1;  // 64-bit: never wraps into a stale stamp.
   size_t req_own_len = 0;  // own_len of req_epoch; events never have 0.
-  double epoch_bound = bound();
+  double epoch_bound = topk.KthScore();
   auto note_kth_change = [&] {
-    if (bound() != epoch_bound) {
-      epoch_bound = bound();
+    if (topk.KthScore() != epoch_bound) {
+      epoch_bound = topk.KthScore();
       ++req_epoch;
     }
   };
@@ -303,7 +288,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     RowId row_b = PairRowB(pair);
     double score;
     if constexpr (std::is_same_v<Scorer, DirectPairScorer>) {
-      const double kth = bound();  // -1 until the list fills (prefilter off).
+      const double kth = topk.KthScore();  // -1 until the list fills.
       if (kth < 0.0 || topk.Contains(pair)) {
         // A not-yet-full list accepts everything, and a kept pair must be
         // re-scored in full so a corrected score lands in place.
@@ -312,7 +297,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
         return;  // Provably below the bound: Add would reject it.
       }
     } else {
-      const double kth = bound();
+      const double kth = topk.KthScore();
       if (kth < 0.0 || topk.Contains(pair)) {
         score = scorer->Score(row_a, row_b);
       } else if (!scorer->ScoreAbove(row_a, row_b, kth, &score)) {
@@ -342,10 +327,8 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     // shard-merged and seeded runs reproduce the sequential list bit for
     // bit (see docs/algorithms.md §"Canonical tie handling").
     // (KthScore() is -1 until the list fills, so we never stop early with
-    // fewer than k results while extensions remain — unless an active
-    // prefilter raises the bound, whose skips the caller repairs or
-    // proves canonical.)
-    if (event.cap < bound()) break;
+    // fewer than k results while extensions remain.)
+    if (event.cap < topk.KthScore()) break;
     ++stats->events_popped;
     if ((stats->events_popped % options.poll_period) == 0) {
       if (options.run_context.Cancelled()) {
@@ -431,7 +414,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
           // boundary entry (canonical tie handling).
           required = static_cast<uint32_t>(
               RequiredOverlap<kMeasure, /*kStrict=*/false>(
-                  own_len, partner_len, bound()));
+                  own_len, partner_len, topk.KthScore()));
           req_value[partner_len] = required;
           req_stamp[partner_len] = req_epoch;
         }
@@ -479,7 +462,7 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     uint32_t next = event.position + 1;
     if (next < tokens.size()) {
       double cap = extension_cap(tokens.size(), next);
-      if (cap >= bound()) {
+      if (cap >= topk.KthScore()) {
         replace_top(Event{cap, event.side, event.row, next});
         continue;
       }
@@ -487,48 +470,6 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     pop_top();
   }
   return topk;
-}
-
-// Hybrid threshold/top-k wrapper (TopKJoinOptions::prefilter_threshold).
-// Phase 1 runs the engine with every pruning bound tightened to
-// max(k-th, threshold). If the phase ends with a full list whose k-th score
-// reaches the threshold, that list is the canonical result: every pair the
-// tightened bound skipped provably scores strictly below some bound value
-// <= the final k-th score, so it cannot even tie into the list. Otherwise
-// the threshold overshot the true k-th (the planner's sampled estimate is
-// biased low, so this is the rare path) and the engine restarts
-// without the prefilter, seeded with phase 1's survivors — all exactly
-// scored at their q-th shared-token probe, hence inside the q-eligible
-// space the classic run searches — which reproduces the non-hybrid output
-// bit for bit.
-template <SetMeasure kMeasure, typename Scorer>
-TopKList RunShardImpl(const ConfigView& view, const TopKJoinOptions& options,
-                      Scorer* scorer, const std::vector<ScoredPair>* seed,
-                      TopKJoinStats* stats, size_t shard, size_t shard_count,
-                      size_t b_shard, size_t b_shard_count) {
-  const double tau = options.prefilter_threshold;
-  if (tau < 0.0) {
-    return RunShardPass<kMeasure, Scorer>(view, options, /*prefilter=*/-1.0,
-                                          scorer, seed, stats, shard,
-                                          shard_count, b_shard, b_shard_count);
-  }
-  TopKList first = RunShardPass<kMeasure, Scorer>(
-      view, options, tau, scorer, seed, stats, shard, shard_count, b_shard,
-      b_shard_count);
-  // Cancelled or over budget mid-phase: best-so-far contract, no restart
-  // (the restart would be cancelled too and lose the survivors).
-  if (stats->truncated || stats->abandoned) return first;
-  // Done case: full list (KthScore >= 0) whose boundary reached the
-  // threshold — canonical, by the argument above.
-  if (first.KthScore() >= tau) return first;
-  ++stats->prefilter_restarts;
-  std::vector<ScoredPair> combined = first.Entries();
-  if (seed != nullptr) {
-    combined.insert(combined.end(), seed->begin(), seed->end());
-  }
-  return RunShardPass<kMeasure, Scorer>(view, options, /*prefilter=*/-1.0,
-                                        scorer, &combined, stats, shard,
-                                        shard_count, b_shard, b_shard_count);
 }
 
 // Measure/scorer-kind dispatch into the templated shard runner. `direct` is
@@ -541,11 +482,11 @@ TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
   auto run = [&](auto measure_tag) {
     constexpr SetMeasure kMeasure = decltype(measure_tag)::value;
     if (direct != nullptr) {
-      return RunShardImpl<kMeasure, DirectPairScorer>(
+      return RunShardPass<kMeasure, DirectPairScorer>(
           view, options, direct, seed, stats, shard, shard_count, b_shard,
           b_shard_count);
     }
-    return RunShardImpl<kMeasure, PairScorer>(view, options, scorer, seed,
+    return RunShardPass<kMeasure, PairScorer>(view, options, scorer, seed,
                                               stats, shard, shard_count,
                                               b_shard, b_shard_count);
   };
@@ -622,7 +563,6 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
     stats->pairs_scored += shard_stats[s].pairs_scored;
     stats->pairs_pruned += shard_stats[s].pairs_pruned;
     stats->tokens_indexed += shard_stats[s].tokens_indexed;
-    stats->prefilter_restarts += shard_stats[s].prefilter_restarts;
     stats->truncated = stats->truncated || shard_stats[s].truncated;
   }
   return merged;

@@ -84,23 +84,6 @@ struct TopKJoinOptions {
   /// and any thread scheduling. A custom `scorer` must tolerate concurrent
   /// Score calls when shards > 1 (DirectPairScorer does).
   size_t shards = 1;
-  /// Hybrid threshold/top-k execution (TT-join style, driven by the cost
-  /// planner of src/ssj/join_planner.h). < 0 (the default) is off: behavior
-  /// is byte-identical to the classic engine. >= 0 runs a *pre-filter
-  /// phase*: the event engine executes with pruning bound
-  /// max(k-th score, prefilter_threshold), so pairs provably scoring below
-  /// the threshold are skipped even while the list is still filling — the
-  /// expensive low-bound warm-up is cut. If the phase ends with a full list
-  /// whose k-th score reaches the threshold, its list is provably the
-  /// canonical result (every skipped pair scores strictly below the final
-  /// k-th score, so it cannot even tie into the list) and is returned
-  /// as-is. Otherwise the threshold was too optimistic: the engine restarts
-  /// without it, seeded with the phase's survivors (all exactly scored and
-  /// q-eligible), which reproduces the non-hybrid result. Either way the
-  /// output is *bit-identical* to the same options without the prefilter —
-  /// the threshold moves work, never results (TopKJoinStats counts
-  /// restarts).
-  double prefilter_threshold = -1.0;
   /// Cost budget for the planner's branch-and-bound q ladder
   /// (ssj/join_planner.h). When set, the event engine prices this call's
   /// counters with `cost_model` at every poll point (next to the
@@ -139,12 +122,6 @@ struct TopKJoinStats {
   /// below position q - 1 that are never put in the index because no probe
   /// could use them.
   size_t tokens_indexed = 0;
-  /// Hybrid prefilter phases whose threshold proved too optimistic (the
-  /// engine restarted without it; see TopKJoinOptions::prefilter_threshold).
-  /// Always 0 with the prefilter off. A well-chosen threshold — the
-  /// planner's sampled k-th score is a lower bound on the true k-th — keeps
-  /// this at 0.
-  size_t prefilter_restarts = 0;
   /// True when the join was cancelled (run_context) before draining its
   /// event heap: the returned list is best-so-far, not the exact top-k.
   bool truncated = false;

@@ -126,8 +126,8 @@ TEST(PlanCacheTest, WarmSessionsServeTheMemoizedPlanBitIdentically) {
         << "cached-plan session diverged from the fresh-planned one";
     // The served plan is the published one, not a re-derivation.
     EXPECT_EQ(outcome.plan.q, cold.plan.q);
-    EXPECT_EQ(outcome.plan.hybrid, cold.plan.hybrid);
-    EXPECT_EQ(outcome.plan.prefilter_threshold, cold.plan.prefilter_threshold);
+    EXPECT_EQ(outcome.plan.shards, cold.plan.shards);
+    EXPECT_EQ(outcome.plan.cost_per_q, cold.plan.cost_per_q);
   }
 
   ServiceStats stats = cached.stats();
@@ -297,9 +297,10 @@ TEST(PlanCacheTest, EvictionReclaimsCachedPlans) {
 }
 
 // ---------------------------------------------------------------------------
-// joint.planner_threshold has no effect, so it is not part of the plan-cache
-// signature: two sessions that differ only in that flag share one cached
-// plan (the second is a hit) and return bit-identical lists.
+// joint.planner_threshold and joint.planner_hybrid have no effect, so they
+// are not part of the plan-cache signature: two sessions that differ only in
+// those flags share one cached plan (the second is a hit) and return
+// bit-identical lists.
 
 TEST(PlanCacheTest, InertThresholdFlagSharesTheCachedPlan) {
   datagen::GeneratedDataset dataset = SmallDataset();
@@ -315,15 +316,17 @@ TEST(PlanCacheTest, InertThresholdFlagSharesTheCachedPlan) {
   on.pair_key = "fz";
   on.options = PlannerOptions();
   on.options.joint.planner_threshold = true;
+  on.options.joint.planner_hybrid = true;
   SessionRequest off = on;
   off.options.joint.planner_threshold = false;
+  off.options.joint.planner_hybrid = false;
 
   const SessionOutcome first = MustRun(manager, on);
   ASSERT_TRUE(first.planner_used);
   EXPECT_FALSE(first.plan_cache_hit);
   const SessionOutcome second = MustRun(manager, off);
   EXPECT_TRUE(second.plan_cache_hit)
-      << "the inert flag must not split the plan-cache signature";
+      << "the inert flags must not split the plan-cache signature";
   EXPECT_EQ(manager.stats().plans_computed, 1u);
 
   ASSERT_EQ(second.lists.size(), first.lists.size());

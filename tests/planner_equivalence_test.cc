@@ -1,18 +1,16 @@
 // Randomized planner-vs-direct equivalence suite for the cost-based join
 // planner (src/ssj/join_planner.h). The planner only chooses *how* a join
-// runs — q, shard count, hybrid prefilter threshold — so for every choice
-// it can make, executing the chosen plan must be bit-identical (pairs and
-// raw score bits) to executing the same plan directly without the planner's
+// runs — q and the shard count — so for every choice it can make,
+// executing the chosen plan must be bit-identical (pairs and raw score
+// bits) to executing the same plan directly without the planner's
 // involvement, across seeded corpora, all four set measures, and a range of
 // k values. Plan decisions themselves must be deterministic for a fixed
-// MC_PLANNER_SEED / PlannerOptions::seed. Also pins satellite regressions:
+// MC_PLANNER_SEED / PlannerOptions::seed. Also pins a satellite regression:
 // corpus planner statistics are invalidated by SsjCorpus::ApplyDelta (the
-// generation bump), and the hybrid prefilter stays bit-identical through a
-// forced restart, and at caller-chosen bounds on 1 and 4 shards. The
-// branch-and-bound q ladder must pick the plan an exhaustive ladder picks,
-// and neither the joint executor's reuse of a whole-table probe as the root
-// join nor a cached plan's execution mode may change any list. Run under
-// ASan by the ci.sh `planner` stage.
+// generation bump). The branch-and-bound q ladder must pick the plan an
+// exhaustive ladder picks, and neither the joint executor's reuse of a
+// whole-table probe as the root join nor a cached plan's replay may change
+// any list or counter. Run under ASan by the ci.sh `planner` stage.
 
 #include <algorithm>
 #include <bit>
@@ -26,14 +24,18 @@
 
 #include <gtest/gtest.h>
 
+#include "paper_blockers.h"
+#include "blocking/candidate_set.h"
 #include "config/config_generator.h"
 #include "datagen/generator.h"
 #include "joint/joint_executor.h"
 #include "ssj/corpus.h"
 #include "ssj/join_planner.h"
 #include "ssj/topk_join.h"
+#include "table/profile.h"
 #include "table/table.h"
 #include "table/table_delta.h"
+#include "table/tokenized_table.h"
 #include "util/random.h"
 
 namespace mc {
@@ -93,9 +95,9 @@ class PlannerEquivalenceTest
   size_t k() const { return std::get<1>(GetParam()); }
 };
 
-// Executing the planner's chosen plan (q, shards, hybrid threshold) must be
-// bit-identical to executing the same (q, shards) classically — the
-// planner's extra machinery (prefilter) changes work, never output.
+// Executing the planner's chosen plan (q, shards) must be bit-identical to
+// the single-shard run of the same q: the shard hint moves work, never
+// output.
 TEST_P(PlannerEquivalenceTest, PlannedExecutionMatchesDirectRun) {
   Rng rng(7000 + static_cast<uint64_t>(measure()) * 100 + k());
   auto [a, b] = RandomTables(rng, 140);
@@ -111,70 +113,15 @@ TEST_P(PlannerEquivalenceTest, PlannedExecutionMatchesDirectRun) {
   ASSERT_GE(plan.q, 1u);
   ASSERT_LE(plan.q, 4u);
 
-  TopKJoinOptions direct;
-  direct.k = k();
-  direct.measure = measure();
-  direct.q = plan.q;
-  direct.shards = plan.shards;
-  TopKList want = RunTopKJoin(view, direct);
-
-  TopKJoinOptions planned = direct;
-  if (plan.hybrid) planned.prefilter_threshold = plan.prefilter_threshold;
-  TopKJoinStats stats;
-  TopKList got = RunTopKJoin(view, planned, nullptr, nullptr, &stats);
-  ExpectBitIdentical(got, want, "planned vs direct");
-  // And against the single-shard classic run, which the sharded merge is
-  // already pinned to elsewhere — closes the loop on plan.shards.
-  TopKJoinOptions sequential = direct;
+  TopKJoinOptions planned;
+  planned.k = k();
+  planned.measure = measure();
+  planned.q = plan.q;
+  planned.shards = plan.shards;
+  TopKJoinOptions sequential = planned;
   sequential.shards = 1;
-  ExpectBitIdentical(got, RunTopKJoin(view, sequential),
-                     "planned vs sequential");
-}
-
-// The hybrid prefilter is bit-identical in BOTH of its control paths: the
-// done case (tau at or below the true k-th score) and the restart case (tau
-// overshoots; phase-1 list falls short and the pass re-runs unbounded,
-// seeded with the survivors).
-TEST_P(PlannerEquivalenceTest, HybridPrefilterBitIdenticalBothPaths) {
-  Rng rng(8000 + static_cast<uint64_t>(measure()) * 100 + k());
-  auto [a, b] = RandomTables(rng, 120);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
-  ConfigView view = corpus.MakeConfigView(0b1);
-
-  TopKJoinOptions classic;
-  classic.k = k();
-  classic.measure = measure();
-  classic.q = 2;
-  TopKList want = RunTopKJoin(view, classic);
-  ASSERT_TRUE(want.full()) << "workload too small for k";
-  const double true_kth = want.KthScore();
-
-  // Done case: tau == the true k-th score is the tightest valid threshold.
-  {
-    TopKJoinOptions hybrid = classic;
-    hybrid.prefilter_threshold = true_kth;
-    TopKJoinStats stats;
-    TopKList got = RunTopKJoin(view, hybrid, nullptr, nullptr, &stats);
-    EXPECT_EQ(stats.prefilter_restarts, 0u);
-    ExpectBitIdentical(got, want, "done case");
-  }
-  // Restart case: an impossible tau (above every score) guarantees the
-  // phase-1 list cannot certify, forcing the unbounded re-run.
-  {
-    TopKJoinOptions hybrid = classic;
-    hybrid.prefilter_threshold = 2.0;
-    TopKJoinStats stats;
-    TopKList got = RunTopKJoin(view, hybrid, nullptr, nullptr, &stats);
-    EXPECT_GE(stats.prefilter_restarts, 1u);
-    ExpectBitIdentical(got, want, "restart case");
-  }
-  // Degenerate tau = 0 passes every pair yet still tightens the initial
-  // bound (no negative sentinel); output unchanged.
-  {
-    TopKJoinOptions hybrid = classic;
-    hybrid.prefilter_threshold = 0.0;
-    ExpectBitIdentical(RunTopKJoin(view, hybrid), want, "tau zero");
-  }
+  ExpectBitIdentical(RunTopKJoin(view, planned),
+                     RunTopKJoin(view, sequential), "planned vs sequential");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -184,101 +131,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          SetMeasure::kDice,
                                          SetMeasure::kOverlapCoefficient),
                        ::testing::Values(size_t{10}, size_t{40})),
-    CaseName());
-
-// Fixed-threshold joins: the hybrid prefilter run with a caller-chosen
-// bound instead of the planner's estimate must return the classic list bit
-// for bit (pairs AND raw score bits at every rank), whatever the bound: the
-// exact k-th (accept path), an overshoot (restart path), or zero (every
-// pair survives). At 4 shards each shard applies the bound to its own
-// sub-space, so a shard whose k-th sits below the global one restarts on
-// its own — and the merge must still be canonical.
-class ThresholdJoinTest : public PlannerEquivalenceTest {
- protected:
-  TopKJoinOptions BaseOptions(size_t q) const {
-    TopKJoinOptions options;
-    options.k = k();
-    options.measure = measure();
-    options.q = q;
-    return options;
-  }
-};
-
-TEST_P(ThresholdJoinTest, MatchesClassicAtTrueKth) {
-  for (size_t q : {size_t{1}, size_t{2}}) {
-    Rng rng(9100 + static_cast<uint64_t>(measure()) * 100 + k() + q);
-    auto [a, b] = RandomTables(rng, 130);
-    SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
-    ConfigView view = corpus.MakeConfigView(0b1);
-
-    TopKList want = RunTopKJoin(view, BaseOptions(q));
-    const double tau = want.KthScore();
-    if (!(tau > 0.0)) continue;  // Underfull list: tau=0 case covers it.
-
-    for (size_t shards : {size_t{1}, size_t{4}}) {
-      TopKJoinOptions options = BaseOptions(q);
-      options.prefilter_threshold = tau;
-      options.shards = shards;
-      TopKJoinStats stats;
-      TopKList got = RunTopKJoin(view, options, nullptr, nullptr, &stats);
-      ExpectBitIdentical(got, want,
-                         "q=" + std::to_string(q) +
-                             " shards=" + std::to_string(shards));
-      if (shards == 1) {
-        EXPECT_EQ(stats.prefilter_restarts, 0u)
-            << "tau == true k-th must accept without a restart";
-      }
-    }
-  }
-}
-
-TEST_P(ThresholdJoinTest, MatchesClassicWhenTauOvershoots) {
-  Rng rng(9300 + static_cast<uint64_t>(measure()) * 100 + k());
-  auto [a, b] = RandomTables(rng, 120);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
-  ConfigView view = corpus.MakeConfigView(0b1);
-
-  TopKList want = RunTopKJoin(view, BaseOptions(1));
-  const double kth = want.KthScore();
-  const double tau = kth + (1.0 - kth) * 0.5 + 1e-6;  // Strictly above.
-
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    TopKJoinOptions options = BaseOptions(1);
-    options.prefilter_threshold = tau;
-    options.shards = shards;
-    TopKJoinStats stats;
-    TopKList got = RunTopKJoin(view, options, nullptr, nullptr, &stats);
-    ExpectBitIdentical(got, want, "shards=" + std::to_string(shards));
-    if (want.size() == k() && kth < tau) {
-      EXPECT_GE(stats.prefilter_restarts, 1u)
-          << "an overshot tau on a full list must go through the restart";
-    }
-  }
-}
-
-TEST_P(ThresholdJoinTest, MatchesClassicAtZeroTau) {
-  Rng rng(9500 + static_cast<uint64_t>(measure()) * 100 + k());
-  auto [a, b] = RandomTables(rng, 100);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
-  ConfigView view = corpus.MakeConfigView(0b1);
-
-  TopKList want = RunTopKJoin(view, BaseOptions(1));
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    TopKJoinOptions options = BaseOptions(1);
-    options.prefilter_threshold = 0.0;
-    options.shards = shards;
-    ExpectBitIdentical(RunTopKJoin(view, options), want,
-                       "shards=" + std::to_string(shards));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllMeasures, ThresholdJoinTest,
-    ::testing::Combine(::testing::Values(SetMeasure::kJaccard,
-                                         SetMeasure::kCosine,
-                                         SetMeasure::kDice,
-                                         SetMeasure::kOverlapCoefficient),
-                       ::testing::Values(size_t{5}, size_t{25}, size_t{80})),
     CaseName());
 
 // Plans are a pure function of (corpus generation, view, options): the same
@@ -296,12 +148,8 @@ TEST(PlannerDeterminismTest, SameSeedSamePlan) {
   const JoinPlan second = PlanTopKJoin(corpus, view, options);
   EXPECT_EQ(first.q, second.q);
   EXPECT_EQ(first.shards, second.shards);
-  EXPECT_EQ(first.hybrid, second.hybrid);
-  EXPECT_EQ(first.prefilter_threshold, second.prefilter_threshold);
   EXPECT_EQ(first.sample_rate, second.sample_rate);
   EXPECT_EQ(first.sample_rows, second.sample_rows);
-  EXPECT_EQ(first.sampled_kth, second.sampled_kth);
-  EXPECT_EQ(first.half_sample_kth, second.half_sample_kth);
   EXPECT_EQ(first.seed, second.seed);
   EXPECT_EQ(first.est_events, second.est_events);
   EXPECT_EQ(first.est_scored, second.est_scored);
@@ -571,7 +419,6 @@ void ExpectSameStats(const TopKJoinStats& got, const TopKJoinStats& want,
   EXPECT_EQ(got.pairs_scored, want.pairs_scored) << label;
   EXPECT_EQ(got.pairs_pruned, want.pairs_pruned) << label;
   EXPECT_EQ(got.tokens_indexed, want.tokens_indexed) << label;
-  EXPECT_EQ(got.prefilter_restarts, want.prefilter_restarts) << label;
   EXPECT_EQ(got.truncated, want.truncated) << label;
   EXPECT_EQ(got.abandoned, want.abandoned) << label;
 }
@@ -633,18 +480,6 @@ TEST(PlannerLadderTest, EngineCostBudget) {
     EXPECT_LT(stats.events_popped, full_stats.events_popped) << label;
     EXPECT_GT(cost(stats), budgeted.cost_budget) << label;
     EXPECT_LE(cost(stats), full_cost) << label;
-
-    // Over budget inside a hybrid prefilter phase: no restart.
-    // A threshold above the true k-th that still admits the first events
-    // (every initial cap is 1.0) would force the restart path.
-    ASSERT_LT(full.KthScore(), 0.99) << label;
-    budgeted.prefilter_threshold = 0.99;
-    budgeted.cost_budget = 0.0;
-    TopKJoinStats hybrid_stats;
-    RunTopKJoinShard(view, budgeted, 0, 1, nullptr, nullptr, &hybrid_stats);
-    EXPECT_TRUE(hybrid_stats.abandoned) << label;
-    EXPECT_FALSE(hybrid_stats.truncated) << label;
-    EXPECT_EQ(hybrid_stats.prefilter_restarts, 0u) << label;
   }
 }
 
@@ -784,16 +619,14 @@ TEST(JointPlannerTest, PlannerRunMatchesExplicitQRun) {
   const JointResult replay = RunJointTopKJoins(corpus, tree, planned);
   ASSERT_TRUE(replay.planner_used);
   EXPECT_EQ(replay.plan.q, with_planner.plan.q);
-  EXPECT_EQ(replay.plan.hybrid, with_planner.plan.hybrid);
-  EXPECT_EQ(replay.plan.prefilter_threshold,
-            with_planner.plan.prefilter_threshold);
+  EXPECT_EQ(replay.plan.shards, with_planner.plan.shards);
 }
 
 
 // At sample rate 1 a fresh plan's winning probe is the root join, and the
 // executor reuses it instead of joining again. The per-config lists must
 // equal both a cached-plan run (which executes the root join) and a
-// fixed-q run; the reused root must report the probe's counters and a plain
+// fixed-q run; the reused root must report the probe's counters and a
 // single-shard decision.
 TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
   datagen::GeneratedDataset dataset = datagen::GenerateFodorsZagats(
@@ -831,9 +664,7 @@ TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
     // the winning probe's.
     EXPECT_EQ(root.stats.events_popped, fresh.plan.est_events) << label;
     EXPECT_EQ(root.stats.pairs_scored, fresh.plan.est_scored) << label;
-    EXPECT_FALSE(fresh.plan_decisions[0].hybrid) << label;
     EXPECT_EQ(fresh.plan_decisions[0].shards, 1u) << label;
-    EXPECT_LT(fresh.plan_decisions[0].prefilter_threshold, 0.0) << label;
     for (size_t i = 1; i < fresh.per_config.size(); ++i) {
       EXPECT_FALSE(fresh.per_config[i].from_planner_probe) << label;
     }
@@ -850,95 +681,6 @@ TEST(JointPlannerTest, WholeTableProbeIsTheRootJoin) {
     const JointResult direct = RunJointTopKJoins(corpus, tree, fixed);
     EXPECT_FALSE(direct.planner_used) << label;
     ExpectSameLists(fresh, direct, label + " fresh vs fixed q");
-  }
-}
-
-// A whole-table plan can be hybrid: the planner seeds τ for the root's
-// prefilter pass. When the root is the reused probe, that pass never runs,
-// so its decision must report a plain top-k join; a cached-plan run, which
-// does run the root, reports the hybrid and returns the same lists.
-TEST(JointPlannerTest, ReusedRootClaimsNoHybrid) {
-  Rng rng(9602);
-  auto [a, b] = RandomTables(rng, 200);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
-  PromisingAttributes attrs;
-  attrs.columns = {0};
-  attrs.e_scores = {0.9};
-  attrs.avg_len_a = {6};
-  attrs.avg_len_b = {6};
-  const ConfigTree tree = GenerateConfigTree(attrs);
-
-  JointOptions planned;
-  planned.k = 30;
-  planned.q = 0;
-  planned.planner_seed = 5;
-  planned.num_threads = 2;
-  const JointResult fresh = RunJointTopKJoins(corpus, tree, planned);
-  ASSERT_TRUE(fresh.task_error.ok()) << fresh.task_error.ToString();
-  ASSERT_EQ(fresh.plan.sample_rate, 1u);
-  ASSERT_TRUE(fresh.plan.hybrid) << "workload no longer plans a hybrid";
-  ASSERT_EQ(fresh.plan.shards, 1u);
-  EXPECT_TRUE(fresh.per_config[0].from_planner_probe);
-  EXPECT_FALSE(fresh.plan_decisions[0].hybrid);
-  EXPECT_LT(fresh.plan_decisions[0].prefilter_threshold, 0.0);
-
-  JointOptions cached = planned;
-  cached.cached_plan = &fresh.plan;
-  const JointResult replay = RunJointTopKJoins(corpus, tree, cached);
-  EXPECT_FALSE(replay.per_config[0].from_planner_probe);
-  EXPECT_TRUE(replay.plan_decisions[0].hybrid);
-  EXPECT_EQ(replay.plan_decisions[0].hybrid, fresh.plan.hybrid);
-  ExpectSameLists(fresh, replay, "reused root vs hybrid root");
-}
-
-// One cached plan executed with and without the hybrid prefilter must give
-// bit-identical per-config lists — the prefilter changes work, never output
-// — at 1 and 4 threads. The hybrid bound is the classic root join's k-th score,
-// so the prefilter pass accepts (the restart path is pinned above).
-TEST(JointPlannerTest, CachedPlanModeIsOutputInvariant) {
-  Rng rng(9700);
-  auto [a, b] = RandomTables(rng, 140);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
-  PromisingAttributes attrs;
-  attrs.columns = {0};
-  attrs.e_scores = {0.9};
-  attrs.avg_len_a = {5};
-  attrs.avg_len_b = {5};
-  const ConfigTree tree = GenerateConfigTree(attrs);
-
-  TopKJoinOptions probe;
-  probe.k = 40;
-  const TopKList classic = RunTopKJoin(corpus.MakeConfigView(0b1), probe);
-  ASSERT_TRUE(classic.full());
-
-  JoinPlan hybrid_plan;
-  hybrid_plan.q = 1;
-  hybrid_plan.shards = 1;
-  hybrid_plan.hybrid = true;
-  hybrid_plan.prefilter_threshold = classic.KthScore();
-  hybrid_plan.stats_generation = corpus.generation();
-  JoinPlan topk_plan = hybrid_plan;
-  topk_plan.hybrid = false;
-  topk_plan.prefilter_threshold = -1.0;
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const std::string label = "threads=" + std::to_string(threads);
-    JointOptions options;
-    options.k = 40;
-    options.q = 0;  // Planner-eligible: the cached plan short-circuits it.
-    options.num_threads = threads;
-    options.cached_plan = &hybrid_plan;
-    const JointResult hybrid_run = RunJointTopKJoins(corpus, tree, options);
-    options.cached_plan = &topk_plan;
-    const JointResult topk_run = RunJointTopKJoins(corpus, tree, options);
-
-    ASSERT_TRUE(hybrid_run.plan_from_cache) << label;
-    ASSERT_TRUE(topk_run.plan_from_cache) << label;
-    ASSERT_FALSE(hybrid_run.truncated) << label;
-    ASSERT_FALSE(topk_run.truncated) << label;
-    EXPECT_TRUE(hybrid_run.plan_decisions[0].hybrid) << label;
-    EXPECT_FALSE(topk_run.plan_decisions[0].hybrid) << label;
-    ExpectSameLists(hybrid_run, topk_run, label);
   }
 }
 
@@ -971,6 +713,81 @@ TEST(JointPlannerTest, SampledPlanRunsTheRootJoin) {
   fixed.q = fresh.plan.q;
   ExpectSameLists(fresh, RunJointTopKJoins(corpus, tree, fixed),
                   "sampled plan vs fixed q");
+}
+
+void ExpectSameListsAndStats(const JointResult& got, const JointResult& want,
+                             const std::string& label) {
+  ExpectSameLists(got, want, label);
+  for (size_t i = 0; i < want.per_config.size(); ++i) {
+    ExpectSameStats(got.per_config[i].stats, want.per_config[i].stats,
+                    label + " config " + std::to_string(i));
+  }
+}
+
+// A plan chooses q and the shard count, nothing else: on paper datasets
+// built the way a debugging session builds them, a planned joint run
+// reports the lists and the TopKJoinStats of a fixed-q run at the same
+// shard count, config for config. W-A 0.25 plans at sample rate 2, so its
+// root is joined afresh; A-G 0.3 plans at rate 1, so its root is the
+// planner's probe, whose counters are the join's. A cached-plan replay at 1
+// and 4 threads joins every root afresh and reports the same again.
+TEST(JointPlannerTest, PlannedRunReportsTheFixedQCounters) {
+  struct Cell {
+    const char* name;
+    double scale;
+    bool probe_root;
+  };
+  for (const Cell& cell : {Cell{"W-A", 0.25, false}, Cell{"A-G", 0.3, true}}) {
+    const std::string label = cell.name;
+    Result<datagen::GeneratedDataset> generated =
+        datagen::GenerateByName(cell.name, cell.scale, 0);
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    Table& table_a = generated->table_a;
+    Table& table_b = generated->table_b;
+    const std::vector<bench::PaperBlocker> blockers =
+        bench::PaperBlockersFor(cell.name, table_a.schema());
+    ASSERT_EQ(blockers[0].label, "OL") << label;
+    const CandidateSet exclude = blockers[0].blocker->Run(table_a, table_b);
+    TokenizedTable::BuildAndAttach(table_a, table_b);
+    table_a.SetSchema(InferAttributeTypes(table_a));
+    table_b.SetSchema(table_a.schema());
+    const ConfigGeneratorOptions config_options;
+    Result<PromisingAttributes> attributes =
+        SelectPromisingAttributes(table_a, table_b, config_options);
+    ASSERT_TRUE(attributes.ok()) << attributes.status().ToString();
+    const ConfigTree tree = GenerateConfigTree(*attributes, config_options);
+    const SsjCorpus corpus =
+        SsjCorpus::Build(table_a, table_b, attributes->columns);
+
+    JointOptions planned;
+    planned.k = 100;
+    planned.q = 0;
+    planned.num_threads = 4;
+    planned.shards_per_config = 1;
+    planned.exclude = &exclude;
+    const JointResult fresh = RunJointTopKJoins(corpus, tree, planned);
+    ASSERT_TRUE(fresh.task_error.ok()) << fresh.task_error.ToString();
+    ASSERT_FALSE(fresh.truncated) << label;
+    ASSERT_EQ(fresh.per_config[0].from_planner_probe, cell.probe_root)
+        << label;
+
+    JointOptions fixed = planned;
+    fixed.q = fresh.plan.q;
+    ExpectSameListsAndStats(fresh, RunJointTopKJoins(corpus, tree, fixed),
+                            label + " planned vs fixed q");
+
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      JointOptions cached = planned;
+      cached.cached_plan = &fresh.plan;
+      cached.num_threads = threads;
+      const JointResult replay = RunJointTopKJoins(corpus, tree, cached);
+      ASSERT_TRUE(replay.plan_from_cache) << label;
+      EXPECT_FALSE(replay.per_config[0].from_planner_probe) << label;
+      ExpectSameListsAndStats(
+          fresh, replay,
+          label + " cached plan at " + std::to_string(threads) + " threads");
+    }
+  }
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 // its edge cases: shared tokens that all sit below position q - 1, runs of
 // equal-length rows (the required-overlap cache survives across events),
 // pairs sharing exactly q - 1 and exactly q tokens, ties at the k-th score,
-// a hybrid prefilter that restarts and one that does not, and a child
-// config seeded from its parent's list. Every case runs at q = 1..4 with 1
-// and 4 table-A shards. The list must equal BruteForceTopK(min_overlap = q)
-// exactly (both are canonical under (score desc, pair asc)), and every
-// TopKJoinStats counter must equal the recorded value: the planner's cost
-// model prices these counters, so the engine must keep them exact.
+// rows of two to eight Zipf-drawn tokens, and a child config seeded from
+// its parent's list. Every case runs at q = 1..4 with 1 and 4 table-A
+// shards. The list must equal BruteForceTopK(min_overlap = q) exactly (both
+// are canonical under (score desc, pair asc)), and every TopKJoinStats
+// counter must equal the recorded value: the planner's cost model prices
+// these counters, so the engine must keep them exact.
 
 #include <cstdio>
 #include <functional>
@@ -35,7 +35,6 @@ struct Counters {
   size_t pairs_scored;
   size_t pairs_pruned;
   size_t tokens_indexed;
-  size_t prefilter_restarts;
 
   bool operator==(const Counters&) const = default;
 };
@@ -43,9 +42,9 @@ struct Counters {
 std::string Format(const Counters& c) {
   char buffer[160];
   std::snprintf(buffer, sizeof(buffer),
-                "{%zu, %zu, %zu, %zu, %zu, %zu, %zu, %zu}", c.q, c.shards,
+                "{%zu, %zu, %zu, %zu, %zu, %zu, %zu}", c.q, c.shards,
                 c.events_popped, c.pairs_discovered, c.pairs_scored,
-                c.pairs_pruned, c.tokens_indexed, c.prefilter_restarts);
+                c.pairs_pruned, c.tokens_indexed);
   return buffer;
 }
 
@@ -146,8 +145,7 @@ void ExpectCountersAndLists(
       }
       observed.push_back(Counters{q, shards, stats.events_popped,
                                   stats.pairs_discovered, stats.pairs_scored,
-                                  stats.pairs_pruned, stats.tokens_indexed,
-                                  stats.prefilter_restarts});
+                                  stats.pairs_pruned, stats.tokens_indexed});
     }
   }
   if (observed != golden) {
@@ -190,14 +188,14 @@ TEST(TopKJoinCounterTest, SharedTokensOnlyBelowQ) {
   options.measure = SetMeasure::kJaccard;
   ExpectCountersAndLists(view, options,
                          {
-                             {1, 1, 680, 294, 294, 0, 680, 0},
-                             {1, 4, 1810, 294, 294, 0, 1810, 0},
-                             {2, 1, 754, 126, 76, 0, 754, 0},
-                             {2, 4, 1896, 126, 76, 0, 1896, 0},
-                             {3, 1, 759, 48, 34, 0, 759, 0},
-                             {3, 4, 1896, 48, 34, 0, 1896, 0},
-                             {4, 1, 759, 23, 4, 0, 759, 0},
-                             {4, 4, 1896, 23, 4, 0, 1896, 0},
+                             {1, 1, 680, 294, 294, 0, 680},
+                             {1, 4, 1810, 294, 294, 0, 1810},
+                             {2, 1, 754, 126, 76, 0, 754},
+                             {2, 4, 1896, 126, 76, 0, 1896},
+                             {3, 1, 759, 48, 34, 0, 759},
+                             {3, 4, 1896, 48, 34, 0, 1896},
+                             {4, 1, 759, 23, 4, 0, 759},
+                             {4, 4, 1896, 23, 4, 0, 1896},
                          });
 }
 
@@ -223,14 +221,14 @@ TEST(TopKJoinCounterTest, EqualLengthRows) {
   options.measure = SetMeasure::kCosine;
   ExpectCountersAndLists(view, options,
                          {
-                             {1, 1, 560, 1202, 1202, 932, 560, 0},
-                             {1, 4, 1750, 1950, 1950, 1546, 1750, 0},
-                             {2, 1, 700, 1330, 257, 1538, 700, 0},
-                             {2, 4, 2100, 2279, 768, 2999, 2100, 0},
-                             {3, 1, 840, 1667, 86, 2996, 840, 0},
-                             {3, 4, 2100, 2898, 511, 0, 2100, 0},
-                             {4, 1, 840, 2267, 51, 0, 840, 0},
-                             {4, 4, 2100, 2267, 51, 0, 2100, 0},
+                             {1, 1, 560, 1202, 1202, 932, 560},
+                             {1, 4, 1750, 1950, 1950, 1546, 1750},
+                             {2, 1, 700, 1330, 257, 1538, 700},
+                             {2, 4, 2100, 2279, 768, 2999, 2100},
+                             {3, 1, 840, 1667, 86, 2996, 840},
+                             {3, 4, 2100, 2898, 511, 0, 2100},
+                             {4, 1, 840, 2267, 51, 0, 840},
+                             {4, 4, 2100, 2267, 51, 0, 2100},
                          });
 }
 
@@ -265,14 +263,14 @@ TEST(TopKJoinCounterTest, ExactlyQMinusOneAndQSharedTokens) {
   options.measure = SetMeasure::kDice;
   ExpectCountersAndLists(view, options,
                          {
-                             {1, 1, 720, 40, 40, 50, 720, 0},
-                             {1, 4, 2100, 300, 300, 0, 2100, 0},
-                             {2, 1, 840, 50, 40, 255, 840, 0},
-                             {2, 4, 2400, 1263, 112, 0, 2400, 0},
-                             {3, 1, 960, 290, 30, 1047, 960, 0},
-                             {3, 4, 2400, 1253, 33, 0, 2400, 0},
-                             {4, 1, 960, 1243, 23, 0, 960, 0},
-                             {4, 4, 2400, 1243, 23, 0, 2400, 0},
+                             {1, 1, 720, 40, 40, 50, 720},
+                             {1, 4, 2100, 300, 300, 0, 2100},
+                             {2, 1, 840, 50, 40, 255, 840},
+                             {2, 4, 2400, 1263, 112, 0, 2400},
+                             {3, 1, 960, 290, 30, 1047, 960},
+                             {3, 4, 2400, 1253, 33, 0, 2400},
+                             {4, 1, 960, 1243, 23, 0, 960},
+                             {4, 4, 2400, 1243, 23, 0, 2400},
                          });
 }
 
@@ -298,14 +296,14 @@ TEST(TopKJoinCounterTest, TiesAtTheKthScore) {
   options.measure = SetMeasure::kOverlapCoefficient;
   ExpectCountersAndLists(view, options,
                          {
-                             {1, 1, 400, 1495, 1495, 2774, 400, 0},
-                             {1, 4, 1000, 1640, 1640, 2424, 1000, 0},
-                             {2, 1, 400, 794, 757, 1557, 400, 0},
-                             {2, 4, 1000, 859, 945, 1218, 1000, 0},
-                             {3, 1, 400, 480, 416, 0, 400, 0},
-                             {3, 4, 1000, 480, 416, 0, 1000, 0},
-                             {4, 1, 400, 187, 19, 0, 400, 0},
-                             {4, 4, 1000, 187, 19, 0, 1000, 0},
+                             {1, 1, 400, 1495, 1495, 2774, 400},
+                             {1, 4, 1000, 1640, 1640, 2424, 1000},
+                             {2, 1, 400, 794, 757, 1557, 400},
+                             {2, 4, 1000, 859, 945, 1218, 1000},
+                             {3, 1, 400, 480, 416, 0, 400},
+                             {3, 4, 1000, 480, 416, 0, 1000},
+                             {4, 1, 400, 187, 19, 0, 400},
+                             {4, 4, 1000, 187, 19, 0, 1000},
                          });
 }
 
@@ -323,9 +321,10 @@ std::pair<Table, Table> ZipfTables(uint64_t seed) {
   return OneColumnTables(a, b);
 }
 
-// A prefilter above every reachable k-th score: the first phase ends short
-// and the engine restarts without it, seeded with the phase's survivors.
-TEST(TopKJoinCounterTest, HybridPrefilterRestart) {
+// Rows of two to eight tokens drawn from one Zipf vocabulary: mixed
+// lengths move the positional bound and the required-overlap cache from
+// event to event.
+TEST(TopKJoinCounterTest, ZipfRowsOfMixedLength) {
   auto [table_a, table_b] = ZipfTables(67);
   const SsjCorpus corpus = SsjCorpus::Build(table_a, table_b, {0});
   const ConfigView view = corpus.MakeConfigView(0b1);
@@ -333,40 +332,16 @@ TEST(TopKJoinCounterTest, HybridPrefilterRestart) {
   TopKJoinOptions options;
   options.k = 20;
   options.measure = SetMeasure::kJaccard;
-  options.prefilter_threshold = 0.95;
   ExpectCountersAndLists(view, options,
                          {
-                             {1, 1, 675, 720, 720, 1191, 675, 1},
-                             {1, 4, 1788, 1036, 1036, 1185, 1788, 4},
-                             {2, 1, 974, 1054, 132, 1505, 974, 1},
-                             {2, 4, 2543, 1593, 314, 1335, 2543, 4},
-                             {3, 1, 1201, 1282, 54, 1214, 1201, 1},
-                             {3, 4, 3119, 1812, 161, 985, 3119, 4},
-                             {4, 1, 1350, 1165, 26, 256, 1350, 1},
-                             {4, 4, 3414, 1187, 43, 100, 3414, 4},
-                         });
-}
-
-// A prefilter below the true k-th score: the first phase's list is final.
-TEST(TopKJoinCounterTest, HybridPrefilterWithoutRestart) {
-  auto [table_a, table_b] = ZipfTables(67);
-  const SsjCorpus corpus = SsjCorpus::Build(table_a, table_b, {0});
-  const ConfigView view = corpus.MakeConfigView(0b1);
-
-  TopKJoinOptions options;
-  options.k = 20;
-  options.measure = SetMeasure::kJaccard;
-  options.prefilter_threshold = 0.3;
-  ExpectCountersAndLists(view, options,
-                         {
-                             {1, 1, 515, 690, 690, 1038, 515, 0},
-                             {1, 4, 1388, 992, 992, 1046, 1388, 0},
-                             {2, 1, 654, 1014, 131, 1372, 654, 0},
-                             {2, 4, 1743, 1512, 307, 1249, 1743, 0},
-                             {3, 1, 742, 1242, 54, 1076, 742, 0},
-                             {3, 4, 1964, 1772, 161, 848, 1964, 0},
-                             {4, 1, 777, 1098, 26, 156, 777, 0},
-                             {4, 4, 3948, 2240, 86, 0, 3948, 4},
+                             {1, 1, 515, 691, 691, 1037, 515},
+                             {1, 4, 1388, 1007, 1007, 1031, 1388},
+                             {2, 1, 654, 1019, 131, 1367, 654},
+                             {2, 4, 1743, 1558, 313, 1197, 1743},
+                             {3, 1, 742, 1242, 54, 1076, 742},
+                             {3, 4, 1964, 1772, 161, 847, 1964},
+                             {4, 1, 777, 1098, 26, 156, 777},
+                             {4, 4, 1974, 1120, 43, 0, 1974},
                          });
 }
 
@@ -416,14 +391,14 @@ TEST(TopKJoinCounterTest, SeededChildConfig) {
   options.exclude = &exclude;
   ExpectCountersAndLists(child, options,
                          {
-                             {1, 1, 400, 541, 538, 835, 400, 0},
-                             {1, 4, 991, 576, 573, 799, 991, 0},
-                             {2, 1, 511, 807, 126, 1017, 511, 0},
-                             {2, 4, 1258, 943, 146, 856, 1258, 0},
-                             {3, 1, 571, 924, 49, 675, 571, 0},
-                             {3, 4, 1408, 1123, 91, 254, 1408, 0},
-                             {4, 1, 571, 567, 14, 0, 571, 0},
-                             {4, 4, 1408, 567, 14, 0, 1408, 0},
+                             {1, 1, 400, 541, 538, 835, 400},
+                             {1, 4, 991, 576, 573, 799, 991},
+                             {2, 1, 511, 807, 126, 1017, 511},
+                             {2, 4, 1258, 943, 146, 856, 1258},
+                             {3, 1, 571, 924, 49, 675, 571},
+                             {3, 4, 1408, 1123, 91, 254, 1408},
+                             {4, 1, 571, 567, 14, 0, 571},
+                             {4, 4, 1408, 567, 14, 0, 1408},
                          },
                          parent_seed);
 }

@@ -81,19 +81,19 @@ done
 
 # Planner equivalence: the cost-based join planner must pick plans whose
 # execution is bit-identical to running the same plan directly, across
-# measures, k values, hybrid prefilter paths (done + forced restart), and
-# the joint executor's q = 0 dispatch — and the decisions themselves must be
-# deterministic per MC_PLANNER_SEED. The branch-and-bound q ladder must pick
-# the exhaustive ladder's plan (PlannerLadderTest). ASan covers the sampling
-# probes' view lifetimes and the probe list handed to the joint executor;
-# the seed matrix moves the systematic-sample offset so different table-A
-# row subsets drive the cost model each run.
+# measures, k values, and the joint executor's q = 0 dispatch, whose lists
+# and counters must equal a fixed-q run's — and the decisions themselves
+# must be deterministic per MC_PLANNER_SEED. The branch-and-bound q ladder
+# must pick the exhaustive ladder's plan (PlannerLadderTest). ASan covers
+# the sampling probes' view lifetimes and the probe list handed to the joint
+# executor; the seed matrix moves the systematic-sample offset so different
+# table-A row subsets drive the cost model each run.
 echo "==== [planner] planner-vs-direct equivalence under ASan ===="
 for seed in 42 31337 909090909; do
   echo "---- [planner] asan MC_PLANNER_SEED=${seed} ----"
   MC_PLANNER_SEED="${seed}" ctest --test-dir "${build_root}/asan" \
       --output-on-failure \
-      -R 'PlannerEquivalence|ThresholdJoin|PlannerDeterminism|PlannerStatsDelta|PlannerLadder|JointPlanner'
+      -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|PlannerLadder|JointPlanner'
 done
 # A root reused from the planner's probe finishes on a pool worker and
 # cascades its children across the pool; TSan checks the hand-over.
@@ -162,10 +162,10 @@ echo "==== [plan-identity] plan_decisions vs bench/PLAN_DECISIONS.txt ===="
 
 # Join identity: every config's sorted list (CRC over pair ids and score
 # bits), every config's TopKJoinStats counters and the q used, for joint
-# runs on the paper datasets (q = 1..4, k = 100/300/1000, planner-probe and
-# hybrid roots, forced four-shard runs), must equal the committed record
-# byte for byte. The planner prices these counters, so they must stay
-# exact. About 20 s on 4 cores.
+# runs on the paper datasets (q = 1..4, k = 100/300/1000, roots reused from
+# the planner's probe and roots joined afresh, forced four-shard runs),
+# must equal the committed record byte for byte. The planner prices these
+# counters, so they must stay exact. About 20 s on 4 cores.
 echo "==== [join-identity] join_checksums vs bench/JOIN_CHECKSUMS.txt ===="
 "${build_root}/release/bench/join_checksums" 2>/dev/null \
     | diff "${repo_root}/bench/JOIN_CHECKSUMS.txt" -

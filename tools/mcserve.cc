@@ -30,14 +30,14 @@
 //   --delta-seed S     seed for the synthetic delta generator (default 7)
 //   --q N              joint q parameter; 0 runs the cost-based planner
 //                      (default 1: fixed q, planner off)
-//   --explain-plans    print each session's cost-based plan (with its
-//                      hybrid switch, whether it was served from the
-//                      cross-session plan cache, and the modeled cost per
-//                      q — ">=" marks a q whose probe was abandoned, a
-//                      lower bound), the per-config plan decisions (q,
-//                      shards, hybrid prefilter, parent seeding) and the
-//                      service plan-cache hit/miss counters; implies --q 0
-//                      unless --q was given explicitly
+//   --explain-plans    print each session's cost-based plan (with
+//                      whether it was served from the cross-session plan
+//                      cache, and the modeled cost per q — ">=" marks a q
+//                      whose probe was abandoned, a lower bound), the
+//                      per-config plan decisions (q, shards, parent
+//                      seeding) and the service plan-cache hit/miss
+//                      counters; implies --q 0 unless --q was given
+//                      explicitly
 //
 // Exit status: 0 when every admitted session ends complete or truncated,
 // 1 when any session fails, 2 on usage errors.
@@ -161,12 +161,10 @@ void PrintPlan(uint64_t id, const mc::SessionOutcome& outcome) {
   }
   const mc::JoinPlan& plan = outcome.plan;
   std::printf(
-      "  plan[%llu]: q=%zu shards=%zu hybrid=%d tau=%.6f "
-      "sample=%zu rows (rate 1/%zu) kth=%.6f half_kth=%.6f stats_gen=%llu "
-      "seed=%llu%s%s\n",
+      "  plan[%llu]: q=%zu shards=%zu sample=%zu rows (rate 1/%zu) "
+      "stats_gen=%llu seed=%llu%s%s\n",
       static_cast<unsigned long long>(id), plan.q, plan.shards,
-      plan.hybrid ? 1 : 0, plan.prefilter_threshold, plan.sample_rows,
-      plan.sample_rate, plan.sampled_kth, plan.half_sample_kth,
+      plan.sample_rows, plan.sample_rate,
       static_cast<unsigned long long>(plan.stats_generation),
       static_cast<unsigned long long>(plan.seed),
       outcome.plan_cache_hit ? " (plan cache hit)" : "",
@@ -178,11 +176,9 @@ void PrintPlan(uint64_t id, const mc::SessionOutcome& outcome) {
                 plan.cost_per_q[q], q + 1 == plan.q ? "  <- chosen" : "");
   }
   for (const mc::ConfigPlanDecision& decision : outcome.plan_decisions) {
-    std::printf(
-        "    config=0x%llx q=%zu shards=%zu hybrid=%d tau=%.6f seeded=%d\n",
-        static_cast<unsigned long long>(decision.config), decision.q,
-        decision.shards, decision.hybrid ? 1 : 0, decision.prefilter_threshold,
-        decision.seeded_from_parent ? 1 : 0);
+    std::printf("    config=0x%llx q=%zu shards=%zu seeded=%d\n",
+                static_cast<unsigned long long>(decision.config), decision.q,
+                decision.shards, decision.seeded_from_parent ? 1 : 0);
   }
 }
 
@@ -449,7 +445,7 @@ int main(int argc, char** argv) {
       "memory: used=%zu peak=%zu rejected_charges=%zu "
       "release_violations=%zu | restored=%zu "
       "restore_failures=%zu watchdog_cancelled=%zu\n"
-      "planner: plans=%zu hybrid=%zu restarts=%zu | plan cache "
+      "planner: plans=%zu | plan cache "
       "hits/misses=%zu/%zu evicted=%zu\n",
       stats.submitted, stats.admitted, stats.rejected + rejected,
       stats.completed, stats.truncated, stats.failed, stats.cancelled,
@@ -460,9 +456,8 @@ int main(int argc, char** argv) {
       stats.memory_used_bytes, stats.memory_peak_bytes,
       stats.memory_rejected_charges, stats.memory_release_violations,
       stats.sessions_restored, stats.restore_failures,
-      stats.watchdog_cancelled, stats.plans_computed, stats.hybrid_plans,
-      stats.hybrid_restarts, stats.plan_cache_hits, stats.plan_cache_misses,
-      stats.plans_evicted);
+      stats.watchdog_cancelled, stats.plans_computed, stats.plan_cache_hits,
+      stats.plan_cache_misses, stats.plans_evicted);
   manager.Shutdown();
   if (args.chaos) mc::FaultRegistry::Instance().Reset();
   return exit_code;
