@@ -90,7 +90,7 @@ bool TokenizeColumnsFromPlane(const Table& table_a, const Table& table_b,
   if (plane == nullptr) return false;
   const TokenizedTable::QGramColumn* grams = nullptr;
   if (tokenizer.kind == TokenizerSpec::Kind::kQGram) {
-    grams = plane->QGramsForColumn(tokenizer.q, column);
+    grams = plane->QGramsForColumn(table_a, table_b, tokenizer.q, column);
     if (grams == nullptr) return false;
   }
   auto copy_side = [&](const Table& table, TokenizedColumn* out) {

@@ -16,16 +16,10 @@ std::optional<std::string> KeyFunction::Apply(const Table& table,
   if (table.IsMissing(row, column_)) return std::nullopt;
   const TokenizedTable* plane = AttachedTextPlane(table);
   if (plane != nullptr) {
-    // The normalized value and word tokens are precomputed in the plane;
-    // kRawValue/kSoundex/kNumericBucket need the raw cell and fall through.
+    // Word tokens are precomputed in the plane; the other kinds need the
+    // raw or normalized cell and fall through to the string path.
     const size_t side = table.text_plane_side();
     switch (kind_) {
-      case Kind::kFullValue: {
-        std::string_view normalized =
-            TrimWhitespace(plane->NormalizedValue(side, row, column_));
-        if (normalized.empty()) return std::nullopt;
-        return std::string(normalized);
-      }
       case Kind::kLastWord: {
         std::string_view word = plane->LastTokenOf(side, row, column_);
         if (word.empty()) return std::nullopt;
@@ -35,12 +29,6 @@ std::optional<std::string> KeyFunction::Apply(const Table& table,
         std::string_view word = plane->FirstTokenOf(side, row, column_);
         if (word.empty()) return std::nullopt;
         return std::string(word);
-      }
-      case Kind::kPrefix: {
-        std::string_view normalized =
-            TrimWhitespace(plane->NormalizedValue(side, row, column_));
-        if (normalized.empty()) return std::nullopt;
-        return std::string(normalized.substr(0, param_));
       }
       default:
         break;

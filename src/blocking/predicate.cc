@@ -33,7 +33,7 @@ bool PlaneTokenCounts(const Table& table_a, size_t row_a, const Table& table_b,
     }
     case TokenizerSpec::Kind::kQGram: {
       const TokenizedTable::QGramColumn* grams =
-          plane->QGramsForColumn(tokenizer.q, column);
+          plane->QGramsForColumn(table_a, table_b, tokenizer.q, column);
       if (grams == nullptr) return false;
       CellSpan a = grams->Row(side_a, row_a);
       CellSpan b = grams->Row(side_b, row_b);

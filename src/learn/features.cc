@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string_view>
 
 #include "text/normalize.h"
@@ -63,19 +64,32 @@ PairFeatureExtractor::PairFeatureExtractor(const Table* table_a,
 
 void PairFeatureExtractor::CodeRow(size_t side, size_t row,
                                    std::vector<uint32_t>& out,
-                                   std::string& scratch) const {
+                                   CodeScratch& scratch) const {
   const Table& table = side == 0 ? *table_a_ : *table_b_;
   const size_t header = string_columns_.size() + 1;
   const size_t begin = out.size();
-  out.resize(begin + header, 0);
+  out.resize(begin + 2 * header, 0);
+  scratch.prefixes.clear();
   for (size_t s = 0; s < string_columns_.size(); ++s) {
     const size_t c = string_columns_[s];
     if (!table.IsMissing(row, c)) {
-      AppendQGramCodes(plane_->NormalizedValue(plane_side_[side], row, c), 3,
-                       scratch, out);
+      const std::string_view raw = table.Value(row, c);
+      AppendQGramCodes(raw, 3, scratch.grams, out);
+      // NormalizeForTokens maps byte for byte, so the normalized value's
+      // prefix is the normalized prefix of the raw value.
+      NormalizeForTokensInto(raw.substr(0, kEditPrefixLimit),
+                             scratch.normalized);
+      scratch.prefixes += scratch.normalized;
     }
-    out[begin + s + 1] = static_cast<uint32_t>(out.size() - begin - header);
+    out[begin + s + 1] =
+        static_cast<uint32_t>(out.size() - begin - 2 * header);
+    out[begin + header + s + 1] =
+        static_cast<uint32_t>(scratch.prefixes.size());
   }
+  const size_t text = out.size();
+  out.resize(text + (scratch.prefixes.size() + 3) / 4, 0);
+  std::memcpy(out.data() + text, scratch.prefixes.data(),
+              scratch.prefixes.size());
 }
 
 FeatureVector PairFeatureExtractor::Extract(PairId pair) const {
@@ -94,7 +108,7 @@ void PairFeatureExtractor::ExtractInto(PairId pair, double* out) const {
     return;
   }
   std::vector<uint32_t> slabs;
-  std::string scratch;
+  CodeScratch scratch;
   CodeRow(0, row_a, slabs, scratch);
   const size_t slab_b = slabs.size();
   CodeRow(1, row_b, slabs, scratch);
@@ -108,7 +122,13 @@ void PairFeatureExtractor::ExtractWith(PairId pair, const uint32_t* slab_a,
   const size_t row_b = PairRowB(pair);
   const size_t header = string_columns_.size() + 1;
   auto grams = [header](const uint32_t* slab, size_t s) {
-    return CellSpan{slab + header + slab[s], slab[s + 1] - slab[s]};
+    return CellSpan{slab + 2 * header + slab[s], slab[s + 1] - slab[s]};
+  };
+  auto prefix = [header](const uint32_t* slab, size_t s) {
+    const char* text = reinterpret_cast<const char*>(
+        slab + 2 * header + slab[header - 1]);
+    return std::string_view(text + slab[header + s],
+                            slab[header + s + 1] - slab[header + s]);
   };
 
   double* f = out;
@@ -133,12 +153,12 @@ void PairFeatureExtractor::ExtractWith(PairId pair, const uint32_t* slab_a,
       bool present = !table_a_->IsMissing(row_a, c) &&
                      !table_b_->IsMissing(row_b, c);
       if (present && plane_ != nullptr) {
-        // Span path: words and normalized values come from the
-        // tokenize-once plane, 3-grams from the row slabs; only the slabs
-        // are coded per call, once per distinct row. Identical doubles to the
-        // string path — all four set measures reduce to
-        // SetSimilarityFromCounts over the same (|A|, |B|, overlap), and
-        // QGramJaccard codes grams with the same coder.
+        // Span path: words come from the tokenize-once plane, 3-grams and
+        // edit prefixes from the row slabs; only the slabs are coded per
+        // call, once per distinct row. Identical doubles to the string path
+        // — all four set measures reduce to SetSimilarityFromCounts over the
+        // same (|A|, |B|, overlap), QGramJaccard codes grams with the same
+        // coder, and the prefixes are the same normalized bytes.
         CellSpan words_a = plane_->SortedRanks(plane_side_[0], row_a, c);
         CellSpan words_b = plane_->SortedRanks(plane_side_[1], row_b, c);
         const size_t word_overlap = SortedSpanOverlap(words_a, words_b);
@@ -154,13 +174,7 @@ void PairFeatureExtractor::ExtractWith(PairId pair, const uint32_t* slab_a,
         *f++ = SetSimilarityFromCounts(SetMeasure::kOverlapCoefficient,
                                        words_a.size(), words_b.size(),
                                        word_overlap);
-        std::string_view norm_a =
-            plane_->NormalizedValue(plane_side_[0], row_a, c)
-                .substr(0, kEditPrefixLimit);
-        std::string_view norm_b =
-            plane_->NormalizedValue(plane_side_[1], row_b, c)
-                .substr(0, kEditPrefixLimit);
-        *f++ = NormalizedEditSimilarity(norm_a, norm_b);
+        *f++ = NormalizedEditSimilarity(prefix(slab_a, s), prefix(slab_b, s));
         *f++ = 1.0;
       } else if (present) {
         std::string_view value_a = table_a_->Value(row_a, c);
@@ -231,7 +245,7 @@ void PairFeatureExtractor::ExtractBatch(const PairId* pairs, size_t count,
   std::vector<const uint32_t*> slabs(rows.size());
   ForEachBlock(pool, threads, rows.size(),
                [&](size_t block, size_t begin, size_t end) {
-                 std::string scratch;
+                 CodeScratch scratch;
                  for (size_t j = begin; j < end; ++j) {
                    offsets[j] = codes[block].size();
                    CodeRow(rows[j] & 1, rows[j] >> 1, codes[block], scratch);

@@ -59,13 +59,23 @@ class PairFeatureExtractor {
  private:
   static constexpr size_t kEditPrefixLimit = 30;
 
-  // Appends the 3-gram slab of (side, row) to `out`: string_columns_.size()
-  // + 1 offsets, then every string column's sorted distinct codes
-  // (AppendQGramCodes) in string-column order; column s spans
-  // [offsets[s], offsets[s + 1]) past the offsets. Missing cells have no
-  // codes.
+  // CodeRow's reused buffers.
+  struct CodeScratch {
+    std::string normalized;  // A cell's normalized edit prefix.
+    std::string grams;       // ForEachQGram's buffer.
+    std::string prefixes;    // The row's edit prefixes, column by column.
+  };
+
+  // Appends the slab of (side, row) to `out`: S + 1 gram offsets and S + 1
+  // prefix offsets (S = string_columns_.size()), then every string
+  // column's sorted distinct 3-gram codes (AppendQGramCodes) in
+  // string-column order, then the columns' normalized edit prefixes (at
+  // most kEditPrefixLimit bytes each), packed bytewise into whole words.
+  // Column s's codes span [offsets[s], offsets[s + 1]) past the offsets,
+  // its prefix the bytes [prefix_offsets[s], prefix_offsets[s + 1]) past
+  // the codes. Missing cells have neither.
   void CodeRow(size_t side, size_t row, std::vector<uint32_t>& out,
-               std::string& scratch) const;
+               CodeScratch& scratch) const;
   // ExtractInto over the slabs of the pair's two rows (nullptr without a
   // plane).
   void ExtractWith(PairId pair, const uint32_t* slab_a,
@@ -74,13 +84,11 @@ class PairFeatureExtractor {
   const Table* table_a_;
   const Table* table_b_;
   // Shared text plane of the pair, when attached: Extract reads per-cell
-  // spans instead of re-tokenizing both cell strings per call, so the
-  // verifier's re-ranking iterations do zero tokenization. 3-grams are not
-  // read from the plane's whole-column q-gram columns, which would stay
-  // pinned for the plane's life: each call codes the rows it scores
-  // (ExtractBatch each distinct row once) and frees the codes on return.
-  // The verifier caches features per pair, so no later call would read
-  // them again.
+  // word spans instead of re-tokenizing both cell strings per call. 3-grams
+  // and edit prefixes are not kept on the plane, which would pin them for
+  // its life: each call codes the rows it scores (ExtractBatch each
+  // distinct row once) and frees the codes on return. The verifier caches
+  // features per pair, so no later call would read them again.
   const TokenizedTable* plane_ = nullptr;
   size_t plane_side_[2] = {0, 0};  // Plane side of table A, of table B.
   std::vector<std::string> feature_names_;

@@ -1,10 +1,11 @@
 #include "table/profile.h"
 
 #include <algorithm>
-#include <cstdint>
+#include <string_view>
 
 #include "table/tokenized_table.h"
 #include "text/normalize.h"
+#include "text/string_index.h"
 #include "text/tokenize.h"
 
 namespace mc {
@@ -23,41 +24,28 @@ AttributeProfile ProfileAttribute(const Table& table, size_t column) {
 
   size_t non_missing = 0;
   size_t total_tokens = 0;
+  // Token counts come from the text plane when one is attached. Values
+  // dedup on the raw cell and only unseen raw values are normalized: equal
+  // raw values normalize equally, so the distinct set grows as if every
+  // row were inserted and hits its cap on the same row.
   const TokenizedTable* plane = AttachedTextPlane(table);
-  if (plane != nullptr) {
-    // Span path: token counts and normalized values were computed once at
-    // plane build; dedup on interned norm ids before touching the string
-    // set. Same insert/cap trajectory as the string path below.
-    const size_t side = table.text_plane_side();
-    std::unordered_set<uint32_t> seen_norms;
-    for (size_t r = 0; r < rows; ++r) {
-      if (table.IsMissing(r, column)) continue;
-      ++non_missing;
-      total_tokens += plane->TokenCount(side, r, column);
-      if (!profile.distinct_values_truncated) {
-        if (seen_norms.insert(plane->NormId(side, r, column)).second) {
-          profile.distinct_values.insert(std::string(
-              TrimWhitespace(plane->NormalizedValue(side, r, column))));
-        }
-        if (profile.distinct_values.size() >
-            AttributeProfile::kMaxDistinctTracked) {
-          profile.distinct_values_truncated = true;
-        }
-      }
-    }
-  } else {
-    for (size_t r = 0; r < rows; ++r) {
-      if (table.IsMissing(r, column)) continue;
-      ++non_missing;
-      std::string normalized = NormalizeForTokens(table.Value(r, column));
-      total_tokens += WordTokens(normalized).size();
-      if (!profile.distinct_values_truncated) {
-        profile.distinct_values.insert(std::string(
-            TrimWhitespace(normalized)));
-        if (profile.distinct_values.size() >
-            AttributeProfile::kMaxDistinctTracked) {
-          profile.distinct_values_truncated = true;
-        }
+  const size_t side = table.text_plane_side();
+  StringIndex seen_raw;  // Flat: no heap node per value.
+  std::string normalized;
+  for (size_t r = 0; r < rows; ++r) {
+    if (table.IsMissing(r, column)) continue;
+    ++non_missing;
+    const std::string_view raw = table.Value(r, column);
+    const bool unseen =
+        !profile.distinct_values_truncated && seen_raw.Insert(raw).second;
+    if (unseen || plane == nullptr) NormalizeForTokensInto(raw, normalized);
+    total_tokens += plane != nullptr ? plane->TokenCount(side, r, column)
+                                     : WordTokens(normalized).size();
+    if (unseen) {
+      profile.distinct_values.emplace(TrimWhitespace(normalized));
+      if (profile.distinct_values.size() >
+          AttributeProfile::kMaxDistinctTracked) {
+        profile.distinct_values_truncated = true;
       }
     }
   }

@@ -29,15 +29,12 @@ struct PlaneBlock {
   size_t num_rows = 0;
   StringIndex tokens;               // Token string <-> local word id.
   std::vector<uint32_t> local_df;   // Cells containing the token (distinct).
-  StringIndex norms;                // Normalized value <-> local norm id.
   // Cells concatenated row-major: local ids in appearance order, within-cell
   // repeats flagged with kTextRepeatBit.
   std::vector<uint32_t> stream;
   std::vector<uint32_t> cell_stream_sizes;
   std::vector<uint32_t> cell_distinct_sizes;
-  std::vector<uint32_t> cell_norm_ids;  // Local norm id per cell.
-  std::vector<TokenId> id_map;          // Local -> global (set by the merge).
-  std::vector<uint32_t> norm_id_map;    // Local -> pool id (set by the merge).
+  std::vector<TokenId> id_map;  // Local -> global (set by the merge).
   // Cancelled or fault-injected: cells stay empty, plane marked truncated.
   bool dropped = false;
 };
@@ -48,16 +45,13 @@ void TokenizePlaneBlock(const Table& table, size_t num_columns,
   // in the same cell is a repeat.
   std::vector<size_t> last_cell;
   size_t cell = 0;
-  std::string norm;  // Reused: interning a known value allocates nothing.
+  std::string norm;  // Reused across cells; only its tokens are kept.
   block.cell_stream_sizes.reserve(block.num_rows * num_columns);
   block.cell_distinct_sizes.reserve(block.num_rows * num_columns);
-  block.cell_norm_ids.reserve(block.num_rows * num_columns);
   for (size_t row = block.begin_row; row < block.begin_row + block.num_rows;
        ++row) {
     for (size_t column = 0; column < num_columns; ++column) {
       NormalizeForTokensInto(table.Value(row, column), norm);
-      block.cell_norm_ids.push_back(block.norms.Insert(norm).first);
-
       // Word tokens of the normalized value are byte-identical to
       // WordTokens(raw value) (see ForEachNormalizedWordToken).
       ++cell;
@@ -94,7 +88,6 @@ void TokenizedTable::BindVectorsToArena(mem::Arena* arena) {
     mem::BindToArena(stream_[side], arena);
     mem::BindToArena(sorted_offsets_[side], arena);
     mem::BindToArena(sorted_[side], arena);
-    mem::BindToArena(norm_ids_[side], arena);
     mem::BindToArena(missing_[side], arena);
   }
 }
@@ -181,13 +174,9 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
     pool.Wait();
   }
 
-  // Phase 2 (sequential, block order): merge the thread-local dictionaries
-  // and normalized-value pools. Interning block-by-block in local
-  // first-occurrence order assigns exactly the ids a sequential pass over
-  // all cells would have assigned.
-  // Pool id 0 is always "": cells of dropped blocks point at it, and its
-  // unconditional presence keeps pool ids thread-count independent.
-  plane.norm_values_.Insert("");
+  // Phase 2 (sequential, block order): merge the thread-local dictionaries.
+  // Interning block-by-block in local first-occurrence order assigns
+  // exactly the ids a sequential pass over all cells would have assigned.
   for (PlaneBlock& block : blocks) {
     if (block.dropped) {
       plane.truncated_ = true;
@@ -202,17 +191,12 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
       plane.dictionary_.AddDocumentFrequency(block.id_map[local],
                                              block.local_df[local]);
     }
-    block.norm_id_map.resize(block.norms.size());
-    for (uint32_t local = 0; local < block.norms.size(); ++local) {
-      block.norm_id_map[local] =
-          plane.norm_values_.Insert(block.norms.KeyOf(local)).first;
-    }
   }
   MC_CHECK_LE(plane.dictionary_.size(), size_t{kTextTokenIdMask});
   plane.dictionary_.FinalizeRanks();
 
-  // All CSR storage (offset tables, norm ids, missing bits, and the cell
-  // arenas themselves) draws from one arena that charges the budget
+  // All CSR storage (offset tables, missing bits, and the cell arenas
+  // themselves) draws from one arena that charges the budget
   // exactly its reserved bytes. The metadata sizes follow from the
   // dimensions alone, so they are reserved before the fill; the cell
   // arenas are reserved once their exact size is known below.
@@ -222,10 +206,8 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
   size_t meta_bytes = 0;
   for (size_t side = 0; side < 2; ++side) {
     const size_t cells = plane.rows_[side] * plane.num_columns_;
-    meta_bytes +=
-        2 * mem::Arena::AlignedSize((cells + 1) * sizeof(uint64_t)) +
-        mem::Arena::AlignedSize(cells * sizeof(uint32_t)) +
-        mem::Arena::AlignedSize(cells);
+    meta_bytes += 2 * mem::Arena::AlignedSize((cells + 1) * sizeof(uint32_t)) +
+                  mem::Arena::AlignedSize(cells);
   }
   const bool arena_ok = plane.arena_->Reserve(meta_bytes);
   if (arena_ok) {
@@ -243,9 +225,10 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
     plane.truncated_ = true;
   }
 
-  // Phase 3 (sequential): per-cell offsets, missing bits, pool-resolved
-  // norm ids for both sides. Idempotent (clears its outputs first) so the
-  // budget-refusal path below can re-run it after dropping every block.
+  // Phase 3 (sequential): per-cell offsets and missing bits for both sides.
+  // Idempotent (clears its outputs first) so the refusal path below can
+  // re-run it after dropping every block. Offsets past UINT32_MAX wrap
+  // here; the refusal path then discards them.
   uint64_t arena_sizes[2][2] = {{0, 0}, {0, 0}};  // [side][stream, sorted].
   auto fill_side = [&](size_t first_block, size_t block_count, size_t side,
                        const Table& table) {
@@ -254,13 +237,11 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
     auto& sorted_offsets = plane.sorted_offsets_[side];
     stream_offsets.clear();
     sorted_offsets.clear();
-    plane.norm_ids_[side].clear();
     plane.missing_[side].clear();
     stream_offsets.reserve(cells + 1);
     sorted_offsets.reserve(cells + 1);
     stream_offsets.push_back(0);
     sorted_offsets.push_back(0);
-    plane.norm_ids_[side].reserve(cells);
     plane.missing_[side].reserve(cells);
     uint64_t stream_position = 0;
     uint64_t sorted_position = 0;
@@ -271,16 +252,12 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
         const size_t row = block.begin_row + cell / plane.num_columns_;
         const size_t column = cell % plane.num_columns_;
         plane.missing_[side].push_back(table.IsMissing(row, column) ? 1 : 0);
-        if (block.dropped) {
-          plane.norm_ids_[side].push_back(0);
-        } else {
-          plane.norm_ids_[side].push_back(
-              block.norm_id_map[block.cell_norm_ids[cell]]);
+        if (!block.dropped) {
           stream_position += block.cell_stream_sizes[cell];
           sorted_position += block.cell_distinct_sizes[cell];
         }
-        stream_offsets.push_back(stream_position);
-        sorted_offsets.push_back(sorted_position);
+        stream_offsets.push_back(static_cast<uint32_t>(stream_position));
+        sorted_offsets.push_back(static_cast<uint32_t>(sorted_position));
       }
     }
     arena_sizes[side][0] = stream_position;
@@ -290,17 +267,20 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
   fill_side(blocks_a, blocks.size() - blocks_a, 1, table_b);
 
   // Memory admission: the cell arenas dominate the plane footprint.
-  // Reserve them (charging the budget) before allocating; a refusal drops
-  // every block — the offsets recompute to an all-empty truncated plane,
-  // which is never attached, so consumers fall back to the legacy string
-  // path. The refill reuses the already-reserved metadata chunk (clear()
-  // keeps capacity), so no allocation happens past a refusal.
-  const size_t cell_bytes =
-      mem::Arena::AlignedSize(arena_sizes[0][0] * sizeof(uint32_t)) +
-      mem::Arena::AlignedSize(arena_sizes[0][1] * sizeof(uint32_t)) +
-      mem::Arena::AlignedSize(arena_sizes[1][0] * sizeof(uint32_t)) +
-      mem::Arena::AlignedSize(arena_sizes[1][1] * sizeof(uint32_t));
-  if (arena_ok && !plane.arena_->Reserve(cell_bytes)) {
+  // Reserve them (charging the budget) before allocating; a refusal, or a
+  // side too large for 32-bit offsets, drops every block — the offsets
+  // recompute to an all-empty truncated plane, which is never attached, so
+  // consumers fall back to the legacy string path. The refill reuses the
+  // already-reserved metadata chunk (clear() keeps capacity), so no
+  // allocation happens past a refusal.
+  bool offsets_fit = true;
+  size_t cell_bytes = 0;
+  for (const uint64_t entries : {arena_sizes[0][0], arena_sizes[0][1],
+                                 arena_sizes[1][0], arena_sizes[1][1]}) {
+    offsets_fit = offsets_fit && TextPlaneOffsetsFit(entries);
+    cell_bytes += mem::Arena::AlignedSize(entries * sizeof(uint32_t));
+  }
+  if (arena_ok && (!offsets_fit || !plane.arena_->Reserve(cell_bytes))) {
     for (PlaneBlock& block : blocks) {
       if (!block.dropped) {
         block.dropped = true;
@@ -333,7 +313,7 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
     size_t read = 0;
     for (size_t cell = 0; cell < block_cells; ++cell) {
       const size_t n = block.cell_stream_sizes[cell];
-      uint64_t write = stream_offsets[first_cell + cell];
+      uint32_t write = stream_offsets[first_cell + cell];
       ranks.clear();
       for (size_t e = read; e < read + n; ++e) {
         const uint32_t entry = block.stream[e];
@@ -347,7 +327,7 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::Build(
       }
       read += n;
       std::sort(ranks.begin(), ranks.end());
-      uint64_t sorted_write = sorted_offsets[first_cell + cell];
+      uint32_t sorted_write = sorted_offsets[first_cell + cell];
       for (uint32_t rank : ranks) sorted_arena[sorted_write++] = rank;
     }
   };
@@ -394,14 +374,12 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
   out.rows_[side] = new_rows;
   out.rows_[other] = base.rows_[other];
   out.dictionary_ = base.dictionary_;
-  out.norm_values_ = base.norm_values_;
   out.build_stats_ = base.build_stats_;
 
   // The patched plane gets its own arena, charged exactly what it
   // reserves; the base generation keeps its own charge until it dies. The
-  // metadata sizes (offset tables, norm ids, missing bits, both sides) are
-  // known up front; a refused reserve rejects the delta, mirroring Build's
-  // admission.
+  // metadata sizes (offset tables and missing bits, both sides) are known up
+  // front; a refused reserve rejects the delta, mirroring Build's admission.
   out.memory_budget_ = options.memory_budget;
   out.arena_ = std::make_unique<mem::Arena>(mem::ArenaOptions{
       .budget = options.memory_budget, .tag = "text_plane"});
@@ -409,11 +387,9 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
     const size_t delta_cells = new_rows * cols;
     const size_t other_cells = base.rows_[other] * cols;
     const size_t meta_bytes =
-        2 * mem::Arena::AlignedSize((delta_cells + 1) * sizeof(uint64_t)) +
-        mem::Arena::AlignedSize(delta_cells * sizeof(uint32_t)) +
+        2 * mem::Arena::AlignedSize((delta_cells + 1) * sizeof(uint32_t)) +
         mem::Arena::AlignedSize(delta_cells) +
-        2 * mem::Arena::AlignedSize((other_cells + 1) * sizeof(uint64_t)) +
-        mem::Arena::AlignedSize(other_cells * sizeof(uint32_t)) +
+        2 * mem::Arena::AlignedSize((other_cells + 1) * sizeof(uint32_t)) +
         mem::Arena::AlignedSize(other_cells);
     if (!out.arena_->Reserve(meta_bytes)) return nullptr;
     out.BindVectorsToArena(out.arena_.get());
@@ -433,12 +409,11 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
   }
 
   // Re-tokenize only the touched + appended cells, interning directly into
-  // the published dictionary and pool (new tokens take ids past the base's;
-  // ranks are re-derived below, so id order is irrelevant to content).
+  // the published dictionary (new tokens take ids past the base's; ranks
+  // are re-derived below, so id order is irrelevant to content).
   struct NewCell {
     std::vector<uint32_t> stream;  // Global ids, repeats flagged.
     std::vector<TokenId> distinct;
-    uint32_t norm_id = 0;
   };
   std::unordered_map<size_t, NewCell> fresh;  // Keyed by new-layout cell.
   std::vector<size_t> last_cell;  // Per id: the last cell that counted it.
@@ -447,7 +422,6 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
   auto tokenize_cell = [&](size_t row, size_t column) {
     NewCell cell;
     NormalizeForTokensInto(delta_table.Value(row, column), norm);
-    cell.norm_id = out.norm_values_.Insert(norm).first;
     ++cell_count;
     ForEachNormalizedWordToken(norm, [&](std::string_view token) {
       const TokenId id = out.dictionary_.Intern(token);
@@ -489,7 +463,6 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
   sorted_offsets.reserve(cells + 1);
   stream_offsets.push_back(0);
   sorted_offsets.push_back(0);
-  out.norm_ids_[side].reserve(cells);
   out.missing_[side].reserve(cells);
   uint64_t stream_position = 0;
   uint64_t sorted_position = 0;
@@ -500,30 +473,31 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
           delta_table.IsMissing(row, column) ? 1 : 0);
       if (untouched) {
         const size_t cell = row * cols + column;
-        out.norm_ids_[side].push_back(base.norm_ids_[side][cell]);
         stream_position += base.stream_offsets_[side][cell + 1] -
                            base.stream_offsets_[side][cell];
         sorted_position += base.sorted_offsets_[side][cell + 1] -
                            base.sorted_offsets_[side][cell];
       } else {
         const NewCell& cell = fresh.at(row * cols + column);
-        out.norm_ids_[side].push_back(cell.norm_id);
         stream_position += cell.stream.size();
         sorted_position += cell.distinct.size();
       }
-      stream_offsets.push_back(stream_position);
-      sorted_offsets.push_back(sorted_position);
+      stream_offsets.push_back(static_cast<uint32_t>(stream_position));
+      sorted_offsets.push_back(static_cast<uint32_t>(sorted_position));
     }
   }
 
   // Memory admission before the big allocations, mirroring Build. The
-  // other side's arenas are copied, so reserve both sides.
+  // other side's arenas are copied, so reserve both sides. A delta side too
+  // large for 32-bit offsets is refused like a refused charge.
   const size_t cell_bytes =
       mem::Arena::AlignedSize(stream_position * sizeof(uint32_t)) +
       mem::Arena::AlignedSize(sorted_position * sizeof(uint32_t)) +
       mem::Arena::AlignedSize(base.stream_[other].size() * sizeof(uint32_t)) +
       mem::Arena::AlignedSize(base.sorted_[other].size() * sizeof(uint32_t));
-  if (!out.arena_->Reserve(cell_bytes)) {
+  if (!TextPlaneOffsetsFit(stream_position) ||
+      !TextPlaneOffsetsFit(sorted_position) ||
+      !out.arena_->Reserve(cell_bytes)) {
     return nullptr;
   }
 
@@ -534,8 +508,8 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
     if (untouched) {
       // Whole-row bulk copy: a row's cells are contiguous in the arena.
       const size_t first = row * cols;
-      const uint64_t src = base.stream_offsets_[side][first];
-      const uint64_t src_end = base.stream_offsets_[side][first + cols];
+      const uint32_t src = base.stream_offsets_[side][first];
+      const uint32_t src_end = base.stream_offsets_[side][first + cols];
       std::copy(base.stream_[side].begin() + src,
                 base.stream_[side].begin() + src_end,
                 out.stream_[side].begin() + stream_offsets[first]);
@@ -549,11 +523,10 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
     }
   }
 
-  // Other side: streams, offsets, norm ids, missing bits copy verbatim.
+  // Other side: streams, offsets and missing bits copy verbatim.
   out.stream_offsets_[other] = base.stream_offsets_[other];
   out.stream_[other] = base.stream_[other];
   out.sorted_offsets_[other] = base.sorted_offsets_[other];
-  out.norm_ids_[other] = base.norm_ids_[other];
   out.missing_[other] = base.missing_[other];
   out.sorted_[other].resize(base.sorted_[other].size());
 
@@ -571,9 +544,9 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::ApplyDelta(
           ranks.push_back(out.dictionary_.RankOf(id));
         }
       } else {
-        const uint64_t begin = base.sorted_offsets_[s][cell];
-        const uint64_t end = base.sorted_offsets_[s][cell + 1];
-        for (uint64_t e = begin; e < end; ++e) {
+        const uint32_t begin = base.sorted_offsets_[s][cell];
+        const uint32_t end = base.sorted_offsets_[s][cell + 1];
+        for (uint32_t e = begin; e < end; ++e) {
           ranks.push_back(rank_map[base.sorted_[s][e]]);
         }
       }
@@ -607,23 +580,20 @@ uint32_t TokenizedTable::ContentCrc() const {
     const size_t cells = rows_[side] * num_columns_;
     for (size_t cell = 0; cell < cells; ++cell) {
       crc = Crc32(&missing_[side][cell], 1, crc);
-      std::string_view norm = norm_values_.KeyOf(norm_ids_[side][cell]);
-      hash_u64(norm.size());
-      crc = Crc32(norm.data(), norm.size(), crc);
       // Streams hash as ranks (repeat bit preserved): token ids are
       // build-order artifacts that differ between a patch and a rebuild.
-      const uint64_t begin = stream_offsets_[side][cell];
-      const uint64_t end = stream_offsets_[side][cell + 1];
+      const uint32_t begin = stream_offsets_[side][cell];
+      const uint32_t end = stream_offsets_[side][cell + 1];
       hash_u64(end - begin);
-      for (uint64_t e = begin; e < end; ++e) {
+      for (uint32_t e = begin; e < end; ++e) {
         const uint32_t entry = stream_[side][e];
         const uint32_t canonical =
             dictionary_.RankOf(entry & kTextTokenIdMask) |
             (entry & kTextRepeatBit);
         crc = Crc32(&canonical, sizeof(canonical), crc);
       }
-      const uint64_t sorted_begin = sorted_offsets_[side][cell];
-      const uint64_t sorted_end = sorted_offsets_[side][cell + 1];
+      const uint32_t sorted_begin = sorted_offsets_[side][cell];
+      const uint32_t sorted_end = sorted_offsets_[side][cell + 1];
       hash_u64(sorted_end - sorted_begin);
       if (sorted_end > sorted_begin) {
         crc = Crc32(sorted_[side].data() + sorted_begin,
@@ -647,7 +617,8 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::BuildAndAttach(
 }
 
 const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
-    size_t q, size_t column) const {
+    const Table& table_a, const Table& table_b, size_t q,
+    size_t column) const {
   if (q == 0 || column >= num_columns_ || truncated_) return nullptr;
   const uint64_t key = (static_cast<uint64_t>(q) << 32) | column;
   {
@@ -666,6 +637,10 @@ const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
     return nullptr;
   }
 
+  const Table* tables[2] = {&table_a, &table_b};
+  if (table_a.text_plane_side() == 1 && table_b.text_plane_side() == 0) {
+    std::swap(tables[0], tables[1]);
+  }
   auto built = std::make_unique<QGramColumn>();
   StringIndex gram_ids;
   std::vector<size_t> last_cell;  // Per gram id: the last cell holding it.
@@ -673,15 +648,13 @@ const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
   std::string scratch;
   std::vector<uint32_t> cell;
   for (size_t side = 0; side < 2; ++side) {
+    MC_CHECK_EQ(tables[side]->num_rows(), rows_[side]);
     built->offsets[side].reserve(rows_[side] + 1);
     built->offsets[side].push_back(0);
     for (size_t row = 0; row < rows_[side]; ++row) {
       cell.clear();
       ++cell_count;
-      // Grams of the normalized value equal QGrams(raw): ForEachQGram's own
-      // normalization (fold, non-alnum runs to one space) is idempotent
-      // over NormalizeForTokens output, so the pooled value suffices.
-      ForEachQGram(NormalizedValue(side, row, column), q, scratch,
+      ForEachQGram(tables[side]->Value(row, column), q, scratch,
                    [&](std::string_view gram) {
                      auto [id, inserted] = gram_ids.Insert(gram);
                      if (inserted) last_cell.push_back(0);

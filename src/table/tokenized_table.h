@@ -40,6 +40,14 @@ struct CellSpan {
   const uint32_t* end() const { return data + length; }
 };
 
+/// True when `entries` stream or sorted-rank entries of one plane side can
+/// be addressed by the plane's 32-bit cell offsets. A side that does not
+/// fit is refused like a refused memory charge: Build returns a truncated
+/// plane, ApplyDelta returns nullptr.
+constexpr bool TextPlaneOffsetsFit(uint64_t entries) {
+  return entries <= UINT32_MAX;
+}
+
 /// Options for TokenizedTable::Build.
 struct TextPlaneBuildOptions {
   /// Worker threads for the block-parallel tokenize/flatten phases;
@@ -72,7 +80,7 @@ struct TextPlaneBuildStats {
 /// The tokenize-once text plane of a table pair: every cell of tables A and
 /// B, over *all* columns, normalized and word-tokenized exactly once into
 /// CSR arenas at build time. Consumers read spans instead of re-tokenizing
-/// strings; string content never leaves the shared dictionary/pool.
+/// strings; token strings live once, in the shared dictionary.
 ///
 /// Per cell (addressed side/row/column, cells flattened row-major):
 ///  - token stream: the full WordTokens sequence as interned ids in
@@ -81,12 +89,13 @@ struct TextPlaneBuildStats {
 ///    (rank = position in the dictionary's (document frequency, token)
 ///    order, rarest first — a consistent total order for O(n+m) overlap
 ///    merges and prefix filtering);
-///  - the interned NormalizeForTokens value (untrimmed; shared pool across
-///    both sides, so repeated values cost one string);
 ///  - q-gram columns, built lazily per (q, column) on first use and cached
 ///    for the q-gram blockers and predicates, which need dense gram ids
 ///    over whole columns (the feature extractor codes the 3-grams of the
 ///    rows it scores itself; see learn/features.h).
+/// Cell strings are not kept: a consumer that needs a cell's normalized
+/// value computes NormalizeForTokens(table.Value(row, column)), which is
+/// exactly the string the cell was tokenized from.
 /// Missingness is not duplicated here: Table::IsMissing is already O(1).
 ///
 /// Build parallelism follows SsjCorpus::Build: fixed row blocks tokenized
@@ -157,13 +166,14 @@ class TokenizedTable {
   ///
   /// `table_a`/`table_b` must already hold the post-delta contents. The
   /// result is content-identical to Build() on the mutated tables
-  /// (ContentCrc matches bit for bit); ids and pool slots may differ, so
-  /// equality is defined over ranks and strings, which is all consumers
-  /// observe.
+  /// (ContentCrc matches bit for bit); token ids may differ, so equality is
+  /// defined over ranks, which is all consumers observe.
   ///
   /// Returns nullptr — base untouched, nothing attached — when the delta
   /// does not match the plane's dimensions, the memory budget refuses the
-  /// patched arenas, or the "text_plane/apply_delta" fault point fires.
+  /// patched arenas, a side's arena outgrows the 32-bit offsets
+  /// (TextPlaneOffsetsFit), or the "text_plane/apply_delta" fault point
+  /// fires.
   static std::shared_ptr<const TokenizedTable> ApplyDelta(
       const TokenizedTable& base, const Table& table_a, const Table& table_b,
       const RowsDelta& delta, const TextPlaneBuildOptions& options = {});
@@ -203,20 +213,6 @@ class TokenizedTable {
                                  sorted_offsets_[side][cell]);
   }
 
-  /// The cell's NormalizeForTokens value, untrimmed (consumers trim on the
-  /// fly where legacy code did). Interned: equal values share one string.
-  std::string_view NormalizedValue(size_t side, size_t row,
-                                   size_t column) const {
-    return norm_values_.KeyOf(norm_ids_[side][Cell(side, row, column)]);
-  }
-
-  /// Pool id of the cell's normalized value — equal ids iff equal
-  /// normalized values (profiling dedups on this instead of re-hashing
-  /// strings).
-  uint32_t NormId(size_t side, size_t row, size_t column) const {
-    return norm_ids_[side][Cell(side, row, column)];
-  }
-
   /// First / last word token of the cell ("" when the cell has none).
   std::string_view FirstTokenOf(size_t side, size_t row,
                                 size_t column) const {
@@ -236,14 +232,19 @@ class TokenizedTable {
   const TokenDictionary& word_dictionary() const { return dictionary_; }
 
   /// The (q, column) gram column, built on first use and cached until the
-  /// plane dies (lazy: q-gram consumers touch few columns). Each built
+  /// plane dies (lazy: q-gram consumers touch few columns). The grams are
+  /// those of the raw cells of the pair the plane is shared by, each table
+  /// on the side it is attached to (side 0 = `table_a` when neither is
+  /// attached); QGrams(raw) and QGrams(normalized) are identical. Each built
   /// column is charged to the memory budget the plane was built or patched
   /// with, and released with the plane. Returns nullptr for q == 0,
   /// out-of-range columns or a truncated plane, and when the budget
   /// refuses the charge or the "text_plane/qgram_build" fault point fires;
   /// callers then take their string path. Such a refusal is cached too: a
   /// column is built and charged at most once per plane. Thread-safe.
-  const QGramColumn* QGramsForColumn(size_t q, size_t column) const;
+  const QGramColumn* QGramsForColumn(const Table& table_a,
+                                     const Table& table_b, size_t q,
+                                     size_t column) const;
 
   /// True when the build was cut short: some cells have empty token lists
   /// and the plane must not be consulted (SharedTextPlane / attach both
@@ -275,22 +276,21 @@ class TokenizedTable {
                      static_cast<double>(dictionary_.size());
   }
 
-  /// Canonical content checksum: dims, missing bits, normalized value
-  /// strings, token streams and sorted arenas with every token expressed as
-  /// its global *rank* (ids and pool slots are build-order artifacts; ranks
-  /// and strings are what consumers observe). A patched plane and a
-  /// from-scratch rebuild of the same mutated tables produce the same CRC —
-  /// the delta-equivalence contract.
+  /// Canonical content checksum: dims, missing bits, token streams and
+  /// sorted arenas with every token expressed as its global *rank* (ids are
+  /// build-order artifacts; ranks are what consumers observe). A patched
+  /// plane and a from-scratch rebuild of the same mutated tables produce
+  /// the same CRC — the delta-equivalence contract.
   uint32_t ContentCrc() const;
 
   const TextPlaneBuildStats& build_stats() const { return build_stats_; }
 
   /// Exact resident footprint of the plane's arena — the cell arenas,
-  /// offset tables, norm ids, and missing bits all allocate through it, and
-  /// the arena charges the memory budget exactly this many bytes (charge ==
+  /// offset tables and missing bits all allocate through it, and the arena
+  /// charges the memory budget exactly this many bytes (charge ==
   /// reservation, the mem/ subsystem contract). The sizing signal for the
-  /// service's shared-plane LRU cache. Excludes dictionary/pool string
-  /// storage and lazy q-gram columns, which stay on the heap (the columns
+  /// service's shared-plane LRU cache. Excludes the dictionary's token
+  /// strings and lazy q-gram columns, which stay on the heap (the columns
   /// are charged to the budget on their own, see QGramsForColumn).
   size_t MemoryBytes() const {
     return arena_ != nullptr ? arena_->ReservedBytes() : 0;
@@ -305,7 +305,7 @@ class TokenizedTable {
     return row * num_columns_ + column;
   }
   static CellSpan Span(const mem::ArenaVector<uint32_t>& arena,
-                       const mem::ArenaVector<uint64_t>& offsets,
+                       const mem::ArenaVector<uint32_t>& offsets,
                        size_t cell) {
     return CellSpan{arena.data() + offsets[cell],
                     static_cast<uint32_t>(offsets[cell + 1] - offsets[cell])};
@@ -320,15 +320,13 @@ class TokenizedTable {
   // its reserved bytes. Heap-allocated so the vectors' allocator pointers
   // stay stable if the plane object moves.
   std::unique_ptr<mem::Arena> arena_;
-  mem::ArenaVector<uint64_t> stream_offsets_[2];  // rows*columns+1 entries.
+  mem::ArenaVector<uint32_t> stream_offsets_[2];  // rows*columns+1 entries.
   mem::ArenaVector<uint32_t> stream_[2];
-  mem::ArenaVector<uint64_t> sorted_offsets_[2];
+  mem::ArenaVector<uint32_t> sorted_offsets_[2];
   mem::ArenaVector<uint32_t> sorted_[2];
-  mem::ArenaVector<uint32_t> norm_ids_[2];
   mem::ArenaVector<uint8_t> missing_[2];
   // Rows deleted by deltas (empty on freshly built planes; sized lazily).
   std::vector<uint8_t> tombstones_[2];
-  StringIndex norm_values_;  // Shared normalized-value pool.
   TokenDictionary dictionary_;
   size_t dead_tokens_ = 0;
   bool truncated_ = false;

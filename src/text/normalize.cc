@@ -20,9 +20,13 @@ std::string NormalizeForTokens(std::string_view text) {
 
 void NormalizeForTokensInto(std::string_view text, std::string& out) {
   out.resize(text.size());
+  // Written through a local pointer: a char store may alias the string's
+  // own data pointer, so out[i] would reload it on every byte (about 3x
+  // slower; readers normalize cells on demand, so this loop is hot).
+  char* const dst = out.data();
   for (size_t i = 0; i < text.size(); ++i) {
     const char folded = FoldTokenByte(text[i]);
-    out[i] = folded != '\0' ? folded : ' ';
+    dst[i] = folded != '\0' ? folded : ' ';
   }
 }
 

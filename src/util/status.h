@@ -1,9 +1,9 @@
 #ifndef MATCHCATCHER_UTIL_STATUS_H_
 #define MATCHCATCHER_UTIL_STATUS_H_
 
+#include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 
 #include "util/check.h"
 
@@ -105,34 +105,36 @@ class Status {
 
 /// Holds either a value of type `T` or an error `Status`. Accessing the
 /// value of an errored result is a fatal programming error.
+///
+/// The value and the status live side by side rather than in a variant:
+/// the status is a plain OK status while a value is held, so no member is
+/// ever left unconstructed (GCC's -Wmaybe-uninitialized misreads the
+/// inactive alternative of a variant<T, Status> at -O2).
 template <typename T>
 class Result {
  public:
   /// Intentionally implicit so functions can `return value;` / `return status;`.
-  Result(T value) : data_(std::move(value)) {}
-  Result(Status status) : data_(std::move(status)) {
-    MC_CHECK(!std::get<Status>(data_).ok())
+  Result(T value) : value_(std::move(value)) {}
+  Result(Status status) : status_(std::move(status)) {
+    MC_CHECK(!status_.ok())
         << "Result constructed from OK status without a value";
   }
 
-  bool ok() const { return std::holds_alternative<T>(data_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(data_);
-  }
+  const Status& status() const { return status_; }
 
   const T& value() const& {
     MC_CHECK(ok()) << "Result::value() on error: " << status().ToString();
-    return std::get<T>(data_);
+    return *value_;
   }
   T& value() & {
     MC_CHECK(ok()) << "Result::value() on error: " << status().ToString();
-    return std::get<T>(data_);
+    return *value_;
   }
   T&& value() && {
     MC_CHECK(ok()) << "Result::value() on error: " << status().ToString();
-    return std::get<T>(std::move(data_));
+    return *std::move(value_);
   }
 
   const T& operator*() const& { return value(); }
@@ -142,7 +144,8 @@ class Result {
   T* operator->() { return &value(); }
 
  private:
-  std::variant<T, Status> data_;
+  std::optional<T> value_;
+  Status status_;  // OK while value_ holds a value.
 };
 
 }  // namespace mc

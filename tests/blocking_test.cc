@@ -15,6 +15,7 @@
 #include "blocking/standard_blockers.h"
 #include "table/table.h"
 #include "table/tokenized_table.h"
+#include "util/fault_injection.h"
 #include "util/random.h"
 
 namespace mc {
@@ -272,6 +273,47 @@ TEST(KeyFunctionTest, MissingValues) {
   EXPECT_FALSE(last.Apply(table, 1).has_value());
   KeyFunction full(KeyFunction::Kind::kFullValue, 0);
   EXPECT_FALSE(full.Apply(table, 1).has_value());
+}
+
+TEST(KeyFunctionTest, PlaneAndStringPathsGiveTheSameKeys) {
+  // Padded values, values that differ only in case or punctuation, and
+  // values that normalize to nothing. A table with the plane attached must
+  // key exactly like one whose plane build was cut short by a fault (the
+  // truncated plane is never attached, so it keys from strings).
+  Table table(Schema({{"name", AttributeType::kString}}));
+  for (const char* value :
+       {"Dave Smith", "  dave   SMITH  ", "\tDave-Smith.\n", "!!!", "--",
+        "  ,, ", "", "   ", "x", " Ab ", "Caf\xc3\xa9 M\xc3\xbcnchen"}) {
+    table.AddRow({value});
+  }
+  Table span = table;
+  Table span_other = table;
+  TokenizedTable::BuildAndAttach(span, span_other);
+  Table strings = table;
+  Table strings_other = table;
+  {
+    ScopedFaultArm fault("text_plane/build_block", FaultKind::kError, 1);
+    TokenizedTable::BuildAndAttach(strings, strings_other);
+  }
+  ASSERT_NE(AttachedTextPlane(span), nullptr);
+  ASSERT_EQ(AttachedTextPlane(strings), nullptr);
+
+  std::vector<KeyFunction> keys = {
+      KeyFunction(KeyFunction::Kind::kFullValue, 0),
+      KeyFunction(KeyFunction::Kind::kFirstWord, 0),
+      KeyFunction(KeyFunction::Kind::kLastWord, 0)};
+  for (size_t length = 1; length <= 12; ++length) {
+    keys.emplace_back(KeyFunction::Kind::kPrefix, 0, length);
+  }
+  for (const KeyFunction& key : keys) {
+    for (size_t row = 0; row < table.num_rows(); ++row) {
+      EXPECT_EQ(key.Apply(span, row), key.Apply(strings, row))
+          << key.Description(table.schema()) << " row " << row;
+    }
+  }
+  KeyFunction full(KeyFunction::Kind::kFullValue, 0);
+  EXPECT_EQ(full.Apply(span, 1).value(), "dave   smith");
+  EXPECT_FALSE(full.Apply(span, 3).has_value());
 }
 
 TEST(KeyFunctionTest, Descriptions) {

@@ -254,13 +254,15 @@ TEST(BudgetConservationTest, QGramColumnsChargeThePlaneBudget) {
   const size_t arena_bytes = plane->MemoryBytes();
   ASSERT_EQ(budget.used(), arena_bytes);
 
-  const TokenizedTable::QGramColumn* grams3 = plane->QGramsForColumn(3, 0);
+  const TokenizedTable::QGramColumn* grams3 =
+      plane->QGramsForColumn(table_a, table_b, 3, 0);
   ASSERT_NE(grams3, nullptr);
   EXPECT_GT(grams3->MemoryBytes(), 0u);
   EXPECT_EQ(budget.used(), arena_bytes + grams3->MemoryBytes());
   // A cached column is not charged twice; another (q, column) is.
-  EXPECT_EQ(plane->QGramsForColumn(3, 0), grams3);
-  const TokenizedTable::QGramColumn* grams2 = plane->QGramsForColumn(2, 2);
+  EXPECT_EQ(plane->QGramsForColumn(table_a, table_b, 3, 0), grams3);
+  const TokenizedTable::QGramColumn* grams2 =
+      plane->QGramsForColumn(table_a, table_b, 2, 2);
   ASSERT_NE(grams2, nullptr);
   EXPECT_EQ(budget.used(),
             arena_bytes + grams3->MemoryBytes() + grams2->MemoryBytes());
@@ -290,7 +292,7 @@ TEST(BudgetConservationTest, RefusedQGramChargeFallsBackToStrings) {
   Table span_b = table_b;
   auto plane = TokenizedTable::BuildAndAttach(span_a, span_b, options);
   ASSERT_EQ(SharedTextPlane(span_a, span_b), plane.get());
-  EXPECT_EQ(plane->QGramsForColumn(3, 0), nullptr);
+  EXPECT_EQ(plane->QGramsForColumn(span_a, span_b, 3, 0), nullptr);
   EXPECT_EQ(budget.used(), arena_bytes) << "a refused column charges nothing";
   EXPECT_GT(budget.rejected(), 0u);
 

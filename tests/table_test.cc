@@ -1,5 +1,6 @@
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,9 @@
 #include "table/schema.h"
 #include "table/table.h"
 #include "table/tokenized_table.h"
+#include "text/normalize.h"
+#include "text/tokenize.h"
+#include "util/fault_injection.h"
 
 namespace mc {
 namespace {
@@ -399,6 +403,96 @@ TEST(ProfileTest, ValueSetJaccard) {
   AttributeProfile pb = ProfileAttribute(tb, 0);
   // Normalized values: {male, female} vs {male, unknown}: 1/3.
   EXPECT_NEAR(ValueSetJaccard(pa, pb), 1.0 / 3.0, 1e-12);
+}
+
+// `table` with its text plane attached (ProfileAttribute's span path), and
+// a copy whose plane build lost a block to an injected fault: the
+// truncated plane is never attached, so the copy profiles from strings.
+struct SpanAndStringTables {
+  Table span;
+  Table strings;
+};
+
+SpanAndStringTables AttachPlaneOrNot(const Table& table) {
+  SpanAndStringTables out{table, table};
+  Table span_other = table;
+  TokenizedTable::BuildAndAttach(out.span, span_other);
+  Table strings_other = table;
+  {
+    ScopedFaultArm fault("text_plane/build_block", FaultKind::kError, 1);
+    TokenizedTable::BuildAndAttach(out.strings, strings_other);
+  }
+  return out;
+}
+
+// The distinct set and token average from first principles: every
+// non-missing row's trimmed normalized value is inserted until the set
+// passes the cap.
+void ExpectReferenceValues(const AttributeProfile& got, const Table& table,
+                           size_t column) {
+  std::unordered_set<std::string> distinct;
+  bool truncated = false;
+  size_t tokens = 0;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (table.IsMissing(r, column)) continue;
+    tokens += WordTokens(table.Value(r, column)).size();
+    if (truncated) continue;
+    const std::string normalized = NormalizeForTokens(table.Value(r, column));
+    distinct.insert(std::string(TrimWhitespace(normalized)));
+    truncated = distinct.size() > AttributeProfile::kMaxDistinctTracked;
+  }
+  EXPECT_EQ(got.distinct_values, distinct);
+  EXPECT_EQ(got.distinct_values_truncated, truncated);
+  EXPECT_EQ(got.average_token_length,
+            static_cast<double>(tokens) / table.num_rows());
+}
+
+void ExpectSameProfile(const AttributeProfile& got,
+                       const AttributeProfile& want) {
+  EXPECT_EQ(got.distinct_values, want.distinct_values);
+  EXPECT_EQ(got.distinct_values_truncated, want.distinct_values_truncated);
+  EXPECT_EQ(got.non_missing_ratio, want.non_missing_ratio);
+  EXPECT_EQ(got.unique_ratio, want.unique_ratio);
+  EXPECT_EQ(got.average_token_length, want.average_token_length);
+}
+
+TEST(ProfileTest, SpanPathMatchesStringsOnValuesThatNormalizeAlike) {
+  // Raw values that differ only in case, punctuation or whitespace share
+  // one normalized value; some normalize to nothing at all.
+  Table table(Schema({{"maker", AttributeType::kString}}));
+  for (const char* value :
+       {"Acme Corp", "acme corp", "ACME, Corp.", "  acme   corp ",
+        "acme-corp", "Acme Corp!", "Acme Corp", "!!!", "--", "  ,, ", "",
+        "Zeta", "zeta.", " ZETA"}) {
+    table.AddRow({value});
+  }
+  SpanAndStringTables tables = AttachPlaneOrNot(table);
+  ASSERT_NE(AttachedTextPlane(tables.span), nullptr);
+  ASSERT_EQ(AttachedTextPlane(tables.strings), nullptr);
+  const AttributeProfile span = ProfileAttribute(tables.span, 0);
+  ExpectSameProfile(span, ProfileAttribute(tables.strings, 0));
+  ExpectReferenceValues(span, table, 0);
+  EXPECT_EQ(span.distinct_values.count("acme corp"), 1u);
+  EXPECT_EQ(span.distinct_values.count(""), 1u);
+}
+
+TEST(ProfileTest, SpanPathMatchesStringsPastTheDistinctCap) {
+  // More than kMaxDistinctTracked distinct values, each raw spelling
+  // repeated in a second case: both paths must stop tracking on the same
+  // row, so the truncated sets hold the same values.
+  Table table(Schema({{"title", AttributeType::kString}}));
+  const size_t distinct = AttributeProfile::kMaxDistinctTracked + 500;
+  for (size_t i = 0; i < distinct; ++i) {
+    table.AddRow({"Item " + std::to_string(i)});
+    if (i % 3 == 0) table.AddRow({"ITEM-" + std::to_string(i) + "."});
+  }
+  SpanAndStringTables tables = AttachPlaneOrNot(table);
+  ASSERT_NE(AttachedTextPlane(tables.span), nullptr);
+  ASSERT_EQ(AttachedTextPlane(tables.strings), nullptr);
+  const AttributeProfile span = ProfileAttribute(tables.span, 0);
+  EXPECT_TRUE(span.distinct_values_truncated);
+  ExpectSameProfile(span, ProfileAttribute(tables.strings, 0));
+  ExpectReferenceValues(span, table, 0);
 }
 
 TEST(InferTypesTest, DetectsNumericCategoricalBooleanString) {

@@ -4,11 +4,15 @@
 // byte-for-byte, across edge-case inputs, thread counts, and fault
 // injection.
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mem/arena.h"
 #include "table/table.h"
 #include "table/tokenized_table.h"
 #include "text/normalize.h"
@@ -84,7 +88,6 @@ TEST(TokenizedTableTest, GoldenStreamsMatchLegacyTokenizer) {
       EXPECT_EQ(plane->TokenCount(side, r, 0), WordTokens(raw).size());
       EXPECT_EQ(plane->DistinctTokenCount(side, r, 0),
                 DistinctWordTokens(raw).size());
-      EXPECT_EQ(plane->NormalizedValue(side, r, 0), NormalizeForTokens(raw));
       EXPECT_EQ(plane->missing(side, r, 0), table.IsMissing(r, 0));
     }
   }
@@ -130,7 +133,8 @@ TEST(TokenizedTableTest, QGramPlanesMatchLegacyQGrams) {
       {"ab", "a b c", "abcd", "", "  ", "Caf\xc3\xa9", "aaaa", "x"});
   auto plane = TokenizedTable::Build(table, table);
   for (size_t q = 2; q <= 4; ++q) {
-    const TokenizedTable::QGramColumn* grams = plane->QGramsForColumn(q, 0);
+    const TokenizedTable::QGramColumn* grams =
+        plane->QGramsForColumn(table, table, q, 0);
     ASSERT_NE(grams, nullptr) << "q=" << q;
     for (size_t ra = 0; ra < table.num_rows(); ++ra) {
       // Padded gram counts: QGrams pads with q-1 '#' on both ends and
@@ -156,8 +160,127 @@ TEST(TokenizedTableTest, QGramPlanesMatchLegacyQGrams) {
       }
     }
   }
-  EXPECT_EQ(plane->QGramsForColumn(0, 0), nullptr);
-  EXPECT_EQ(plane->QGramsForColumn(3, 99), nullptr);
+  EXPECT_EQ(plane->QGramsForColumn(table, table, 0, 0), nullptr);
+  EXPECT_EQ(plane->QGramsForColumn(table, table, 3, 99), nullptr);
+}
+
+// The expected gram column: each cell's QGrams(raw) as ids, sorted. Gram
+// ids are dense in first-occurrence order over side 0's rows, then side
+// 1's, and QGrams lists a cell's grams in occurrence order, so the ids
+// follow from the strings alone.
+std::vector<std::vector<uint32_t>> ExpectedGramCells(
+    const Table& side0, const Table& side1, size_t q, size_t column) {
+  std::unordered_map<std::string, uint32_t> ids;
+  std::vector<std::vector<uint32_t>> cells;
+  for (const Table* table : {&side0, &side1}) {
+    for (size_t row = 0; row < table->num_rows(); ++row) {
+      std::vector<uint32_t> cell;
+      for (const std::string& gram : QGrams(table->Value(row, column), q)) {
+        cell.push_back(
+            ids.emplace(gram, static_cast<uint32_t>(ids.size())).first->second);
+      }
+      std::sort(cell.begin(), cell.end());
+      cells.push_back(std::move(cell));
+    }
+  }
+  return cells;
+}
+
+TEST(TokenizedTableTest, QGramCellsEqualQGramsOfTheRawValues) {
+  Table a(Schema({{"x", AttributeType::kString},
+                  {"y", AttributeType::kString}}));
+  Table b(a.schema());
+  for (const std::string& value : GoldenValues()) {
+    a.AddRow({value, "Ab-" + value});
+  }
+  for (const char* value : {"  CAT  the", "x.y,z", "", "aaaa", "Ab, cd"}) {
+    b.AddRow({value, std::string(value) + "!"});
+  }
+  Table span_a = a;
+  Table span_b = b;
+  auto plane = TokenizedTable::BuildAndAttach(span_a, span_b);
+  ASSERT_EQ(SharedTextPlane(span_a, span_b), plane.get());
+  for (size_t q = 2; q <= 4; ++q) {
+    for (size_t column = 0; column < 2; ++column) {
+      const std::vector<std::vector<uint32_t>> expected =
+          ExpectedGramCells(a, b, q, column);
+      // Passing the pair in either order grams each table on its own side.
+      const TokenizedTable::QGramColumn* grams =
+          column == 0 ? plane->QGramsForColumn(span_a, span_b, q, column)
+                      : plane->QGramsForColumn(span_b, span_a, q, column);
+      ASSERT_NE(grams, nullptr);
+      size_t cell = 0;
+      for (size_t side = 0; side < 2; ++side) {
+        for (size_t row = 0; row < plane->num_rows(side); ++row, ++cell) {
+          CellSpan got = grams->Row(side, row);
+          EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()),
+                    expected[cell])
+              << "q=" << q << " column " << column << " side " << side
+              << " row " << row;
+        }
+      }
+    }
+  }
+
+  // A plane cut short by a fault has no gram columns: its consumers gram
+  // QGrams(raw) on their string path.
+  Table strings_a = a;
+  Table strings_b = b;
+  ScopedFaultArm fault("text_plane/build_block", FaultKind::kError, 1);
+  auto truncated = TokenizedTable::BuildAndAttach(strings_a, strings_b);
+  EXPECT_EQ(SharedTextPlane(strings_a, strings_b), nullptr);
+  EXPECT_EQ(truncated->QGramsForColumn(strings_a, strings_b, 3, 0), nullptr);
+}
+
+TEST(TokenizedTableTest, FootprintIsTheCsrArrays) {
+  // The arena holds, per side, two offset tables of cells + 1 entries, one
+  // missing byte per cell, and the stream and sorted-rank arenas, each
+  // cache-line aligned, reserved as two page-rounded chunks. Nothing per
+  // cell beyond that: a 4-byte array over these 2 x 6000 cells would not
+  // fit in the rounding slack.
+  std::vector<std::string> values;
+  for (size_t i = 0; i < 3000; ++i) {
+    values.push_back("tok" + std::to_string(i % 97) + " Word" +
+                     std::to_string(i % 13) + " tok" + std::to_string(i % 97));
+  }
+  Table a(Schema({{"x", AttributeType::kString},
+                  {"y", AttributeType::kString}}));
+  for (size_t i = 0; i < values.size(); ++i) {
+    a.AddRow({values[i], i % 5 == 0 ? "" : values[values.size() - 1 - i]});
+  }
+  Table b = a;
+  auto plane = TokenizedTable::Build(a, b);
+  ASSERT_FALSE(plane->truncated());
+  auto page = [](size_t bytes) { return (bytes + 4095) & ~size_t{4095}; };
+  size_t meta = 0;
+  size_t arenas = 0;
+  for (size_t side = 0; side < 2; ++side) {
+    const size_t cells = plane->num_rows(side) * plane->num_columns();
+    size_t stream = 0;
+    size_t sorted = 0;
+    for (size_t row = 0; row < plane->num_rows(side); ++row) {
+      for (size_t column = 0; column < plane->num_columns(); ++column) {
+        stream += plane->TokenCount(side, row, column);
+        sorted += plane->DistinctTokenCount(side, row, column);
+      }
+    }
+    meta += 2 * mem::Arena::AlignedSize((cells + 1) * sizeof(uint32_t)) +
+            mem::Arena::AlignedSize(cells);
+    arenas += mem::Arena::AlignedSize(stream * sizeof(uint32_t)) +
+              mem::Arena::AlignedSize(sorted * sizeof(uint32_t));
+  }
+  EXPECT_LE(plane->MemoryBytes(), page(meta) + page(arenas));
+  EXPECT_GE(plane->MemoryBytes(), meta + arenas);
+}
+
+TEST(TokenizedTableTest, OffsetsFitThirtyTwoBits) {
+  // A side with more stream or sorted entries than a uint32_t offset can
+  // address is refused like a refused memory charge (truncated plane,
+  // rejected delta), never wrapped.
+  EXPECT_TRUE(TextPlaneOffsetsFit(0));
+  EXPECT_TRUE(TextPlaneOffsetsFit(UINT32_MAX));
+  EXPECT_FALSE(TextPlaneOffsetsFit(uint64_t{UINT32_MAX} + 1));
+  EXPECT_FALSE(TextPlaneOffsetsFit(UINT64_MAX));
 }
 
 TEST(TokenizedTableTest, AttachmentGuards) {
@@ -228,7 +351,6 @@ TEST_F(TokenizedTableDeterminismTest, BitIdenticalAcrossThreadCounts) {
         CellSpan refr = reference->SortedRanks(side, r, 0);
         ASSERT_EQ(sr.size(), refr.size());
         EXPECT_TRUE(std::equal(sr.begin(), sr.end(), refr.begin()));
-        EXPECT_EQ(plane->NormId(side, r, 0), reference->NormId(side, r, 0));
       }
     }
   }
@@ -249,7 +371,7 @@ TEST_F(TokenizedTableDeterminismTest, InjectedFaultTruncatesAndNeverAttaches) {
   EXPECT_EQ(stats.dropped_blocks, 1u);
   EXPECT_EQ(AttachedTextPlane(a), nullptr);
   EXPECT_EQ(SharedTextPlane(a, b), nullptr);
-  EXPECT_EQ(plane->QGramsForColumn(3, 0), nullptr);
+  EXPECT_EQ(plane->QGramsForColumn(a, b, 3, 0), nullptr);
 }
 
 TEST_F(TokenizedTableDeterminismTest, ThrowingFaultIsAbsorbed) {
@@ -282,7 +404,6 @@ TEST_F(TokenizedTableDeterminismTest, CancellationTruncates) {
             plane->build_stats().blocks);
   // Dropped cells read as empty, not garbage.
   EXPECT_EQ(plane->TokenCount(0, 0, 0), 0u);
-  EXPECT_EQ(plane->NormalizedValue(0, 0, 0), "");
 }
 
 }  // namespace

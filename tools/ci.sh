@@ -124,13 +124,16 @@ done
 # 64 KiB cell), at 1 and 4 threads, pair by pair and batched, and under
 # two concurrent batches on one extractor — and a failed q-gram column
 # build must change no blocker output or verifier result. ASan and UBSan
-# bounds-check the row slabs and their offset arithmetic; TSan checks a
-# batch's rows, coded by pool workers, then read by them after the wait.
+# bounds-check the row slabs (codes and packed edit prefixes) and their
+# offset arithmetic; TSan checks a batch's rows, coded by pool workers, then
+# read by them after the wait. Profiling, type inference, promising-
+# attribute selection and key functions normalize cells on demand (the
+# plane keeps no cell strings) and must match their string path too.
 echo "==== [features] extractor/plane-equivalence/verifier suites under ASan + UBSan + TSan ===="
 for config in asan ubsan tsan; do
   echo "---- [features] ${config} ----"
   ctest --test-dir "${build_root}/${config}" --output-on-failure \
-      -R 'FeaturesTest|TextPlaneEquivalenceTest|MatchVerifierTest'
+      -R 'FeaturesTest|TextPlaneEquivalenceTest|MatchVerifierTest|ProfileTest|KeyFunctionTest|InferTypesTest|SelectPromisingTest'
 done
 
 # Table: copies share their cells until one is written (copy-on-write),
