@@ -3,7 +3,8 @@
 // config) with the q actually used, whether the root ran as the planner's
 // whole-table probe, a CRC-32 over every config's sorted list (pair ids
 // plus raw score bits), and every config's TopKJoinStats (events popped,
-// pairs discovered, scored and pruned, tokens indexed). The inputs are built the way a debugging
+// pairs discovered, scored and pruned, tokens indexed, and for a config
+// the count-all kernel joined, overlap increments). The inputs are built the way a debugging
 // session builds them (text plane, type inference, attribute selection,
 // config tree, corpus, a paper blocker's output as the exclusion set).
 //
@@ -59,6 +60,8 @@ struct DatasetRuns {
   std::vector<Run> runs;
 };
 
+// A config the count-all kernel joined appends a sixth counter, its
+// overlap increments, so its entry cannot be mistaken for an event run's.
 std::string StatsField(const JointResult& result) {
   std::string field;
   char buffer[160];
@@ -69,6 +72,10 @@ std::string StatsField(const JointResult& result) {
                   s.pairs_discovered, s.pairs_scored, s.pairs_pruned,
                   s.tokens_indexed);
     field += buffer;
+    if (config.kernel == JoinKernel::kCountAll) {
+      std::snprintf(buffer, sizeof(buffer), "/%zu", s.overlap_increments);
+      field += buffer;
+    }
   }
   return field;
 }

@@ -61,7 +61,8 @@ double ConfigAverageLength(ConfigMask mask,
 
 Result<PromisingAttributes> SelectPromisingAttributes(
     const Table& table_a, const Table& table_b,
-    const ConfigGeneratorOptions& options) {
+    const ConfigGeneratorOptions& options,
+    const std::vector<AttributeProfile>* profiles_a_in) {
   if (!(table_a.schema() == table_b.schema())) {
     return Status::InvalidArgument(
         "tables A and B must share one schema (different-schema matching is "
@@ -73,11 +74,18 @@ Result<PromisingAttributes> SelectPromisingAttributes(
     return Status::DeadlineExceeded(
         "config generation cancelled before profiling");
   }
-  std::vector<AttributeProfile> profiles_a = ProfileTable(table_a);
-  if (options.run_context.Cancelled()) {
-    return Status::DeadlineExceeded(
-        "config generation cancelled while profiling table A");
+  std::vector<AttributeProfile> own_profiles_a;
+  if (profiles_a_in == nullptr) {
+    own_profiles_a = ProfileTable(table_a);
+    if (options.run_context.Cancelled()) {
+      return Status::DeadlineExceeded(
+          "config generation cancelled while profiling table A");
+    }
+  } else {
+    MC_CHECK_EQ(profiles_a_in->size(), table_a.num_columns());
   }
+  const std::vector<AttributeProfile>& profiles_a =
+      profiles_a_in != nullptr ? *profiles_a_in : own_profiles_a;
   std::vector<AttributeProfile> profiles_b = ProfileTable(table_b);
   if (options.run_context.Cancelled()) {
     return Status::DeadlineExceeded(

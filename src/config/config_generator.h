@@ -55,9 +55,14 @@ struct ConfigTree {
 /// tables, keeps the rest; computes e-scores and average lengths. Attribute
 /// types are taken from the schema of `table_a` (run InferAttributeTypes
 /// first if the source had no types). Fails if no attribute survives.
+///
+/// `profiles_a` (optional) holds ProfileTable(table_a), e.g. from
+/// InferAttributeTypes(table_a, &profiles), so table A is not profiled a
+/// second time; the result is the same either way.
 Result<PromisingAttributes> SelectPromisingAttributes(
     const Table& table_a, const Table& table_b,
-    const ConfigGeneratorOptions& options = {});
+    const ConfigGeneratorOptions& options = {},
+    const std::vector<AttributeProfile>* profiles_a = nullptr);
 
 /// Generates the config tree over the promising attributes, applying the
 /// e-score expansion choice and (optionally) FindLongAttr.

@@ -34,9 +34,14 @@ Result<DebugSession> DebugSession::Create(std::shared_ptr<const Table> a,
   const bool build_plane = SharedTextPlane(*a, *b) == nullptr;
   // Inference profiles through the plane, so it runs after a plane build
   // below; over an attached plane it runs here, and tables that already
-  // carry the inferred schema need no rewrite.
+  // carry the inferred schema need no rewrite. Inference runs exactly once
+  // when infer_types is set, and its profiles of table A serve attribute
+  // selection too: both read the same cells and plane.
   std::optional<Schema> inferred;
-  if (options.infer_types && !build_plane) inferred = InferAttributeTypes(*a);
+  std::vector<AttributeProfile> profiles_a;
+  if (options.infer_types && !build_plane) {
+    inferred = InferAttributeTypes(*a, &profiles_a);
+  }
   const bool rewrite_schema =
       options.infer_types && (build_plane || !(*inferred == a->schema()));
   if (build_plane || rewrite_schema) {
@@ -61,7 +66,9 @@ Result<DebugSession> DebugSession::Create(std::shared_ptr<const Table> a,
       session.text_plane_seconds_ = plane_watch.ElapsedSeconds();
     }
     if (rewrite_schema) {
-      if (!inferred.has_value()) inferred = InferAttributeTypes(mutable_a);
+      if (!inferred.has_value()) {
+        inferred = InferAttributeTypes(mutable_a, &profiles_a);
+      }
       mutable_a.SetSchema(*std::move(inferred));
       mutable_b.SetSchema(mutable_a.schema());
     }
@@ -84,13 +91,15 @@ Result<DebugSession> DebugSession::Create(std::shared_ptr<const Table> a,
     MC_ASSIGN_OR_RETURN(
         session.attributes_,
         SelectPromisingAttributes(*session.table_a_, *session.table_b_,
-                                  config_options));
+                                  config_options,
+                                  options.infer_types ? &profiles_a : nullptr));
     session.tree_ = GenerateConfigTree(session.attributes_, config_options);
     if (options.config_sink != nullptr) {
       options.config_sink(
           CachedConfigPick{session.attributes_, session.tree_});
     }
   }
+  profiles_a = {};  // Their distinct-value sets are not needed past here.
   session.config_seconds_ = config_watch.ElapsedSeconds();
 
   if (options.run_context.Cancelled()) {

@@ -51,6 +51,13 @@ struct JointContext {
   // already (fresh plan at sample rate 1): the root node hands it to
   // FinishNode instead of joining again. Null otherwise.
   PlannerProbe* root_probe = nullptr;
+  // Kernel choice (ConfigPlanDecision::kernel): on only with a plan. The
+  // root's event-join estimate is the plan's cost at its q at sample rate
+  // 1 (negative, none, otherwise); a node that ran the event kernel prices
+  // its own counters with `event_model`.
+  bool choose_kernel = false;
+  double root_event_estimate = 0.0;
+  JoinCostModel event_model;
 
   std::mutex error_mutex;
   void RecordTaskError(const Status& status) {
@@ -130,6 +137,11 @@ class TwoLevelExecutor {
     // reference them).
     ConfigView view;
     std::vector<std::unique_ptr<CachingPairScorer>> scorers;  // Per shard.
+    JoinKernel kernel = JoinKernel::kEvent;
+    // The event-join cost estimate this node hands its children: its own
+    // estimate, replaced by its measured modeled cost once it ran the
+    // event kernel. Negative when there is none (no plan).
+    double event_cost = -1.0;
     std::vector<ScoredPair> seed;
     bool use_seed = false;
     std::vector<TopKList> shard_lists;
@@ -153,6 +165,12 @@ class TwoLevelExecutor {
     node.watch.Reset();
     out.config = tree_node.mask;
     out.completed = false;
+    if (ctx_.choose_kernel) {
+      node.event_cost =
+          tree_node.parent >= 0
+              ? nodes_[static_cast<size_t>(tree_node.parent)].event_cost
+              : ctx_.root_event_estimate;
+    }
     bool shards_started = false;
     try {
       if (ctx_.options.run_context.Cancelled()) {
@@ -180,6 +198,18 @@ class TwoLevelExecutor {
 
       node.view = ctx_.corpus.MakeConfigView(tree_node.mask);
       out.shards_used = shard_count_;
+      // Count-all's modeled cost is exact and O(view tokens); it runs only
+      // when strictly below the event-join estimate (counting stops once
+      // the cost reaches it).
+      if (node.event_cost >= 0.0) {
+        const CountAllWork work =
+            CountAllJoinWork(node.view, node.event_cost);
+        if (CountAllCost(work.increments, work.slot_visits) <
+            node.event_cost) {
+          node.kernel = JoinKernel::kCountAll;
+        }
+      }
+      out.kernel = node.kernel;
 
       // Per-shard caching scorers: CachingPairScorer is single-threaded
       // (local snapshot + counters), so each shard gets its own instance
@@ -187,7 +217,9 @@ class TwoLevelExecutor {
       // parent finished — already contain every ancestor's kept pairs: each
       // config writes the k pairs that survived, once, at completion
       // (FinishNode), which is all a child's snapshot can observe anyway.
-      if (ctx_.overlap_reuse) {
+      // The count-all kernel counts overlaps itself and scores no pair
+      // through a scorer, so it takes none.
+      if (ctx_.overlap_reuse && node.kernel == JoinKernel::kEvent) {
         node.scorers.reserve(shard_count_);
         for (size_t s = 0; s < shard_count_; ++s) {
           node.scorers.push_back(std::make_unique<CachingPairScorer>(
@@ -247,11 +279,19 @@ class TwoLevelExecutor {
                                  std::to_string(index) + "/" +
                                  std::to_string(s));
       }
-      PairScorer* scorer =
-          node.scorers.empty() ? nullptr : node.scorers[s].get();
-      node.shard_lists[s] = RunTopKJoinShard(
-          node.view, ctx_.JoinOptions(node.context), s, shard_count_, scorer,
-          node.use_seed ? &node.seed : nullptr, &node.shard_stats[s]);
+      const std::vector<ScoredPair>* seed =
+          node.use_seed ? &node.seed : nullptr;
+      if (node.kernel == JoinKernel::kCountAll) {
+        node.shard_lists[s] = RunCountAllJoinShard(
+            node.view, ctx_.JoinOptions(node.context), s, shard_count_, seed,
+            &node.shard_stats[s]);
+      } else {
+        PairScorer* scorer =
+            node.scorers.empty() ? nullptr : node.scorers[s].get();
+        node.shard_lists[s] = RunTopKJoinShard(
+            node.view, ctx_.JoinOptions(node.context), s, shard_count_,
+            scorer, seed, &node.shard_stats[s]);
+      }
     } catch (const std::exception& e) {
       ctx_.RecordTaskError(
           Status::Internal(std::string("config task threw: ") + e.what()));
@@ -293,7 +333,14 @@ class TwoLevelExecutor {
       out.stats.pairs_scored += stats.pairs_scored;
       out.stats.pairs_pruned += stats.pairs_pruned;
       out.stats.tokens_indexed += stats.tokens_indexed;
+      out.stats.overlap_increments += stats.overlap_increments;
       out.stats.truncated = out.stats.truncated || stats.truncated;
+    }
+    if (ctx_.choose_kernel && node.kernel == JoinKernel::kEvent) {
+      node.event_cost = ctx_.event_model.Cost(
+          out.stats.events_popped,
+          out.stats.pairs_pruned + out.stats.pairs_scored,
+          out.stats.pairs_scored);
     }
     for (const std::unique_ptr<CachingPairScorer>& scorer : node.scorers) {
       out.cache_hits += scorer->cache_hits();
@@ -408,6 +455,19 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     ctx.shards_per_config = result.plan.shards;
   }
   if (root_probe.has_value()) ctx.root_probe = &*root_probe;
+  if (result.planner_used && !result.plan.truncated) {
+    // The planner's own cost model at scale 1: at sample rate 1 the root's
+    // plan cost is the cost of the root join itself, bit for bit. A sampled
+    // plan's cost is an extrapolation that misjudged the root join by up to
+    // 90x either way on the paper datasets, so a sampled root runs the
+    // event kernel and its children price against what it measured.
+    const CorpusPlannerStats& stats = corpus.PlannerStats();
+    ctx.choose_kernel = true;
+    ctx.root_event_estimate =
+        result.plan.sample_rate == 1 ? result.plan.cost_per_q[q - 1] : -1.0;
+    ctx.event_model = JoinCostModel{
+        1.0, (stats.mean_tokens_a + stats.mean_tokens_b) / 2.0};
+  }
 
   TwoLevelExecutor(ctx).Run();
 
@@ -418,6 +478,7 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     decision.q = q;
     decision.shards = config.shards_used;
     decision.seeded_from_parent = config.seeded_from_parent;
+    decision.kernel = config.kernel;
     result.plan_decisions.push_back(decision);
   }
 

@@ -22,7 +22,9 @@ struct JointOptions {
   SetMeasure measure = SetMeasure::kJaccard;
   /// QJoin deferred-scoring parameter; 0 lets the cost-based planner
   /// (src/ssj/join_planner.h) pick q per corpus — once, on the root config
-  /// — along with a shard hint.
+  /// — along with a shard hint, and each config's kernel by cost
+  /// (ConfigPlanDecision::kernel). A fixed q runs the event kernel
+  /// everywhere.
   size_t q = 1;
   /// Planner sample seed; 0 = MC_PLANNER_SEED (fixed default when unset).
   /// Plans are deterministic for a fixed seed on a fixed corpus generation.
@@ -86,6 +88,8 @@ struct ConfigJoinResult {
   double seconds = 0.0;
   /// Table-A shard tasks this config's join was decomposed into.
   size_t shards_used = 1;
+  /// The kernel that joined this config (see ConfigPlanDecision::kernel).
+  JoinKernel kernel = JoinKernel::kEvent;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   bool seeded_from_parent = false;
@@ -111,6 +115,17 @@ struct ConfigPlanDecision {
   /// Table-A shard tasks the config was decomposed into.
   size_t shards = 1;
   bool seeded_from_parent = false;
+  /// The kernel that joined the config. With a plan (q == 0, not
+  /// truncated) each config compares the count-all kernel's exact modeled
+  /// cost (CountAllCost of CountAllJoinWork) with an event-join estimate
+  /// and runs count-all when it is strictly cheaper. The root's estimate is
+  /// the plan's cost at its q (JoinPlan::cost_per_q); a child's is the
+  /// modeled cost (JoinCostModel at scale 1) its nearest ancestor that ran
+  /// the event kernel measured, or the root's estimate when none did.
+  /// Without a plan every config runs the event kernel, and a root reused
+  /// from the planner's probe ran it. Both kernels return the same lists,
+  /// so the choice moves only counters and time.
+  JoinKernel kernel = JoinKernel::kEvent;
 };
 
 /// Outcome of the whole joint execution, in config-tree node order.
@@ -142,12 +157,18 @@ struct JointResult {
 };
 
 /// Runs one top-k SSJ per config of `tree` over `corpus`, in parallel, with
-/// score-computation and top-k reuse across configs. With q = 1 each
-/// config's result is exactly the top-k of D under that config (Theorem
-/// 4.2). The per-config lists (pairs and scores) are bit-identical for
-/// every num_threads/shards_per_config combination and match an
-/// independent per-config RunTopKJoin — pinned by the joint_test property
-/// suite and the joint determinism test.
+/// score-computation and top-k reuse across configs. A config's list is
+/// the canonical top-k (score desc, pair asc) of its q-eligible pairs —
+/// non-excluded pairs sharing at least q tokens under the config — plus
+/// its seeds, the parent's list re-adjusted to the config (when
+/// reuse_topk). With q = 1 a seed either shares a token, and so is
+/// eligible, or scores 0 and is displaced by any eligible pair: once k
+/// non-excluded pairs share a token the list is exactly the top-k of D
+/// under the config (Theorem 4.2). With q > 1 a seed sharing fewer than q
+/// tokens can stay in the list.
+/// The per-config lists (pairs and scores) are bit-identical for every
+/// num_threads/shards_per_config combination and kernel choice — pinned by
+/// the joint_test property suite and the joint determinism test.
 JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                               const JointOptions& options);
 

@@ -17,7 +17,31 @@ struct CostWeights {
   double score_base = 4.0;
   /// Per-token part of a scoring merge (multiplied by the mean length).
   double score_token = 0.25;
+  /// Count-all kernel (RunCountAllJoinShard): one overlap-counter
+  /// increment, and one counter slot of the offer pass's sequential scan
+  /// (CountAllWork). Unlike the weights above, these two must rank a
+  /// count-all cost against an event-engine cost: the joint executor picks
+  /// a config's kernel by comparing them. Calibrated on a 4-core x86-64
+  /// host (docs/algorithms.md §"Count-all kernel") by timing both kernels,
+  /// seeded as the executor seeds them, one thread, on every config of 16
+  /// joint runs (A-G, W-A, M2, F-Z, A-D, M1) and replaying the choice rule
+  /// over a grid of weights: total join time is flat for increments in
+  /// 0.03-0.07 and slots in 0.02-0.04, where no run is slower than with
+  /// the event engine alone; these are the middle of that plateau. They
+  /// exceed the raw time ratios (about 2.0 ns per increment and 0.14 ns per
+  /// slot against 31-121 ns per unit of event cost) because one unit of
+  /// event cost takes 3x less time on M2 than on W-A.
+  double count_increment = 0.05;
+  double count_slot = 0.025;
 };
+
+/// Modeled cost of the count-all kernel over a whole view, priced from
+/// CountAllJoinWork's exact counts in the units of JoinCostModel.
+inline double CountAllCost(size_t increments, size_t slot_visits) {
+  constexpr CostWeights weights{};
+  return static_cast<double>(increments) * weights.count_increment +
+         static_cast<double>(slot_visits) * weights.count_slot;
+}
 
 /// The planner's modeled cost of a (possibly sampled) join, priced from the
 /// engine's operation counters. Events are per (row, position), one thinned

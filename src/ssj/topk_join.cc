@@ -22,6 +22,11 @@ double DirectPairScorer::Score(RowId row_a, RowId row_b) {
 
 namespace {
 
+// Scan slots one touched-list visit of the count-all kernel costs
+// (CountAllWork::slot_visits), and so the row density at which it scans
+// all of table B's counters instead.
+constexpr size_t kTouchedSlotCost = 4;
+
 // One pending prefix extension: string `row` on side `side` is about to
 // reveal the token at `position`; any *new* pair formed through that token
 // scores at most `cap`.
@@ -472,25 +477,11 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
   return topk;
 }
 
-// Measure/scorer-kind dispatch into the templated shard runner. `direct` is
-// non-null exactly when the caller did not supply a custom scorer.
-TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
-                  PairScorer* scorer, DirectPairScorer* direct,
-                  const std::vector<ScoredPair>* seed, TopKJoinStats* stats,
-                  size_t shard, size_t shard_count, size_t b_shard = 0,
-                  size_t b_shard_count = 1) {
-  auto run = [&](auto measure_tag) {
-    constexpr SetMeasure kMeasure = decltype(measure_tag)::value;
-    if (direct != nullptr) {
-      return RunShardPass<kMeasure, DirectPairScorer>(
-          view, options, direct, seed, stats, shard, shard_count, b_shard,
-          b_shard_count);
-    }
-    return RunShardPass<kMeasure, PairScorer>(view, options, scorer, seed,
-                                              stats, shard, shard_count,
-                                              b_shard, b_shard_count);
-  };
-  switch (options.measure) {
+// Calls run(std::integral_constant<SetMeasure, measure>{}), folding the
+// measure into a compile-time constant for the templated passes.
+template <typename Run>
+TopKList DispatchMeasure(SetMeasure measure, size_t k, Run&& run) {
+  switch (measure) {
     case SetMeasure::kJaccard:
       return run(
           std::integral_constant<SetMeasure, SetMeasure::kJaccard>{});
@@ -503,7 +494,201 @@ TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
                                         SetMeasure::kOverlapCoefficient>{});
   }
   MC_CHECK(false) << "unknown measure";
-  return TopKList(options.k);
+  return TopKList(k);
+}
+
+// Measure/scorer-kind dispatch into the templated shard runner. `direct` is
+// non-null exactly when the caller did not supply a custom scorer.
+TopKList RunShard(const ConfigView& view, const TopKJoinOptions& options,
+                  PairScorer* scorer, DirectPairScorer* direct,
+                  const std::vector<ScoredPair>* seed, TopKJoinStats* stats,
+                  size_t shard, size_t shard_count, size_t b_shard = 0,
+                  size_t b_shard_count = 1) {
+  return DispatchMeasure(options.measure, options.k, [&](auto measure_tag) {
+    constexpr SetMeasure kMeasure = decltype(measure_tag)::value;
+    if (direct != nullptr) {
+      return RunShardPass<kMeasure, DirectPairScorer>(
+          view, options, direct, seed, stats, shard, shard_count, b_shard,
+          b_shard_count);
+    }
+    return RunShardPass<kMeasure, PairScorer>(view, options, scorer, seed,
+                                              stats, shard, shard_count,
+                                              b_shard, b_shard_count);
+  });
+}
+
+// Count-all pass over the table-A rows congruent to `shard` mod
+// `shard_count` (RunCountAllJoinShard).
+//
+// Exactness: the event engine's list is the top-k under (score desc, pair
+// asc) of the seeds and the non-excluded pairs sharing at least q tokens —
+// it offers every such pair that can still reach the k-th score, and
+// TopKList::Add keeps the k-minimum of what it is offered whatever the
+// order. This pass offers the same pairs with the same scores (exact
+// overlap, SetSimilarityFromCounts), so it keeps the same list; the order
+// of its offers (table-A rows ascending, table-B rows in counter or
+// touched order) does not matter.
+template <SetMeasure kMeasure>
+TopKList RunCountAllPass(const ConfigView& view, const TopKJoinOptions& options,
+                         const std::vector<ScoredPair>* seed,
+                         TopKJoinStats* stats, size_t shard,
+                         size_t shard_count) {
+  TopKList topk(options.k);
+  if (seed != nullptr) {
+    for (const ScoredPair& entry : *seed) topk.Add(entry.pair, entry.score);
+  }
+  if (options.run_context.Cancelled()) {
+    stats->truncated = true;
+    return topk;
+  }
+
+  mem::Arena scratch(mem::ArenaOptions{.tag = "join_scratch"});
+  const size_t rows_b = view.rows_b();
+  const uint32_t rank_limit = view.rank_limit();
+
+  // Table B's inverted index in CSR form: the rows holding rank r are
+  // postings[offsets[r] .. offsets[r + 1]), ascending. Counted, prefix-
+  // summed, filled (which advances offsets[r] to the next rank's start),
+  // then shifted back one slot.
+  mem::ArenaVector<uint32_t> offsets(rank_limit + 1, 0,
+                                     mem::ArenaAllocator<uint32_t>(&scratch));
+  mem::ArenaVector<uint32_t> len_b(rows_b, 0,
+                                   mem::ArenaAllocator<uint32_t>(&scratch));
+  size_t max_len = 0;
+  for (size_t b = 0; b < rows_b; ++b) {
+    const TokenSpan tokens = view.b(b);
+    len_b[b] = tokens.length;
+    max_len = std::max(max_len, tokens.size());
+    for (const uint32_t token : tokens) ++offsets[token + 1];
+  }
+  for (uint32_t r = 0; r < rank_limit; ++r) offsets[r + 1] += offsets[r];
+  mem::ArenaVector<RowId> postings(offsets[rank_limit], 0,
+                                   mem::ArenaAllocator<RowId>(&scratch));
+  for (size_t b = 0; b < rows_b; ++b) {
+    for (const uint32_t token : view.b(b)) {
+      postings[offsets[token]++] = static_cast<RowId>(b);
+    }
+  }
+  for (uint32_t r = rank_limit; r > 0; --r) offsets[r] = offsets[r - 1];
+  offsets[0] = 0;
+  stats->tokens_indexed += postings.size();
+  for (size_t row = shard; row < view.rows_a(); row += shard_count) {
+    max_len = std::max(max_len, view.a(row).size());
+  }
+
+  // count[b] is the current table-A row's overlap with table-B row b; every
+  // slot is back at 0 after each row's offer pass. `touched` lists the
+  // slots a sparse row raised, so its offer pass skips the rest.
+  mem::ArenaVector<uint32_t> count(rows_b, 0,
+                                   mem::ArenaAllocator<uint32_t>(&scratch));
+  mem::ArenaVector<RowId> touched(rows_b + 1, 0,
+                                  mem::ArenaAllocator<RowId>(&scratch));
+
+  // Required-overlap table, as in RunShardPass: req_value[len] caches
+  // RequiredOverlap<kMeasure, false>(len_a, len, k-th score) while
+  // req_stamp[len] == req_epoch; the epoch advances when the table-A
+  // length or the k-th score changes. A pair reaches the k-th score iff
+  // its overlap reaches the cached value, so the bound is an integer
+  // compare and only pairs that Add could keep are scored.
+  mem::ArenaVector<uint32_t> req_value(max_len + 1, 0,
+                                       mem::ArenaAllocator<uint32_t>(&scratch));
+  mem::ArenaVector<uint64_t> req_stamp(max_len + 1, 0,
+                                       mem::ArenaAllocator<uint64_t>(&scratch));
+  uint64_t req_epoch = 1;
+  size_t req_len_a = 0;
+  double epoch_bound = topk.KthScore();
+
+  const uint32_t q = static_cast<uint32_t>(options.q);
+  size_t since_poll = 0;
+  for (size_t row = shard; row < view.rows_a(); row += shard_count) {
+    const TokenSpan tokens = view.a(row);
+    if (tokens.empty()) continue;
+    if (since_poll >= options.poll_period) {
+      since_poll = 0;
+      if (options.run_context.Cancelled()) {
+        stats->truncated = true;
+        break;
+      }
+    }
+    const size_t len_a = tokens.size();
+    if (len_a != req_len_a) {
+      req_len_a = len_a;
+      ++req_epoch;
+    }
+    size_t increments = 0;
+    for (const uint32_t token : tokens) {
+      increments += offsets[token + 1] - offsets[token];
+    }
+    stats->overlap_increments += increments;
+    since_poll += increments;
+
+    // Offers table-B row b, whose overlap with this row reaches q.
+    auto offer = [&](RowId b, uint32_t overlap) {
+      const uint32_t len = len_b[b];
+      uint32_t required;
+      if (req_stamp[len] == req_epoch) {
+        required = req_value[len];
+      } else {
+        required = static_cast<uint32_t>(
+            RequiredOverlap<kMeasure, /*kStrict=*/false>(len_a, len,
+                                                         topk.KthScore()));
+        req_value[len] = required;
+        req_stamp[len] = req_epoch;
+      }
+      if (overlap < required) {
+        ++stats->pairs_pruned;
+        return;
+      }
+      const PairId pair = MakePairId(static_cast<RowId>(row), b);
+      if (options.exclude != nullptr && options.exclude->Contains(pair)) {
+        return;
+      }
+      ++stats->pairs_scored;
+      topk.Add(pair, SetSimilarityFromCounts(kMeasure, len_a, len, overlap));
+      if (topk.KthScore() != epoch_bound) {
+        epoch_bound = topk.KthScore();
+        ++req_epoch;
+      }
+    };
+
+    if (increments * kTouchedSlotCost >= rows_b) {
+      // Dense row: plain increments, then one sequential scan of every
+      // slot (cheaper than a touched list that would hold most of them).
+      for (const uint32_t token : tokens) {
+        for (uint32_t p = offsets[token]; p < offsets[token + 1]; ++p) {
+          ++count[postings[p]];
+        }
+      }
+      size_t discovered = 0;
+      for (size_t b = 0; b < rows_b; ++b) {
+        const uint32_t overlap = count[b];
+        count[b] = 0;
+        discovered += overlap != 0;
+        if (overlap >= q) offer(static_cast<RowId>(b), overlap);
+      }
+      stats->pairs_discovered += discovered;
+    } else {
+      // Sparse row: every increment also writes its slot at the touched
+      // list's end, which advances only on the slot's first increment —
+      // no data-dependent branch (the list needs one spare slot).
+      size_t touched_size = 0;
+      for (const uint32_t token : tokens) {
+        for (uint32_t p = offsets[token]; p < offsets[token + 1]; ++p) {
+          const RowId b = postings[p];
+          touched[touched_size] = b;
+          touched_size += count[b]++ == 0;
+        }
+      }
+      for (size_t i = 0; i < touched_size; ++i) {
+        const RowId b = touched[i];
+        const uint32_t overlap = count[b];
+        count[b] = 0;
+        if (overlap >= q) offer(b, overlap);
+      }
+      stats->pairs_discovered += touched_size;
+    }
+  }
+  return topk;
 }
 
 }  // namespace
@@ -563,6 +748,7 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
     stats->pairs_scored += shard_stats[s].pairs_scored;
     stats->pairs_pruned += shard_stats[s].pairs_pruned;
     stats->tokens_indexed += shard_stats[s].tokens_indexed;
+    stats->overlap_increments += shard_stats[s].overlap_increments;
     stats->truncated = stats->truncated || shard_stats[s].truncated;
   }
   return merged;
@@ -585,6 +771,46 @@ TopKList RunTopKJoinShard(const ConfigView& view,
   if (stats == nullptr) stats = &local_stats;
   return RunShard(view, options, scorer, direct, seed, stats, shard,
                   shard_count, b_shard, b_shard_count);
+}
+
+const char* JoinKernelName(JoinKernel kernel) {
+  return kernel == JoinKernel::kCountAll ? "count_all" : "event";
+}
+
+CountAllWork CountAllJoinWork(const ConfigView& view, double cost_limit) {
+  std::vector<uint32_t> df_b(view.rank_limit(), 0);
+  for (size_t b = 0; b < view.rows_b(); ++b) {
+    for (const uint32_t token : view.b(b)) ++df_b[token];
+  }
+  CountAllWork work;
+  for (size_t a = 0; a < view.rows_a(); ++a) {
+    size_t increments = 0;
+    for (const uint32_t token : view.a(a)) increments += df_b[token];
+    work.increments += increments;
+    work.slot_visits +=
+        std::min(increments * kTouchedSlotCost, view.rows_b());
+    if (CountAllCost(work.increments, work.slot_visits) >= cost_limit) break;
+  }
+  return work;
+}
+
+TopKList RunCountAllJoinShard(const ConfigView& view,
+                              const TopKJoinOptions& options, size_t shard,
+                              size_t shard_count,
+                              const std::vector<ScoredPair>* seed,
+                              TopKJoinStats* stats) {
+  MC_CHECK_GE(options.q, 1u);
+  MC_CHECK_GE(options.poll_period, 1u);
+  MC_CHECK_LT(shard, shard_count);
+  MC_CHECK(options.cost_model == nullptr)
+      << "cost budgets price the event engine's counters";
+  TopKJoinStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  return DispatchMeasure(options.measure, options.k, [&](auto measure_tag) {
+    constexpr SetMeasure kMeasure = decltype(measure_tag)::value;
+    return RunCountAllPass<kMeasure>(view, options, seed, stats, shard,
+                                     shard_count);
+  });
 }
 
 TopKList BruteForceTopK(const ConfigView& view, size_t k, SetMeasure measure,

@@ -2,6 +2,7 @@
 #define MATCHCATCHER_SSJ_TOPK_JOIN_H_
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "blocking/candidate_set.h"
@@ -130,6 +131,11 @@ struct TopKJoinStats {
   /// cost is a lower bound on the complete join's; the list is partial.
   /// Distinct from `truncated`: no deadline or cancellation fired.
   bool abandoned = false;
+  /// Count-all kernel only (RunCountAllJoinShard): overlap-counter
+  /// increments, one per (table-A row, table-B row, shared token) of the
+  /// shard's rows — Σ_t df_A(t)·df_B(t) over them. The event engine leaves
+  /// it 0 and reports none of it in the other counters.
+  size_t overlap_increments = 0;
 };
 
 /// Runs the prefix-event top-k string similarity join over a config view.
@@ -179,6 +185,70 @@ TopKList RunTopKJoinShard(const ConfigView& view,
                           const std::vector<ScoredPair>* seed = nullptr,
                           TopKJoinStats* stats = nullptr, size_t b_shard = 0,
                           size_t b_shard_count = 1);
+
+/// The two top-k kernels. Both return the same canonical list for the same
+/// arguments; they differ in work and counters. The joint executor picks
+/// one per config by modeled cost (joint/joint_executor.h).
+enum class JoinKernel {
+  /// Prefix-event engine (RunTopKJoin / RunTopKJoinShard).
+  kEvent,
+  /// Count-all kernel (RunCountAllJoinShard).
+  kCountAll,
+};
+
+/// "event" or "count_all".
+const char* JoinKernelName(JoinKernel kernel);
+
+/// The count-all kernel's work over a whole view, the two quantities
+/// CountAllCost (ssj/cost_model.h) prices. Both are exact functions of the
+/// view's document frequencies, computed in O(view tokens + ranks).
+struct CountAllWork {
+  /// Counter increments, Σ_t df_A(t)·df_B(t): what
+  /// TopKJoinStats::overlap_increments sums to over all shards.
+  size_t increments = 0;
+  /// Counter-slot visits of the offer pass, in units of one slot of a
+  /// sequential scan. A table-A row scans all rows_b slots when that is no
+  /// dearer than visiting its touched list, whose visits cost four scan
+  /// slots each (a random access and a mispredicted compare) and are
+  /// counted at their bound, the row's increments: the sum over rows of
+  /// min(4 * increments_a, rows_b).
+  size_t slot_visits = 0;
+};
+
+/// Counts the count-all kernel's work over `view`. It stops adding
+/// table-A rows once CountAllCost of the counts so far reaches
+/// `cost_limit`: the counts are then partial, and their cost is at least
+/// the limit, which is all a caller comparing against it needs.
+CountAllWork CountAllJoinWork(
+    const ConfigView& view,
+    double cost_limit = std::numeric_limits<double>::infinity());
+
+/// Count-all (ScanCount-style) top-k kernel over one table-A shard (rows
+/// with row % shard_count == shard, joined against all of table B). It
+/// builds table B's inverted index over the view's ranks, adds up every
+/// table-A row's exact overlaps with all of table B in a dense per-row
+/// counter array, and offers each pair whose overlap reaches q and that is
+/// not in `options.exclude` — scored with SetSimilarityFromCounts, the
+/// event engine's arithmetic — to a TopKList seeded from `seed` exactly as
+/// RunTopKJoinShard seeds it. The list is RunTopKJoinShard's canonical list
+/// for the same arguments, bit for bit: the top-k under (score desc, pair
+/// asc) of the seeds and the non-excluded pairs sharing at least q tokens.
+/// Only the counters differ: events_popped is 0, pairs_discovered counts
+/// pairs sharing a token, pairs_pruned and pairs_scored split the
+/// q-eligible pairs at the running k-th score, tokens_indexed counts table
+/// B's postings and overlap_increments the counter increments.
+///
+/// Cancellation is polled before a table-A row once poll_period increments
+/// have passed since the last poll; a cancelled run returns its best-so-far
+/// list with TopKJoinStats::truncated set. `options.shards` is ignored, and
+/// a cost budget (`options.cost_model`) is rejected: the planner's probes
+/// stay on the event engine. Counters accumulate into `stats` (may be
+/// null).
+TopKList RunCountAllJoinShard(const ConfigView& view,
+                              const TopKJoinOptions& options, size_t shard,
+                              size_t shard_count,
+                              const std::vector<ScoredPair>* seed = nullptr,
+                              TopKJoinStats* stats = nullptr);
 
 /// Reference implementation: scores every non-excluded pair whose token
 /// overlap is at least `min_overlap` (0 admits even disjoint pairs, the

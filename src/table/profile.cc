@@ -140,10 +140,20 @@ AttributeType ClassifyColumn(const Table& table, size_t column,
 }  // namespace
 
 Schema InferAttributeTypes(const Table& table) {
+  std::vector<AttributeProfile> profiles;
+  return InferAttributeTypes(table, &profiles);
+}
+
+Schema InferAttributeTypes(const Table& table,
+                           std::vector<AttributeProfile>* profiles) {
   std::vector<Attribute> attributes = table.schema().attributes();
+  profiles->clear();
+  profiles->reserve(attributes.size());
+  // Classify each column right after profiling it, while its cells are
+  // still in cache.
   for (size_t c = 0; c < attributes.size(); ++c) {
-    AttributeProfile profile = ProfileAttribute(table, c);
-    attributes[c].type = ClassifyColumn(table, c, profile);
+    profiles->push_back(ProfileAttribute(table, c));
+    attributes[c].type = ClassifyColumn(table, c, profiles->back());
   }
   return Schema(std::move(attributes));
 }

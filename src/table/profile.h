@@ -49,6 +49,13 @@ double ValueSetJaccard(const AttributeProfile& a, const AttributeProfile& b);
 /// the schema with inferred types.
 Schema InferAttributeTypes(const Table& table);
 
+/// As above, and also stores the profile of every column in `*profiles`
+/// (ProfileTable(table), bit for bit). Profiling reads no attribute type,
+/// so the profiles stay valid once the inferred schema is set: a session
+/// hands them to SelectPromisingAttributes and profiles table A once.
+Schema InferAttributeTypes(const Table& table,
+                           std::vector<AttributeProfile>* profiles);
+
 }  // namespace mc
 
 #endif  // MATCHCATCHER_TABLE_PROFILE_H_

@@ -5,8 +5,11 @@
 
 #include "config/config.h"
 #include "config/config_generator.h"
+#include "core/match_catcher.h"
+#include "datagen/generator.h"
 #include "table/profile.h"
 #include "table/table.h"
+#include "table/tokenized_table.h"
 
 namespace mc {
 namespace {
@@ -240,6 +243,79 @@ TEST(ConfigTreeTest, SingleAttribute) {
   ConfigTree tree = GenerateConfigTree(attrs);
   ASSERT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.nodes[0].mask, 0b1u);
+}
+
+void ExpectSameAttributes(const PromisingAttributes& got,
+                          const PromisingAttributes& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.columns, want.columns) << label;
+  EXPECT_EQ(got.e_scores, want.e_scores) << label;
+  EXPECT_EQ(got.avg_len_a, want.avg_len_a) << label;
+  EXPECT_EQ(got.avg_len_b, want.avg_len_b) << label;
+}
+
+void ExpectSameTree(const ConfigTree& got, const ConfigTree& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.nodes[i].mask, want.nodes[i].mask) << label;
+    EXPECT_EQ(got.nodes[i].parent, want.nodes[i].parent) << label;
+    EXPECT_EQ(got.nodes[i].children, want.nodes[i].children) << label;
+  }
+}
+
+// Type inference hands its profiles of table A to attribute selection, so
+// a session profiles A once. The profiles must be ProfileTable's, and the
+// selection, e-scores and tree the same as when selection profiles A
+// itself — over the text plane and over strings.
+TEST(SelectPromisingTest, InferenceProfilesGiveTheSameSelection) {
+  for (const char* name : {"A-G", "W-A", "F-Z"}) {
+    for (bool plane : {true, false}) {
+      const std::string label =
+          std::string(name) + (plane ? " plane" : " strings");
+      Result<datagen::GeneratedDataset> generated =
+          datagen::GenerateByName(name, 0.1, 3);
+      ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+      Table& a = generated->table_a;
+      Table& b = generated->table_b;
+      if (plane) TokenizedTable::BuildAndAttach(a, b);
+      std::vector<AttributeProfile> profiles;
+      a.SetSchema(InferAttributeTypes(a, &profiles));
+      b.SetSchema(a.schema());
+      EXPECT_TRUE(InferAttributeTypes(a) == a.schema()) << label;
+
+      const std::vector<AttributeProfile> own = ProfileTable(a);
+      ASSERT_EQ(profiles.size(), own.size()) << label;
+      for (size_t c = 0; c < own.size(); ++c) {
+        EXPECT_EQ(profiles[c].non_missing_ratio, own[c].non_missing_ratio);
+        EXPECT_EQ(profiles[c].unique_ratio, own[c].unique_ratio);
+        EXPECT_EQ(profiles[c].average_token_length,
+                  own[c].average_token_length);
+        EXPECT_EQ(profiles[c].distinct_values, own[c].distinct_values);
+        EXPECT_EQ(profiles[c].distinct_values_truncated,
+                  own[c].distinct_values_truncated);
+      }
+
+      Result<PromisingAttributes> shared =
+          SelectPromisingAttributes(a, b, {}, &profiles);
+      Result<PromisingAttributes> fresh = SelectPromisingAttributes(a, b);
+      ASSERT_TRUE(shared.ok() && fresh.ok()) << label;
+      ExpectSameAttributes(*shared, *fresh, label);
+      ExpectSameTree(GenerateConfigTree(*shared), GenerateConfigTree(*fresh),
+                     label);
+
+      // DebugSession::Create takes the shared path.
+      MatchCatcherOptions options;
+      options.joint.k = 20;
+      options.joint.num_threads = 1;
+      Result<DebugSession> session = DebugSession::Create(
+          generated->table_a, generated->table_b, CandidateSet(), options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      ExpectSameAttributes(session->attributes(), *fresh, label + " session");
+      ExpectSameTree(session->config_tree(), GenerateConfigTree(*fresh),
+                     label + " session");
+    }
+  }
 }
 
 }  // namespace

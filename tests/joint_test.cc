@@ -10,6 +10,7 @@
 #include "joint/caching_scorer.h"
 #include "joint/joint_executor.h"
 #include "joint/overlap_cache.h"
+#include "joint/parent_merge.h"
 #include "learn/features.h"
 #include "ssj/corpus.h"
 #include "ssj/topk_join.h"
@@ -142,6 +143,15 @@ std::pair<Table, Table> RandomThreeAttrTables(Rng& rng, size_t rows) {
   return {std::move(a), std::move(b)};
 }
 
+PromisingAttributes ThreeColumnAttrs() {
+  PromisingAttributes attrs;
+  attrs.columns = {0, 1, 2};
+  attrs.e_scores = {0.9, 0.4, 0.6};
+  attrs.avg_len_a = {2, 1, 3};
+  attrs.avg_len_b = {2, 1, 3};
+  return attrs;
+}
+
 struct JointModes {
   bool reuse_overlaps;
   bool reuse_topk;
@@ -187,6 +197,8 @@ TEST_P(JointEquivalenceTest, JointEqualsIndependentPerConfig) {
   JointResult joint = RunJointTopKJoins(corpus, tree, options);
   ASSERT_EQ(joint.per_config.size(), tree.size());
 
+  // At q = 1 every config has far more than k pairs sharing a token, so
+  // its list is the canonical top-k of D: pairs and scores, bit for bit.
   for (size_t i = 0; i < tree.size(); ++i) {
     ConfigView view = corpus.MakeConfigView(tree.nodes[i].mask);
     TopKList brute =
@@ -195,15 +207,105 @@ TEST_P(JointEquivalenceTest, JointEqualsIndependentPerConfig) {
     const std::vector<ScoredPair>& got = joint.per_config[i].topk;
     ASSERT_EQ(got.size(), expected.size())
         << "config node " << i << " mask " << tree.nodes[i].mask;
-    DirectPairScorer scorer(&view, options.measure);
     for (size_t r = 0; r < got.size(); ++r) {
-      EXPECT_NEAR(got[r].score, expected[r].score, 1e-12)
+      EXPECT_EQ(got[r].pair, expected[r].pair)
           << "node " << i << " rank " << r;
-      EXPECT_NEAR(got[r].score,
-                  scorer.Score(PairRowA(got[r].pair), PairRowB(got[r].pair)),
-                  1e-12);
+      EXPECT_EQ(got[r].score, expected[r].score)
+          << "node " << i << " rank " << r;
       EXPECT_FALSE(exclude.Contains(got[r].pair));
     }
+  }
+}
+
+// At q > 1 a config's list is the canonical top-k of its q-eligible pairs
+// (non-excluded, sharing at least q tokens) plus its seeds — the parent's
+// final list re-adjusted to the config — and a seed sharing fewer than q
+// tokens can stay listed. Configs over the short attributes (city, one
+// token; name, two) have no pair sharing 4 tokens, so with top-k reuse
+// their lists are all seeds.
+TEST_P(JointEquivalenceTest, SeededListsMatchOracleAtQ4) {
+  auto [seed, mode_index] = GetParam();
+  const JointModes kModes[] = {
+      {false, false, 1}, {true, false, 1},  {false, true, 1},
+      {true, true, 1},   {true, true, 4},   {false, false, 4},
+  };
+  const JointModes mode = kModes[mode_index];
+
+  // Short name and city, long descriptions over a small vocabulary: the
+  // root has plenty of pairs sharing 4 tokens, configs without desc none.
+  Rng rng(seed);
+  Schema schema({{"name", AttributeType::kString},
+                 {"city", AttributeType::kString},
+                 {"desc", AttributeType::kString}});
+  Table a(schema), b(schema);
+  auto word = [&](const char* prefix, size_t vocab) {
+    std::string text(prefix);
+    text += std::to_string(rng.NextZipf(vocab, 0.7));
+    return text;
+  };
+  for (Table* table : {&a, &b}) {
+    for (size_t row = 0; row < 50; ++row) {
+      std::string name = word("n", 30);
+      name += ' ';
+      name += word("n", 30);
+      std::string desc = word("d", 15);
+      const size_t len = 6 + rng.NextBelow(4);
+      for (size_t t = 1; t < len; ++t) {
+        desc += ' ';
+        desc += word("d", 15);
+      }
+      table->AddRow({name, word("c", 10), desc});
+    }
+  }
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1, 2});
+  ConfigTree tree = GenerateConfigTree(ThreeColumnAttrs());
+
+  CandidateSet exclude;
+  for (RowId i = 0; i < 20; ++i) exclude.Add(i, i);
+
+  JointOptions options;
+  options.k = 25;
+  options.q = 4;
+  options.exclude = &exclude;
+  options.reuse_overlaps = mode.reuse_overlaps;
+  options.reuse_topk = mode.reuse_topk;
+  options.reuse_min_avg_tokens = 0.0;
+  options.num_threads = mode.threads;
+  JointResult joint = RunJointTopKJoins(corpus, tree, options);
+  ASSERT_EQ(joint.per_config.size(), tree.size());
+
+  size_t seed_only_lists = 0;
+  for (size_t i = 0; i < tree.size(); ++i) {
+    ConfigView view = corpus.MakeConfigView(tree.nodes[i].mask);
+    DirectPairScorer scorer(&view, options.measure);
+    TopKList oracle(options.k);
+    const int32_t parent = tree.nodes[i].parent;
+    if (options.reuse_topk && parent >= 0) {
+      // The parent's list is itself checked against this oracle first.
+      for (const ScoredPair& entry :
+           ReadjustToConfig(joint.per_config[static_cast<size_t>(parent)].topk,
+                            view, scorer)) {
+        oracle.Add(entry.pair, entry.score);
+      }
+    }
+    const TopKList eligible =
+        BruteForceTopK(view, options.k, options.measure, &exclude, options.q);
+    for (const ScoredPair& entry : eligible.Entries()) {
+      oracle.Add(entry.pair, entry.score);
+    }
+    const std::vector<ScoredPair> expected = oracle.SortedDescending();
+    const std::vector<ScoredPair>& got = joint.per_config[i].topk;
+    ASSERT_EQ(got.size(), expected.size()) << "config node " << i;
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].pair, expected[r].pair) << "node " << i << " rank " << r;
+      EXPECT_EQ(got[r].score, expected[r].score)
+          << "node " << i << " rank " << r;
+    }
+    if (eligible.size() == 0 && !got.empty()) ++seed_only_lists;
+  }
+  // The case the contract is about: some config kept only seeds.
+  if (mode.reuse_topk) {
+    EXPECT_GT(seed_only_lists, 0u);
   }
 }
 
@@ -292,15 +394,6 @@ TEST(JointExecutorTest, AutoQRuns) {
 // Fault tolerance: deadlines, cancellation, and injected task failures
 // (docs/robustness.md).
 // --------------------------------------------------------------------------
-
-PromisingAttributes ThreeColumnAttrs() {
-  PromisingAttributes attrs;
-  attrs.columns = {0, 1, 2};
-  attrs.e_scores = {0.9, 0.4, 0.6};
-  attrs.avg_len_a = {2, 1, 3};
-  attrs.avg_len_b = {2, 1, 3};
-  return attrs;
-}
 
 TEST(JointFaultToleranceTest, DeadlineTruncatesButPartialListsFeedVerifier) {
   // A corpus big enough that the joint run cannot finish inside 50ms: the

@@ -419,6 +419,7 @@ void ExpectSameStats(const TopKJoinStats& got, const TopKJoinStats& want,
   EXPECT_EQ(got.pairs_scored, want.pairs_scored) << label;
   EXPECT_EQ(got.pairs_pruned, want.pairs_pruned) << label;
   EXPECT_EQ(got.tokens_indexed, want.tokens_indexed) << label;
+  EXPECT_EQ(got.overlap_increments, want.overlap_increments) << label;
   EXPECT_EQ(got.truncated, want.truncated) << label;
   EXPECT_EQ(got.abandoned, want.abandoned) << label;
 }
@@ -715,22 +716,28 @@ TEST(JointPlannerTest, SampledPlanRunsTheRootJoin) {
                   "sampled plan vs fixed q");
 }
 
+// Lists always agree; counters agree on every config that ran the same
+// kernel in both runs (the two kernels count different work).
 void ExpectSameListsAndStats(const JointResult& got, const JointResult& want,
                              const std::string& label) {
   ExpectSameLists(got, want, label);
   for (size_t i = 0; i < want.per_config.size(); ++i) {
+    if (got.per_config[i].kernel != want.per_config[i].kernel) continue;
     ExpectSameStats(got.per_config[i].stats, want.per_config[i].stats,
                     label + " config " + std::to_string(i));
   }
 }
 
-// A plan chooses q and the shard count, nothing else: on paper datasets
-// built the way a debugging session builds them, a planned joint run
-// reports the lists and the TopKJoinStats of a fixed-q run at the same
-// shard count, config for config. W-A 0.25 plans at sample rate 2, so its
-// root is joined afresh; A-G 0.3 plans at rate 1, so its root is the
-// planner's probe, whose counters are the join's. A cached-plan replay at 1
-// and 4 threads joins every root afresh and reports the same again.
+// A plan chooses q, the shard count and each config's kernel: on paper
+// datasets built the way a debugging session builds them, a planned joint
+// run reports the lists of a fixed-q run at the same shard count, and the
+// TopKJoinStats of every config that ran the event kernel in both. A
+// fixed-q run has no plan, so it runs the event kernel everywhere. W-A
+// 0.25 plans at sample rate 2, so its root is joined afresh with the event
+// kernel; A-G 0.3 plans at rate 1, so its root is the planner's probe,
+// whose counters are the join's. A cached-plan replay at 1 and 4 threads
+// joins every root afresh (A-G's with the kernel its plan cost picks) and
+// makes every child's choice again.
 TEST(JointPlannerTest, PlannedRunReportsTheFixedQCounters) {
   struct Cell {
     const char* name;
@@ -771,10 +778,15 @@ TEST(JointPlannerTest, PlannedRunReportsTheFixedQCounters) {
     ASSERT_EQ(fresh.per_config[0].from_planner_probe, cell.probe_root)
         << label;
 
+    EXPECT_EQ(fresh.per_config[0].kernel, JoinKernel::kEvent) << label;
+
     JointOptions fixed = planned;
     fixed.q = fresh.plan.q;
-    ExpectSameListsAndStats(fresh, RunJointTopKJoins(corpus, tree, fixed),
-                            label + " planned vs fixed q");
+    const JointResult direct = RunJointTopKJoins(corpus, tree, fixed);
+    for (const ConfigJoinResult& config : direct.per_config) {
+      EXPECT_EQ(config.kernel, JoinKernel::kEvent) << label;
+    }
+    ExpectSameListsAndStats(fresh, direct, label + " planned vs fixed q");
 
     for (size_t threads : {size_t{1}, size_t{4}}) {
       JointOptions cached = planned;
@@ -783,6 +795,10 @@ TEST(JointPlannerTest, PlannedRunReportsTheFixedQCounters) {
       const JointResult replay = RunJointTopKJoins(corpus, tree, cached);
       ASSERT_TRUE(replay.plan_from_cache) << label;
       EXPECT_FALSE(replay.per_config[0].from_planner_probe) << label;
+      for (size_t i = 1; i < tree.size(); ++i) {
+        EXPECT_EQ(replay.per_config[i].kernel, fresh.per_config[i].kernel)
+            << label << " config " << i;
+      }
       ExpectSameListsAndStats(
           fresh, replay,
           label + " cached plan at " + std::to_string(threads) + " threads");

@@ -87,18 +87,26 @@ done
 # must pick the exhaustive ladder's plan (PlannerLadderTest). ASan covers
 # the sampling probes' view lifetimes and the probe list handed to the joint
 # executor; the seed matrix moves the systematic-sample offset so different
-# table-A row subsets drive the cost model each run.
+# table-A row subsets drive the cost model each run. A plan also picks each
+# config's kernel: the count-all kernel must return the event engine's
+# canonical list (CountAll*: oracle and engine equivalence, work counts,
+# cancellation), and the executor's choice must move no list
+# (JointKernelTest); ASan bounds-checks the kernel's CSR index and counter
+# arrays.
 echo "==== [planner] planner-vs-direct equivalence under ASan ===="
 for seed in 42 31337 909090909; do
   echo "---- [planner] asan MC_PLANNER_SEED=${seed} ----"
   MC_PLANNER_SEED="${seed}" ctest --test-dir "${build_root}/asan" \
       --output-on-failure \
-      -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|PlannerLadder|JointPlanner'
+      -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|PlannerLadder|JointPlanner|CountAllEquivalenceTest|CountAllWorkTest|CountAllCancellationTest|JointKernelTest'
 done
 # A root reused from the planner's probe finishes on a pool worker and
-# cascades its children across the pool; TSan checks the hand-over.
-echo "==== [planner] joint probe reuse under TSan ===="
-ctest --test-dir "${build_root}/tsan" --output-on-failure -R 'JointPlanner'
+# cascades its children across the pool; TSan checks the hand-over, and
+# the event-cost hand-over from a finished parent to its children's kernel
+# choice.
+echo "==== [planner] joint probe reuse and kernel choice under TSan ===="
+ctest --test-dir "${build_root}/tsan" --output-on-failure \
+    -R 'JointPlanner|CountAllEquivalenceTest|CountAllWorkTest|CountAllCancellationTest|JointKernelTest'
 
 # Blocking: the flat CandidateSet, the prefix-filter join's length,
 # positional and alpha filters, and the interned tokenizers must never

@@ -35,7 +35,7 @@
 //                      cache, and the modeled cost per q — ">=" marks a q
 //                      whose probe was abandoned, a lower bound), the
 //                      per-config plan decisions (q, shards, parent
-//                      seeding) and the service plan-cache hit/miss
+//                      seeding, kernel) and the service plan-cache hit/miss
 //                      counters; implies --q 0 unless --q was given
 //                      explicitly
 //
@@ -176,9 +176,10 @@ void PrintPlan(uint64_t id, const mc::SessionOutcome& outcome) {
                 plan.cost_per_q[q], q + 1 == plan.q ? "  <- chosen" : "");
   }
   for (const mc::ConfigPlanDecision& decision : outcome.plan_decisions) {
-    std::printf("    config=0x%llx q=%zu shards=%zu seeded=%d\n",
+    std::printf("    config=0x%llx q=%zu shards=%zu seeded=%d kernel=%s\n",
                 static_cast<unsigned long long>(decision.config), decision.q,
-                decision.shards, decision.seeded_from_parent ? 1 : 0);
+                decision.shards, decision.seeded_from_parent ? 1 : 0,
+                mc::JoinKernelName(decision.kernel));
   }
 }
 
